@@ -135,16 +135,35 @@ def _cmd_lp(args):
     return EXIT_OK
 
 
+def _finite(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _dump_x(dump, m):
+    """The x vector of an LP dump, which must hold exactly m finite, nonnegative numbers."""
+    x = dump.get("x")
+    if not isinstance(x, list) or len(x) != m:
+        raise BadSpec(f"LP dump x must list exactly {m} values")
+    for i, v in enumerate(x):
+        if not (_finite(v) and v >= 0):
+            raise BadSpec(f"LP dump x[{i}] = {v!r} is not a finite nonnegative number")
+    return tuple(float(v) for v in x)
+
+
 def _cmd_round(args):
     config = _config(args)
     g, _ = load_input(config.input)
     with open(args.lp, "r", encoding="utf-8") as fh:
         dump = json.load(fh)
+    if not isinstance(dump, dict):
+        raise BadSpec("LP dump must be a JSON object")
+    if not _finite(dump.get("objective")):
+        raise BadSpec(f"LP dump objective {dump.get('objective')!r} is not a finite number")
     if dump.get("m") != g.m or dump.get("n") != g.n:
         raise BadSpec(f"LP dump is for n={dump.get('n')}, m={dump.get('m')}; graph has n={g.n}, m={g.m}")
     sol = LpSolution(
         status=dump.get("status", "optimal"),
-        x=tuple(float(v) for v in dump["x"]),
+        x=_dump_x(dump, g.m),
         f={},
         objective_value=float(dump["objective"]),
     )

@@ -87,7 +87,11 @@ def build_graph(n, edge_list):
 
 
 def reverse_graph(g):
-    """Reversed copy; edge i of the result is edge i of g with endpoints swapped."""
+    """Reversed copy; edge i of the result is edge i of g with endpoints swapped.
+
+    No runtime path builds one: inward searches walk in_edges directly.  It
+    stays public as the reference those searches are tested against.
+    """
     return DiGraph(g.n, tuple((head, tail, length) for tail, head, length in g.edges))
 
 
@@ -113,10 +117,12 @@ def _check_vertex(g, v, what):
         raise IndexOutOfRange(f"{what} {v} outside 0..{g.n - 1}")
 
 
-def _dijkstra(n, out_edges, edges, source, allowed=None):
+def _dijkstra(n, adj, edges, source, far=1):
     """Textbook heap Dijkstra; returns the distance list.
 
-    allowed, when given, restricts relaxation to that set of edge indices.
+    adj[v] lists the edges leaving v in the walk's direction and far picks
+    the endpoint each one reaches: 1 (head) walks out_edges forward, 0 (tail)
+    walks in_edges backward.
     """
     dist = [INF] * n
     dist[source] = 0.0
@@ -127,26 +133,27 @@ def _dijkstra(n, out_edges, edges, source, allowed=None):
         if done[v]:
             continue
         done[v] = True
-        for e in out_edges[v]:
-            if allowed is not None and e not in allowed:
-                continue
-            _, head, length = edges[e]
-            nd = d + length
-            if nd < dist[head]:
-                dist[head] = nd
-                heappush(heap, (nd, head))
+        for e in adj[v]:
+            edge = edges[e]
+            w = edge[far]
+            nd = d + edge[2]
+            if nd < dist[w]:
+                dist[w] = nd
+                heappush(heap, (nd, w))
     return dist
 
 
-def _select_parents(g, source, dist):
-    """Pick one tight incoming edge per reachable vertex.
+def _select_parents(g, source, dist, direction):
+    """Pick one tight edge per reachable vertex, toward the source's side.
 
-    Rule: lowest tight edge index whose tail is already attached, scanning
-    vertices in (distance, index) order.  With positive lengths one pass
-    attaches everything and the rule reduces to plain lowest-tight-index;
-    the attachment condition only matters for zero-length ties, where it
-    keeps the parent pointers acyclic.
+    Outward, w's parent is an edge entering w from an attached tail; inward,
+    an edge leaving w toward an attached head.  Rule: lowest tight edge index
+    whose near end is already attached, scanning vertices in (distance, index)
+    order.  With positive lengths one pass attaches everything and the rule
+    reduces to plain lowest-tight-index; the attachment condition only matters
+    for zero-length ties, where it keeps the parent pointers acyclic.
     """
+    adj, near = (g.in_edges, 0) if direction == OUTWARD else (g.out_edges, 1)
     parent = [None] * g.n
     attached = [False] * g.n
     attached[source] = True
@@ -158,11 +165,12 @@ def _select_parents(g, source, dist):
         remaining = []
         for w in pending:
             chosen = None
-            for e in g.in_edges[w]:
-                tail, _, length = g.edges[e]
-                if attached[tail] and dist[tail] + length == dist[w]:
+            for e in adj[w]:
+                edge = g.edges[e]
+                u = edge[near]
+                if attached[u] and dist[u] + edge[2] == dist[w]:
                     chosen = e
-                    break  # in_edges is ascending, so the first hit is the lowest index
+                    break  # adjacency is ascending, so the first hit is the lowest index
             if chosen is None:
                 remaining.append(w)
             else:
@@ -177,18 +185,17 @@ def _select_parents(g, source, dist):
 
 
 def shortest_paths(g, source, direction=OUTWARD):
-    """Dijkstra from source. direction=inward runs on the reversed graph, so
+    """Dijkstra from source. direction=inward walks the edges backward, so
     dist[w] is the w->source distance and parent_edge[w] the first edge of a
     shortest w->source path."""
     _check_vertex(g, source, "source")
     if direction == OUTWARD:
-        work = g
+        dist = _dijkstra(g.n, g.out_edges, g.edges, source)
     elif direction == INWARD:
-        work = reverse_graph(g)
+        dist = _dijkstra(g.n, g.in_edges, g.edges, source, far=0)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    dist = _dijkstra(work.n, work.out_edges, work.edges, source)
-    parent = _select_parents(work, source, dist)
+    parent = _select_parents(g, source, dist, direction)
     return DistanceMap(source=source, direction=direction, dist=tuple(dist), parent_edge=tuple(parent))
 
 

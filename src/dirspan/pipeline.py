@@ -125,10 +125,11 @@ def run_solve(config, g=None, opt=None, sol=None):
     t_lp = time.perf_counter()
 
     g_dist = demand_distance_rows(g)
+    tree_cache = {}  # root -> its tree edges, shared by every trial of this run
 
     def one_trial(i):
         params = RoundingParams(alpha=alpha, mode=mode, seed=trial_seed(config.seed, i), k=config.k, n=g.n)
-        result = build_spanner(g, sol, params, opt_if_known=opt, g_dist=g_dist)
+        result = build_spanner(g, sol, params, opt_if_known=opt, g_dist=g_dist, tree_cache=tree_cache)
         return {
             "trial": i,
             "seed": params.seed,

@@ -85,6 +85,20 @@ def sample_tree_roots(n, alpha, rng):
     return frozenset(v for v in range(n) if draws[v] < p)
 
 
+def root_tree_edges(g, root, cache):
+    """Edges of the root's outward and inward shortest-path trees, as one tuple.
+
+    The trees depend only on (g, root), so cache, a dict owned by one graph,
+    keeps each root's tuple after its first use.  Concurrent trials may both
+    compute a missing root; they store the same tuple.
+    """
+    edges = cache.get(root)
+    if edges is None:
+        both = shortest_path_tree(g, root, OUTWARD).tree_edges | shortest_path_tree(g, root, INWARD).tree_edges
+        edges = cache[root] = tuple(both)
+    return edges
+
+
 @dataclass(frozen=True)
 class SpannerResult:
     rounded_edges: frozenset
@@ -106,6 +120,7 @@ def build_spanner(
     force_tree_roots=None,
     opt_if_known=None,
     g_dist=None,
+    tree_cache=None,
 ):
     """One full randomized construction plus an exact feasibility check.
 
@@ -114,6 +129,9 @@ def build_spanner(
     phase's draws untouched.  Every random choice is per-edge or per-vertex
     independent and shortest-path trees never leave a weak component, so a
     single pass over the whole graph equals running each component alone.
+
+    tree_cache, like g_dist, lets many trials on one graph share work: a dict
+    from root to the edge tuple of its two trees (see root_tree_edges).
     """
     if lp_sol.status != "optimal":
         raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
@@ -131,10 +149,11 @@ def build_spanner(
     else:
         roots = sample_tree_roots(g.n, params.alpha, _stream(params.seed, ROOT_STREAM))
 
+    if tree_cache is None:
+        tree_cache = {}
     tree_edges = set()
     for r in sorted(roots):
-        tree_edges |= shortest_path_tree(g, r, OUTWARD).tree_edges
-        tree_edges |= shortest_path_tree(g, r, INWARD).tree_edges
+        tree_edges.update(root_tree_edges(g, r, tree_cache))
     e_h = frozenset(rounded | tree_edges)
 
     check = is_k_spanner(g, e_h, params.k, g_dist=g_dist)

@@ -46,13 +46,16 @@ def is_k_spanner(g, h_edges, k, g_dist=None):
     """Exact per-demand stretch check; returns the first violation if any.
 
     g_dist may carry precomputed rows of dist_G keyed by source vertex, which
-    callers running many subgraphs against one base graph exploit.
+    callers running many subgraphs against one base graph exploit.  When the
+    edge set of H is all of E, those rows are H's rows too.
     """
     tails = sorted({g.edges[e][0] for e in range(g.m)})
     if g_dist is None:
         g_dist = _source_rows(g, tails)
-    h_out = _subset_out_edges(g, h_edges)
-    h_dist = _source_rows(g, tails, h_out)
+    if frozenset(h_edges) == frozenset(range(g.m)):
+        h_dist = g_dist
+    else:
+        h_dist = _source_rows(g, tails, _subset_out_edges(g, h_edges))
     for d in range(g.m):
         tail, head, _ = g.edges[d]
         allowed = k * g_dist[tail][head]

@@ -231,3 +231,23 @@ def test_induced_subgraph_distances_never_shorter_than_host():
         for a, va in enumerate(sub.vertices):
             for b, vb in enumerate(sub.vertices):
                 assert local[a][b] >= host[va][vb]
+
+
+DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inward_walk_matches_reversed_graph(data):
+    # the reversed copy is the reference: inward results must equal it bit for
+    # bit, parents included, with zero-length ties and inexact decimal sums
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    edges = [(t, h, data.draw(st.sampled_from(DECIMAL_LENGTHS))) for t, h in chosen]
+    g = build_graph(n, edges)
+    source = data.draw(st.integers(min_value=0, max_value=n - 1))
+    inward = shortest_paths(g, source, INWARD)
+    reference = shortest_paths(reverse_graph(g), source, OUTWARD)
+    assert inward.dist == reference.dist
+    assert inward.parent_edge == reference.parent_edge

@@ -198,6 +198,36 @@ def test_cli_round_rejects_mismatched_dump(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: {**d, "x": d["x"][:-2]},  # two entries short
+        lambda d: {**d, "x": d["x"] + [0.5]},  # one too many
+        lambda d: {**d, "x": [float("nan")] + d["x"][1:]},  # NaN would silently mean "never keep"
+        lambda d: {**d, "x": [float("inf")] + d["x"][1:]},
+        lambda d: {**d, "x": [-0.5] + d["x"][1:]},
+        lambda d: {**d, "x": [None] + d["x"][1:]},
+        lambda d: {**d, "x": ["0.5"] + d["x"][1:]},
+        lambda d: {**d, "x": None},
+        lambda d: {k: v for k, v in d.items() if k != "objective"},
+        lambda d: {**d, "objective": float("nan")},
+        lambda d: [d],
+    ],
+)
+def test_cli_round_rejects_bad_dump(tmp_path, capsys, edit):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(cycle_text(6))
+    dump = tmp_path / "lp.json"
+    code, _, _ = _run(capsys, ["lp", str(gpath), "-k", "2", "--out", str(dump)])
+    assert code == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(dump.read_text()))))
+    code, out, err = _run(capsys, ["round", str(gpath), "-k", "2", "--lp", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert "LP dump" in err
+
+
 def test_cli_lp_export_text(tmp_path, capsys):
     gpath = tmp_path / "t.txt"
     gpath.write_text(TRIANGLE_TEXT)

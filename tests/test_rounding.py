@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dirspan import (
+    INWARD,
+    OUTWARD,
     LpSolution,
     NotUnitLength,
     RoundingParams,
@@ -15,6 +19,7 @@ from dirspan import (
     round_edges,
     sample_tree_roots,
     select_alpha,
+    shortest_path_tree,
     solve_lp,
 )
 
@@ -117,6 +122,55 @@ def test_build_spanner_seed_changes_draws():
         for s in range(6)
     }
     assert len(results) > 1
+
+
+def test_shared_tree_cache_changes_nothing():
+    # one cache across many trials and forced root sets, decimal lengths and
+    # zero-length ties included: every result equals the uncached one
+    rng = make_rng(23)
+    n = 9
+    edges = [(t, h, rng.choice((0.0, 0.1, 0.3, 0.7, 1.1))) for t, h, _ in random_edge_list(rng, n, 0.4)]
+    g = build_graph(n, edges)
+    sol = LpSolution(status="optimal", x=tuple(rng.random() for _ in range(g.m)), f={}, objective_value=1.0)
+    cache = {}
+    for seed in range(24):
+        params = RoundingParams(alpha=1.5, mode="general", seed=seed, k=2, n=n)
+        forced = {"force_tree_roots": frozenset(rng.sample(range(n), seed % 4))} if seed % 3 == 0 else {}
+        shared = build_spanner(g, sol, params, tree_cache=cache, **forced)
+        assert shared == build_spanner(g, sol, params, **forced)
+    assert cache and set(cache) <= set(range(n))
+    for root, tree in cache.items():
+        assert frozenset(tree) == (
+            shortest_path_tree(g, root, OUTWARD).tree_edges | shortest_path_tree(g, root, INWARD).tree_edges
+        )
+
+
+def test_tree_cache_shared_by_threads():
+    # four threads fill one cache concurrently; a lost or torn
+    # update would show as a result differing from the uncached one
+    g = build_graph(12, random_edge_list(make_rng(31), 12, 0.3, max_len=3))
+    sol = LpSolution(status="optimal", x=(0.0,) * g.m, f={}, objective_value=0.0)
+    params = [RoundingParams(alpha=2.0, mode="general", seed=s, k=2, n=12) for s in range(16)]
+    expected = [build_spanner(g, sol, p) for p in params]
+    cache = {}
+    got = [None] * len(params)
+
+    def work(start):
+        for i in range(start, len(params), 4):
+            got[i] = build_spanner(g, sol, params[i], tree_cache=cache)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
 
 
 def test_forcing_roots_leaves_edge_stream_alone():

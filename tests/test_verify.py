@@ -1,5 +1,6 @@
 import pytest
 
+from dirspan import verify
 from dirspan import (
     TooLarge,
     all_pairs_spanner_check,
@@ -64,6 +65,30 @@ def test_precomputed_rows_give_same_answer():
     rows = demand_distance_rows(g)
     assert is_k_spanner(g, {0, 2}, 2, g_dist=rows).feasible
     assert not is_k_spanner(g, {0}, 2, g_dist=rows).feasible
+
+
+def test_full_edge_set_reuses_g_rows(monkeypatch):
+    # H = E: dist_H is dist_G, so no Dijkstra runs once the G rows are given
+    g = build_graph(3, TRIANGLE)
+    rows = demand_distance_rows(g)
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("H = E must reuse the dist_G rows")
+
+    monkeypatch.setattr(verify, "_source_rows", no_dijkstra)
+    assert is_k_spanner(g, frozenset(range(g.m)), 1, g_dist=rows) == is_k_spanner(g, [2, 1, 0], 1, g_dist=rows)
+    assert is_k_spanner(g, range(g.m), 1, g_dist=rows).feasible
+
+
+def test_length_m_list_missing_an_edge_gets_full_check():
+    # three entries like E, but edge 1 (0->2) is missing and edge 0 repeats;
+    # at k=1 the detour 0->1->2 of length 2 is too long
+    g = build_graph(3, TRIANGLE)
+    rows = demand_distance_rows(g)
+    check = is_k_spanner(g, [0, 0, 2], 1, g_dist=rows)
+    assert not check.feasible
+    assert check.violation == (1, 1.0, 2.0)
+    assert is_k_spanner(g, [0, 0, 2], 2, g_dist=rows).feasible
 
 
 def test_matches_naive_spanner_check():
