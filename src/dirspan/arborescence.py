@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .errors import ExplosionCap, NotReachable
 from .graph import INF, _dijkstra, induced_subgraph
+from .paths import Caps
 
-DEFAULT_MAX_TREES = 10**6
+DEFAULT_MAX_TREES = Caps.max_trees
 
 
 @dataclass(frozen=True)

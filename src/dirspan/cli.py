@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, replace
 
 from .errors import (
     BadSpec,
@@ -42,7 +43,6 @@ def _add_common(p, with_trials=True):
     p.add_argument("--seed", type=int, default=0)
     if with_trials:
         p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--require-feasible", action="store_true")
     p.add_argument("--max-paths", type=int, default=None)
@@ -52,26 +52,12 @@ def _add_common(p, with_trials=True):
 
 
 def _caps(args):
-    caps = caps_from_env()
-    updates = {}
-    if getattr(args, "max_paths", None) is not None:
-        updates["max_paths"] = args.max_paths
-    if getattr(args, "max_hops", None) is not None:
-        updates["max_hops"] = args.max_hops
-    if getattr(args, "max_free_edges", None) is not None:
-        updates["max_free_edges"] = args.max_free_edges
-    if getattr(args, "max_trees", None) is not None:
-        updates["max_trees"] = args.max_trees
-    if updates:
-        from dataclasses import replace
-
-        caps = replace(caps, **updates)
-    return caps
+    """Environment caps, overridden by every --max-* flag given."""
+    given = {f.name: getattr(args, f.name) for f in fields(Caps) if getattr(args, f.name) is not None}
+    return replace(caps_from_env(), **given)
 
 
 def _config(args):
-    if args.k < 1:
-        raise BadSpec(f"stretch factor must be >= 1, got {args.k}")
     return RunConfig(
         k=args.k,
         input=args.input,
@@ -80,9 +66,7 @@ def _config(args):
         seed=args.seed,
         trials=getattr(args, "trials", 1),
         caps=_caps(args),
-        jobs=getattr(args, "jobs", 1),
         require_feasible=args.require_feasible,
-        output=args.out,
     )
 
 
@@ -117,7 +101,7 @@ def _cmd_solve(args):
 def _cmd_lp(args):
     config = _config(args)
     g, _ = load_input(config.input)
-    model = build_lp(g, config.k, caps=config.caps.path_caps())
+    model = build_lp(g, config.k, caps=config.caps)
     sol = solve_lp(model)
     if args.export_lp:
         with open(args.export_lp, "w", encoding="utf-8") as fh:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import NotUnitLength, NumericalFailure
 from .graph import INWARD, OUTWARD, shortest_paths
-from .paths import PathCaps, enumerate_demand_paths
-from .simplex import DEFAULT_MAX_ITER, EQUAL, GREATER, LESS, solve_simplex
+from .paths import enumerate_demand_paths
+from .simplex import EQUAL, GREATER, LESS, solve_simplex
 
 OBJ_TOL = 1e-7
 FEAS_TOL = 1e-9
@@ -71,7 +71,6 @@ def build_lp(g, k, caps=None, presolve=True):
     presolve drops demands whose only within-budget path is the demand edge
     itself, fixing that edge's variable to >= 1 instead of carrying its rows.
     """
-    caps = caps or PathCaps()
     m = g.m
     demand_paths = {}
     mandatory = set()
@@ -248,10 +247,10 @@ def build_layered_lp_unit(g, k):
     )
 
 
-def solve_lp(model, feas_tol=FEAS_TOL, max_iter=DEFAULT_MAX_ITER):
+def solve_lp(model):
     """Run the simplex on the model and re-check the answer independently."""
     p = model.program
-    res = solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower, max_iter=max_iter)
+    res = solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower)
     if res.status == "infeasible":
         return LpSolution(status="infeasible", x=None, f=None, objective_value=None, iterations=res.iterations)
     m = model.num_edge_vars
@@ -270,7 +269,7 @@ def solve_lp(model, feas_tol=FEAS_TOL, max_iter=DEFAULT_MAX_ITER):
         objective_value=float(res.objective),
         iterations=res.iterations,
     )
-    fails = violated_rows(model, res.z, tol=max(feas_tol, FEAS_TOL) * 10)
+    fails = violated_rows(model, res.z)
     if fails:
         raise NumericalFailure(f"solver returned an infeasible point: {fails[0]}")
     return sol

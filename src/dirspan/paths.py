@@ -11,21 +11,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteEnumeration, PathExplosion
-from .graph import INF, INWARD, shortest_paths
-
-DEFAULT_MAX_PATHS = 100_000
+from .graph import INF, INWARD, _dijkstra, shortest_paths
 
 
 @dataclass(frozen=True)
-class PathCaps:
-    max_paths: int = DEFAULT_MAX_PATHS
+class Caps:
+    """Size caps of one run; each default is written here and nowhere else."""
+
+    max_paths: int = 100_000  # simple paths enumerated per demand
     max_hops: int | None = None  # None means n - 1, i.e. no real restriction
+    max_free_edges: int = 22  # edges the optimum search may branch over
+    max_trees: int = 10**6  # rooted trees enumerated per claim context
 
     def __post_init__(self):
         if self.max_paths < 1:
-            raise ValueError("max_paths must be at least 1")
+            raise ValueError(f"max_paths must be at least 1, got {self.max_paths}")
         if self.max_hops is not None and self.max_hops < 1:
-            raise ValueError("max_hops must be at least 1 when set")
+            raise ValueError(f"max_hops must be at least 1 when set, got {self.max_hops}")
+        if self.max_free_edges < 0:
+            raise ValueError(f"max_free_edges must be at least 0, got {self.max_free_edges}")
+        if self.max_trees < 1:
+            raise ValueError(f"max_trees must be at least 1, got {self.max_trees}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,12 @@ def enumerate_demand_paths(g, k, demand, caps=None):
     """
     if k < 1:
         raise ValueError(f"stretch factor must be >= 1, got {k}")
-    caps = caps or PathCaps()
+    caps = caps or Caps()
     max_hops = caps.max_hops if caps.max_hops is not None else g.n - 1
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     src, dst, _ = g.edges[demand]
-    to_dst = shortest_paths(g, dst, INWARD).dist
+    to_dst = _dijkstra(g.n, g.in_edges, g.edges, dst, far=0)
     budget = k * to_dst[src]
 
     paths = []

@@ -1,16 +1,15 @@
 """End-to-end runs: solve, rounding trials, oracle, and claim batches.
 
 Per-trial seeds come from the master seed through splitmix64(seed + index),
-so records are reproducible independently of how many worker threads execute
-the trials.
+so each trial's record depends only on the config and its index; the trials
+run in order in one thread.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,9 +19,9 @@ from .generate import generate_instance, parse_gen_spec
 from .graph import induced_subgraph
 from .io import parse_graph
 from .lp import build_lp, solve_lp
-from .paths import PathCaps, covered_vertices, enumerate_demand_paths
+from .paths import Caps, covered_vertices
 from .rounding import RoundingParams, build_spanner, select_alpha
-from .verify import DEFAULT_MAX_FREE_EDGES, brute_force_opt, demand_distance_rows
+from .verify import brute_force_opt, demand_distance_rows
 
 MASK64 = (1 << 64) - 1
 
@@ -39,35 +38,22 @@ def trial_seed(seed, index):
     return splitmix64((seed + index) & MASK64)
 
 
-@dataclass(frozen=True)
-class Caps:
-    max_paths: int = 100_000
-    max_hops: int | None = None
-    max_free_edges: int = DEFAULT_MAX_FREE_EDGES
-    max_trees: int = 10**6
-
-    def path_caps(self):
-        return PathCaps(max_paths=self.max_paths, max_hops=self.max_hops)
-
-
-_ENV_CAPS = {
-    "DIRSPAN_MAX_PATHS": "max_paths",
-    "DIRSPAN_MAX_HOPS": "max_hops",
-    "DIRSPAN_MAX_FREE_EDGES": "max_free_edges",
-    "DIRSPAN_MAX_TREES": "max_trees",
-}
-
-
-def caps_from_env(base=None):
-    """Cap values may be overridden through environment variables, nothing else."""
-    caps = base or Caps()
-    for var, fieldname in _ENV_CAPS.items():
+def caps_from_env():
+    """Default caps, overridden by each DIRSPAN_<FIELD> variable set, e.g. DIRSPAN_MAX_PATHS."""
+    caps = Caps()
+    for f in fields(Caps):
+        var = "DIRSPAN_" + f.name.upper()
         raw = os.environ.get(var)
-        if raw is not None:
-            try:
-                caps = replace(caps, **{fieldname: int(raw)})
-            except ValueError:
-                raise BadSpec(f"{var} must be an integer, got {raw!r}") from None
+        if raw is None:
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            raise BadSpec(f"{var} must be an integer, got {raw!r}") from None
+        try:
+            caps = replace(caps, **{f.name: value})
+        except ValueError as exc:
+            raise BadSpec(f"{var}: {exc}") from None
     return caps
 
 
@@ -80,9 +66,14 @@ class RunConfig:
     seed: int = 0
     trials: int = 1
     caps: Caps = field(default_factory=Caps)
-    jobs: int = 1
+    jobs: int = 1  # ignored, as trials run in one loop; the benchmark still passes jobs=2
     require_feasible: bool = False
-    output: str | None = None
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise BadSpec(f"stretch factor must be >= 1, got {self.k}")
+        if self.trials < 0:
+            raise BadSpec(f"trials must be >= 0, got {self.trials}")
 
 
 def load_input(spec_text):
@@ -120,8 +111,7 @@ def run_solve(config, g=None, opt=None, sol=None):
     mode = resolve_mode(config, g)
     alpha = resolve_alpha(config, g, mode)
     if sol is None:
-        model = build_lp(g, config.k, caps=config.caps.path_caps())
-        sol = solve_lp(model)
+        sol = solve_lp(build_lp(g, config.k, caps=config.caps))
     t_lp = time.perf_counter()
 
     g_dist = demand_distance_rows(g)
@@ -141,11 +131,7 @@ def run_solve(config, g=None, opt=None, sol=None):
             "feasible": result.feasible,
         }
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(one_trial, range(config.trials)))
-    else:
-        records = [one_trial(i) for i in range(config.trials)]
+    records = [one_trial(i) for i in range(config.trials)]
     t_end = time.perf_counter()
 
     feasible_count = sum(1 for r in records if r["feasible"])
@@ -185,13 +171,7 @@ def run_oracle(config, g=None, x=None):
         g, label = load_input(config.input)
     else:
         label = config.input
-    res = brute_force_opt(
-        g,
-        config.k,
-        caps=config.caps.path_caps(),
-        max_free_edges=config.caps.max_free_edges,
-        x=x,
-    )
+    res = brute_force_opt(g, config.k, caps=config.caps, x=x)
     return {
         "instance": {"input": label, "n": g.n, "m": g.m, "k": config.k},
         "opt": res.opt,
@@ -212,7 +192,7 @@ def run_claims(config, g=None):
         g, label = load_input(config.input)
     else:
         label = config.input
-    model = build_lp(g, config.k, caps=config.caps.path_caps())
+    model = build_lp(g, config.k, caps=config.caps)
     sol = solve_lp(model)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(2,))))
@@ -224,9 +204,8 @@ def run_claims(config, g=None):
     claim2_violations = 0
     min_mass = None
     for d in range(g.m):
-        dp = enumerate_demand_paths(g, config.k, d, config.caps.path_caps())
         try:
-            covered = covered_vertices(dp)
+            covered = covered_vertices(model.demand_paths[d])
         except IncompleteEnumeration:
             continue
         sub = induced_subgraph(g, covered)

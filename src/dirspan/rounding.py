@@ -89,8 +89,7 @@ def root_tree_edges(g, root, cache):
     """Edges of the root's outward and inward shortest-path trees, as one tuple.
 
     The trees depend only on (g, root), so cache, a dict owned by one graph,
-    keeps each root's tuple after its first use.  Concurrent trials may both
-    compute a missing root; they store the same tuple.
+    keeps each root's tuple after its first use.
     """
     edges = cache.get(root)
     if edges is None:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .graph import _dijkstra
-from .paths import PathCaps, enumerate_demand_paths
-
-DEFAULT_MAX_FREE_EDGES = 22
+from .paths import Caps, enumerate_demand_paths
 
 
 @dataclass(frozen=True)
@@ -88,19 +86,19 @@ class OptResult:
     witness: frozenset  # edge indices of one minimum spanner
 
 
-def brute_force_opt(g, k, caps=None, max_free_edges=DEFAULT_MAX_FREE_EDGES, x=None):
+def brute_force_opt(g, k, caps=None, x=None):
     """Exact minimum k-spanner size by branch and bound over free edges.
 
     An edge is forced when its demand admits no other within-budget path.
     The remaining free edges are branched include-first, ordered by the LP
     values in x when provided; pruning uses monotone infeasibility of the
     still-available edge set plus a disjoint-demand lower bound.
-    Raises TooLarge when more than max_free_edges edges stay free.
+    Raises TooLarge when more than caps.max_free_edges edges stay free.
     """
     m = g.m
     if m == 0:
         return OptResult(opt=0, witness=frozenset())
-    caps = caps or PathCaps()
+    caps = caps or Caps()
 
     demand_masks = []
     forced = 0
@@ -118,8 +116,8 @@ def brute_force_opt(g, k, caps=None, max_free_edges=DEFAULT_MAX_FREE_EDGES, x=No
         demand_masks.append(tuple(sorted(masks, key=lambda pm: (bin(pm).count("1"), pm))))
 
     free = [e for e in range(m) if not (forced >> e) & 1]
-    if len(free) > max_free_edges:
-        raise TooLarge(f"{len(free)} free edges exceed the cap of {max_free_edges}")
+    if len(free) > caps.max_free_edges:
+        raise TooLarge(f"{len(free)} free edges exceed the cap of {caps.max_free_edges}")
     if x is not None:
         free.sort(key=lambda e: (-x[e], e))
     else:

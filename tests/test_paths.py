@@ -1,8 +1,8 @@
 import pytest
 
 from dirspan import (
+    Caps,
     IncompleteEnumeration,
-    PathCaps,
     PathExplosion,
     build_graph,
     covered_vertices,
@@ -46,12 +46,12 @@ def test_direct_only_when_budget_tight():
 def test_max_paths_cap_raises():
     g = build_graph(3, TRIANGLE)
     with pytest.raises(PathExplosion):
-        enumerate_demand_paths(g, 2, 1, PathCaps(max_paths=1))
+        enumerate_demand_paths(g, 2, 1, Caps(max_paths=1))
 
 
 def test_hop_cap_marks_incomplete():
     g = build_graph(3, TRIANGLE)
-    dp = enumerate_demand_paths(g, 2, 1, PathCaps(max_hops=1))
+    dp = enumerate_demand_paths(g, 2, 1, Caps(max_hops=1))
     assert dp.paths == ((0, 2),)
     assert not dp.complete
     with pytest.raises(IncompleteEnumeration):
@@ -61,15 +61,14 @@ def test_hop_cap_marks_incomplete():
 def test_hop_cap_without_pressure_stays_complete():
     # budget already rules out anything longer than one hop
     g = build_graph(3, TRIANGLE)
-    dp = enumerate_demand_paths(g, 1, 1, PathCaps(max_hops=1))
+    dp = enumerate_demand_paths(g, 1, 1, Caps(max_hops=1))
     assert dp.complete
 
 
 def test_bad_caps_rejected():
-    with pytest.raises(ValueError):
-        PathCaps(max_hops=0)
-    with pytest.raises(ValueError):
-        PathCaps(max_paths=0)
+    for name, bad in (("max_paths", 0), ("max_hops", 0), ("max_free_edges", -1), ("max_trees", 0)):
+        with pytest.raises(ValueError, match=name):
+            Caps(**{name: bad})
 
 
 def test_zero_length_budget_zero():

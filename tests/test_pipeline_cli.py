@@ -47,12 +47,27 @@ def test_caps_env_overrides(monkeypatch):
     assert caps.max_paths == 123
     assert caps.max_free_edges == 5
     assert caps.max_trees == Caps().max_trees
+    monkeypatch.setenv("DIRSPAN_MAX_HOPS", "4")
+    monkeypatch.setenv("DIRSPAN_MAX_TREES", "7")
+    assert caps_from_env() == Caps(max_paths=123, max_hops=4, max_free_edges=5, max_trees=7)
 
 
 def test_caps_env_rejects_garbage(monkeypatch):
     monkeypatch.setenv("DIRSPAN_MAX_PATHS", "lots")
     with pytest.raises(BadSpec):
         caps_from_env()
+    # an integer that fails validation names the field it is for
+    monkeypatch.delenv("DIRSPAN_MAX_PATHS")
+    monkeypatch.setenv("DIRSPAN_MAX_TREES", "0")
+    with pytest.raises(BadSpec, match="max_trees"):
+        caps_from_env()
+
+
+def test_caps_is_one_type():
+    import dirspan.paths
+    import dirspan.pipeline
+
+    assert dirspan.pipeline.Caps is dirspan.paths.Caps is Caps
 
 
 def test_load_input_generator_and_file(tmp_path):
@@ -114,6 +129,24 @@ def test_run_solve_jobs_do_not_change_records():
     base = RunConfig(k=3, input="gen:er:n=10,p=0.3,seed=2", alpha_override=1.1, trials=8, seed=9)
     par = RunConfig(k=3, input="gen:er:n=10,p=0.3,seed=2", alpha_override=1.1, trials=8, seed=9, jobs=4)
     assert dumps_report(run_solve(base)["trials"]) == dumps_report(run_solve(par)["trials"])
+
+
+def test_run_claims_enumerates_each_demand_once(monkeypatch):
+    import dirspan.lp
+    import dirspan.paths
+    import dirspan.pipeline
+
+    seen = []
+
+    def counting(g, k, demand, caps=None):
+        seen.append(demand)
+        return dirspan.paths.enumerate_demand_paths(g, k, demand, caps)
+
+    for module in (dirspan.lp, dirspan.pipeline):
+        monkeypatch.setattr(module, "enumerate_demand_paths", counting, raising=False)
+    report = run_claims(RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1))
+    assert report["demands_checked"] > 0
+    assert sorted(seen) == list(range(report["instance"]["m"]))
 
 
 def test_run_oracle_triangle(tmp_path):
@@ -308,6 +341,31 @@ def test_cli_oracle_cap_is_exit_3(tmp_path, capsys):
     gpath.write_text(TRIANGLE_TEXT)
     code, _, _ = _run(capsys, ["oracle", str(gpath), "-k", "2", "--max-free-edges", "0"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-trees", "0"], ["--max-free-edges", "-1"], ["--max-paths", "0"], ["--max-hops", "0"]]
+)
+def test_cli_invalid_cap_is_exit_2(capsys, flags):
+    code, _, err = _run(capsys, ["oracle", "gen:cycle:n=4", "-k", "2", *flags])
+    assert code == 2
+    assert flags[0][2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "gen:er:n=8,p=0.3,seed=1", "-k", "3", "--trials", "-1"],
+        ["solve", "gen:er:n=8,p=0.3,seed=1", "-k", "3", "--trials", "-1", "--require-feasible"],
+        ["claims", "gen:cycle:n=4", "-k", "3", "--trials", "-3"],
+        ["solve", "gen:cycle:n=4", "-k", "0"],
+    ],
+)
+def test_cli_negative_trials_or_k_is_exit_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= " in err
 
 
 def test_cli_infeasible_trials_exit_4(capsys):

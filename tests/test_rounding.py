@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -143,34 +141,6 @@ def test_shared_tree_cache_changes_nothing():
         assert frozenset(tree) == (
             shortest_path_tree(g, root, OUTWARD).tree_edges | shortest_path_tree(g, root, INWARD).tree_edges
         )
-
-
-def test_tree_cache_shared_by_threads():
-    # four threads fill one cache concurrently; a lost or torn
-    # update would show as a result differing from the uncached one
-    g = build_graph(12, random_edge_list(make_rng(31), 12, 0.3, max_len=3))
-    sol = LpSolution(status="optimal", x=(0.0,) * g.m, f={}, objective_value=0.0)
-    params = [RoundingParams(alpha=2.0, mode="general", seed=s, k=2, n=12) for s in range(16)]
-    expected = [build_spanner(g, sol, p) for p in params]
-    cache = {}
-    got = [None] * len(params)
-
-    def work(start):
-        for i in range(start, len(params), 4):
-            got[i] = build_spanner(g, sol, params[i], tree_cache=cache)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert got == expected
 
 
 def test_forcing_roots_leaves_edge_stream_alone():

@@ -2,6 +2,7 @@ import pytest
 
 from dirspan import verify
 from dirspan import (
+    Caps,
     TooLarge,
     all_pairs_spanner_check,
     build_graph,
@@ -187,7 +188,7 @@ def test_lp_guided_ordering_same_answer():
 def test_too_large_guard():
     g = build_graph(3, TRIANGLE)
     with pytest.raises(TooLarge):
-        brute_force_opt(g, 2, max_free_edges=0)
+        brute_force_opt(g, 2, caps=Caps(max_free_edges=0))
 
 
 def test_opt_sandwiched_by_lp():
