@@ -25,7 +25,6 @@ from .graph import INWARD, OUTWARD, shortest_paths
 from .paths import enumerate_demand_paths
 from .simplex import EQUAL, GREATER, LESS, solve_simplex
 
-OBJ_TOL = 1e-7
 FEAS_TOL = 1e-9
 
 
@@ -83,49 +82,43 @@ def build_lp(g, k, caps=None, presolve=True):
         if presolve and dp.paths == ((tail, head),):
             mandatory.add(d)
 
+    # one pass over the demands: each row's flow columns (and capacity edge)
     path_cols = []
-    for d in range(m):
-        if d in mandatory:
-            continue
-        for p in demand_paths[d].paths:
-            path_cols.append((d, p))
-    ncols = m + len(path_cols)
-
-    rows = []
+    row_cells = []
     labels = []
     rhs = []
     senses = []
     for d in range(m):
         if d in mandatory:
             continue
-        cols_of_demand = [m + j for j, (dd, _) in enumerate(path_cols) if dd == d]
-        row = np.zeros(ncols)
-        row[cols_of_demand] = 1.0
-        rows.append(row)
+        paths = demand_paths[d].paths
+        cols = range(m + len(path_cols), m + len(path_cols) + len(paths))
+        path_cols.extend((d, p) for p in paths)
+        row_cells.append((cols, None))
         rhs.append(1.0)
         senses.append(GREATER)
         labels.append(("demand", d))
         by_edge = {}
-        for j, (dd, p) in enumerate(path_cols):
-            if dd != d:
-                continue
+        for j, p in zip(cols, paths):
             for e in _path_edges(g, p):
-                by_edge.setdefault(e, []).append(m + j)
+                by_edge.setdefault(e, []).append(j)
         for e in sorted(by_edge):
-            row = np.zeros(ncols)
-            row[by_edge[e]] = 1.0
-            row[e] = -1.0
-            rows.append(row)
+            row_cells.append((by_edge[e], e))
             rhs.append(0.0)
             senses.append(LESS)
             labels.append(("capacity", d, e))
+    ncols = m + len(path_cols)
 
+    a = np.zeros((len(labels), ncols))
+    for i, (cols, e) in enumerate(row_cells):
+        a[i, cols] = 1.0
+        if e is not None:
+            a[i, e] = -1.0
     c = np.zeros(ncols)
     c[:m] = 1.0
     lower = np.zeros(ncols)
     for e in mandatory:
         lower[e] = 1.0
-    a = np.array(rows).reshape(len(rows), ncols) if rows else np.zeros((0, ncols))
     program = Program(c=c, a=a, b=np.array(rhs), senses=senses, lower=lower)
     return LpModel(
         graph=g,
@@ -299,28 +292,6 @@ def violated_rows(model, z, tol=FEAS_TOL * 10):
         elif sense == EQUAL and abs(val - b) > tol:
             fails.append(f"row {label} = {val} != {b}")
     return fails
-
-
-def check_solution(model, sol, tol=FEAS_TOL * 10):
-    """Row-level feasibility of an LpSolution for path models.
-
-    Rebuilds the variable vector from the solution's x and f maps, so it
-    exercises the public fields rather than solver internals.
-    """
-    if model.kind != "path":
-        raise ValueError("check_solution rebuilds path-flow columns; use violated_rows for layered models")
-    p = model.program
-    m = model.num_edge_vars
-    z = np.zeros(p.c.shape[0])
-    z[:m] = sol.x
-    for j, key in enumerate(model.path_cols):
-        z[m + j] = sol.f.get(key, 0.0)
-    return violated_rows(model, z, tol=tol)
-
-
-def lp_lower_bound_check(sol, opt, tol=OBJ_TOL):
-    """The relaxation can never exceed the exact optimum (up to solver tolerance)."""
-    return sol.objective_value <= opt + tol
 
 
 def export_lp_text(model):

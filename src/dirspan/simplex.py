@@ -4,7 +4,11 @@ Solves
     minimize    c @ z
     subject to  A z  (<= | >= | =)  b,   z >= lower,   lower >= 0
 
-The tableau carries two objective rows (the real one and the phase-1
+The tableau is a dense array, but a pivot updates only the rows where the
+pivot column is non-zero crossed with the columns where the pivot row is
+non-zero: everywhere else the full rank-1 update would subtract exactly zero,
+so the pivot path and every result are those of the full update.  The
+tableau carries two objective rows (the real one and the phase-1
 artificial one) so both stay reduced through every pivot.  Pivoting starts
 with Dantzig's rule and switches permanently to Bland's rule after a run of
 degenerate pivots, which guarantees termination; a global iteration cap turns
@@ -41,10 +45,15 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    senses = list(senses)
     nvars = c.shape[0]
     nrows = b.shape[0]
-    if a.shape != (nrows, nvars):
+    if a.size == 0 and nrows * nvars == 0:
         a = a.reshape(nrows, nvars)
+    if a.shape != (nrows, nvars) or len(senses) != nrows:
+        raise ValueError(
+            f"constraint matrix {a.shape} and {len(senses)} senses do not fit {nrows} rows x {nvars} variables"
+        )
     if lower is None:
         lower = np.zeros(nvars)
     else:
@@ -59,7 +68,6 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
         return SimplexResult(status="optimal", z=z, objective=float(c @ z), iterations=0)
 
     # shift to y = z - lower >= 0 and normalize rhs signs
-    senses = list(senses)
     rhs = b - a @ lower
     rows = a.copy()
     for i in range(nrows):
@@ -110,9 +118,11 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
 
     def pivot(row, col):
         T[row] /= T[row, col]
-        column = T[:, col].copy()
-        column[row] = 0.0
-        T[:] -= np.outer(column, T[row])
+        # the rank-1 update subtracts exactly zero outside these rows x columns
+        nz_rows = np.flatnonzero(T[:, col])
+        nz_rows = nz_rows[nz_rows != row]
+        nz_cols = np.flatnonzero(T[row])
+        T[np.ix_(nz_rows, nz_cols)] -= np.outer(T[nz_rows, col], T[row, nz_cols])
         T[:, col] = 0.0
         T[row, col] = 1.0
         basis[row] = col
@@ -140,10 +150,8 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
             if ratios[row] == np.inf:
                 return "unbounded"
             # tie-break on lowest basis index keeps the leaving choice deterministic
-            best = ratios[row]
-            for i in range(nrows):
-                if ratios[i] == best and basis[i] < basis[row]:
-                    row = i
+            tied = np.flatnonzero(ratios == ratios[row])
+            row = int(tied[np.argmin(basis[tied])])
             before = T[cost_row, -1]
             pivot(row, col)
             state["iters"] += 1

@@ -9,6 +9,8 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 INF = math.inf
 
 
@@ -116,3 +118,25 @@ def random_edge_list(rng, n, p, max_len=1):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def check_solution(model, sol, tol=1e-8):
+    """Rows of a path LP model that an LpSolution violates (empty means feasible).
+
+    Rebuilds the variable vector from the solution's public x and f maps and
+    evaluates every row of model.program directly, lower bounds included.
+    """
+    if model.kind != "path":
+        raise ValueError("check_solution rebuilds path-flow columns; layered models have none")
+    p = model.program
+    z = np.array(list(sol.x) + [sol.f.get(key, 0.0) for key in model.path_cols])
+    fails = [f"variable {j} = {z[j]} < {p.lower[j]}" for j in np.flatnonzero(z < p.lower - tol)]
+    for label, sense, rhs, val in zip(model.row_labels, p.senses, p.b, p.a @ z):
+        if {"<=": val > rhs + tol, ">=": val < rhs - tol, "=": abs(val - rhs) > tol}[sense]:
+            fails.append(f"row {label} = {val}, want {sense} {rhs}")
+    return fails
+
+
+def lp_lower_bound_check(sol, opt, tol=1e-7):
+    """The relaxation can never exceed the exact optimum (up to solver tolerance)."""
+    return sol.objective_value <= opt + tol

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,16 @@ from dirspan import (
     build_graph,
     build_layered_lp_unit,
     build_lp,
-    check_solution,
     export_lp_text,
-    lp_lower_bound_check,
+    generate_instance,
+    parse_gen_spec,
     solve_lp,
     violated_rows,
 )
 from dirspan.lp import LpSolution
-from dirspan.simplex import GREATER, LESS
+from dirspan.simplex import GREATER, LESS, solve_simplex
 
-from oracles import make_rng, random_edge_list
+from oracles import check_solution, lp_lower_bound_check, make_rng, random_edge_list
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
@@ -216,3 +218,49 @@ def test_row_senses_by_label():
             assert sense == GREATER
         else:
             assert sense == LESS
+
+
+def test_build_lp_rows_follow_labels_and_path_columns():
+    # each row's non-zeros are fixed by its label and model.path_cols alone
+    rng = make_rng(37)
+    graphs = [generate_instance(parse_gen_spec("er:n=40,p=0.1,seed=1"))]
+    while len(graphs) < 15:
+        n = rng.randint(3, 7)
+        g = build_graph(n, random_edge_list(rng, n, 0.45, max_len=3))
+        if g.m:
+            graphs.append(g)
+    for g in graphs:
+        for presolve in (True, False):
+            model = build_lp(g, 3, presolve=presolve)
+            m = model.num_edge_vars
+            a = model.program.a
+            assert a.shape == (len(model.row_labels), m + len(model.path_cols))
+            for row, label in zip(a, model.row_labels):
+                d = label[1]
+                expected = {}
+                for j, (dd, path) in enumerate(model.path_cols):
+                    used = {g.edge_index[(path[i], path[i + 1])] for i in range(len(path) - 1)}
+                    if dd == d and (label[0] == "demand" or label[2] in used):
+                        expected[m + j] = 1.0
+                if label[0] == "capacity":
+                    expected[label[2]] = -1.0
+                got = {int(j): row[j] for j in np.flatnonzero(row)}
+                assert got == expected, label
+
+
+# iterations, objective and sha256 of z.tobytes() for the k=3 ladder; any change
+# to the pivot rule, the tie-break or the tableau arithmetic moves one of them
+PIVOT_PATH = [
+    ("er:n=40,p=0.1,seed=1", 740, 90.75, "305813aae762e6ae7bbaffb070d5276f52ff9f8bd8c7cd053b659deaf48a5779"),
+    ("er:n=60,p=0.05,seed=1", 283, 143.5, "4ad7656560c805f616cc40cd22ad1be2df9639a3ba068f90a30c4997e388a998"),
+    ("er:n=150,p=0.02,seed=1", 343, 370.0, "91e708e3f7f85b2086cef43af147eb8640b497153ce4973bef7c672e45dd5146"),
+]
+
+
+@pytest.mark.parametrize("spec,iterations,objective,z_sha256", PIVOT_PATH)
+def test_ladder_pivot_path_is_pinned(spec, iterations, objective, z_sha256):
+    p = build_lp(generate_instance(parse_gen_spec(spec)), 3).program
+    res = solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower)
+    assert res.iterations == iterations
+    assert res.objective == objective
+    assert hashlib.sha256(res.z.tobytes()).hexdigest() == z_sha256

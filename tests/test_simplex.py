@@ -46,12 +46,15 @@ def test_lower_bounds_shift():
 def test_no_rows_sits_at_lower_bounds():
     res = solve_simplex([1.0, 3.0], np.zeros((0, 2)), np.zeros(0), [], lower=[1.5, 0.25])
     assert res.objective == pytest.approx(2.25, abs=1e-12)
+    # an empty matrix given as a flat list is still accepted
+    assert solve_simplex([1.0, 3.0], [], [], [], lower=[1.5, 0.25]).objective == res.objective
 
 
 def test_no_vars():
     res = solve_simplex(np.zeros(0), np.zeros((0, 0)), np.zeros(0), [])
     assert res.status == "optimal"
     assert res.objective == 0.0
+    assert solve_simplex([], [], [], []).objective == 0.0
 
 
 def test_negative_rhs_normalized():
@@ -122,3 +125,13 @@ def test_result_type():
     res = solve_simplex([1.0], [[1.0]], [1.0], [GREATER])
     assert isinstance(res, SimplexResult)
     assert res.iterations >= 1
+
+
+def test_misshaped_inputs_rejected():
+    # a 3x2 matrix for 2 rows x 3 variables used to be reshaped into another LP
+    with pytest.raises(ValueError):
+        solve_simplex([1, 1, 1], [[1, 0], [1, 1], [0, 1]], [1, 1], [GREATER, GREATER])
+    with pytest.raises(ValueError):
+        solve_simplex([1.0, 1.0], [[1.0, 1.0]], [1.0], [GREATER, GREATER])
+    with pytest.raises(ValueError):
+        solve_simplex([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0], [GREATER])
