@@ -6,16 +6,7 @@ and optimum oracles, and the cut-structure checks that justify the
 construction on small instances.
 """
 
-from .arborescence import (
-    Arborescence,
-    Claim1Result,
-    Claim2Result,
-    ClaimContext,
-    check_claim1,
-    check_claim2,
-    enumerate_arborescences,
-    shortest_path_tree_cut,
-)
+from .arborescence import Arborescence, ClaimContext, enumerate_arborescences
 from .errors import (
     BadSpec,
     DirspanError,
@@ -43,32 +34,27 @@ from .graph import (
     InducedSubgraph,
     SpTree,
     build_graph,
-    distance_matrix,
     induced_subgraph,
     reverse_graph,
     shortest_path_tree,
     shortest_paths,
-    weakly_connected_components,
 )
 from .io import dumps_report, parse_graph, serialize_graph
 from .lp import (
     LpModel,
     LpSolution,
-    build_layered_lp_unit,
     build_lp,
     export_lp_text,
     solve_lp,
     violated_rows,
 )
-from .paths import DemandPaths, covered_vertices, enumerate_demand_paths, stretch_budget
+from .paths import DemandPaths, covered_vertices, enumerate_demand_paths
 from .pipeline import Caps, RunConfig, caps_from_env, run_claims, run_oracle, run_solve, trial_seed
 from .rounding import (
-    CostReport,
     RoundingParams,
     SpannerResult,
     build_spanner,
     edge_inclusion_probs,
-    expected_cost_report,
     round_edges,
     sample_tree_roots,
     select_alpha,
@@ -76,10 +62,8 @@ from .rounding import (
 from .verify import (
     OptResult,
     SpannerCheck,
-    all_pairs_spanner_check,
     brute_force_opt,
     demand_distance_rows,
-    edge_check_equals_allpairs_check,
     is_k_spanner,
 )
 
@@ -89,10 +73,7 @@ __all__ = [
     "Arborescence",
     "BadSpec",
     "Caps",
-    "Claim1Result",
-    "Claim2Result",
     "ClaimContext",
-    "CostReport",
     "DemandPaths",
     "DiGraph",
     "DirspanError",
@@ -123,24 +104,17 @@ __all__ = [
     "SpannerResult",
     "SpTree",
     "TooLarge",
-    "all_pairs_spanner_check",
     "brute_force_opt",
     "build_graph",
-    "build_layered_lp_unit",
     "build_lp",
     "build_spanner",
     "caps_from_env",
-    "check_claim1",
-    "check_claim2",
     "covered_vertices",
     "demand_distance_rows",
-    "distance_matrix",
     "dumps_report",
-    "edge_check_equals_allpairs_check",
     "edge_inclusion_probs",
     "enumerate_arborescences",
     "enumerate_demand_paths",
-    "expected_cost_report",
     "export_lp_text",
     "generate_instance",
     "induced_subgraph",
@@ -156,11 +130,8 @@ __all__ = [
     "select_alpha",
     "serialize_graph",
     "shortest_path_tree",
-    "shortest_path_tree_cut",
     "shortest_paths",
     "solve_lp",
-    "stretch_budget",
     "trial_seed",
     "violated_rows",
-    "weakly_connected_components",
 ]

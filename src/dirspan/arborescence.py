@@ -38,14 +38,13 @@ class Arborescence:
     cut_set: frozenset  # edge indices violating the potential inequality
 
 
-def _reachable_from(g, root, out_edges=None):
-    out = out_edges if out_edges is not None else g.out_edges
+def _reachable_from(g, root):
     seen = [False] * g.n
     seen[root] = True
     stack = [root]
     while stack:
         v = stack.pop()
-        for e in out[v]:
+        for e in g.out_edges[v]:
             head = g.edges[e][1]
             if not seen[head]:
                 seen[head] = True
@@ -139,9 +138,9 @@ class ClaimContext:
 
     Walks all vertex subsets containing the root, enumerates the spanning
     arborescences of each induced subgraph, and keeps one (distance-to-target,
-    cut-mask) pair per tree.  Both claim checks below are loops over this
-    list, so checking many subgraphs or LP vectors against the same demand
-    costs one enumeration.
+    cut-mask) pair per tree.  Both claim checks are methods that loop over
+    this list, so checking many subgraphs or LP vectors against the same
+    demand costs one enumeration.
     """
 
     def __init__(self, g, root, target, max_trees=DEFAULT_MAX_TREES):
@@ -202,55 +201,3 @@ class ClaimContext:
 
     def long_tree_count(self, K):
         return sum(1 for dist_v, _ in self.trees if dist_v > K)
-
-
-@dataclass(frozen=True)
-class Claim1Result:
-    agree: bool
-    path_exists: bool
-    long_trees_cut: bool
-
-
-def check_claim1(g_prime, h_edges_prime, u, v, K, max_trees=DEFAULT_MAX_TREES):
-    """Compare path existence within K against the all-long-trees-cut predicate.
-
-    Both sides are computed from scratch with no shared reasoning; the result
-    reports them and whether they agree (they must, on every input).
-    """
-    ctx = ClaimContext(g_prime, u, v, max_trees=max_trees)
-    left = ctx.path_within(h_edges_prime, K)
-    right = ctx.all_long_trees_cut(h_edges_prime, K)
-    return Claim1Result(agree=left == right, path_exists=left, long_trees_cut=right)
-
-
-@dataclass(frozen=True)
-class Claim2Result:
-    ok: bool
-    min_mass: float | None  # None when no tree is long
-    long_trees: int
-
-
-def check_claim2(x, g_prime, u, v, K, tol=1e-9, max_trees=DEFAULT_MAX_TREES):
-    """Every long out-tree must carry at least one unit of LP mass on its cut.
-
-    Holds whenever x restricts a feasible solution of the full LP, because
-    each unit of demand flow crosses every long tree's cut.
-    """
-    ctx = ClaimContext(g_prime, u, v, max_trees=max_trees)
-    worst = ctx.min_long_cut_mass(x, K)
-    ok = worst is None or worst >= 1.0 - tol
-    return Claim2Result(ok=ok, min_mass=worst, long_trees=ctx.long_tree_count(K))
-
-
-def shortest_path_tree_cut(g, h_edges, root):
-    """Cut set of the shortest-path tree that H induces from the root.
-
-    Tree potentials are exact H-distances (infinite where H does not reach),
-    so this cut is always disjoint from H itself: a within-H edge can never
-    shorten an exact H-distance.
-    """
-    out = [[] for _ in range(g.n)]
-    for e in h_edges:
-        out[g.edges[e][0]].append(e)
-    dist = _dijkstra(g.n, out, g.edges, root)
-    return cut_set_of_potentials(g, dist)

@@ -235,32 +235,3 @@ def induced_subgraph(g, vs):
         vertices=tuple(vs),
         edge_map=tuple(edge_map),
     )
-
-
-def distance_matrix(g):
-    """All-pairs distances as a list of rows, one Dijkstra per source."""
-    return [_dijkstra(g.n, g.out_edges, g.edges, s) for s in range(g.n)]
-
-
-def weakly_connected_components(g):
-    """Vertex lists of the weakly connected components, each sorted, ordered
-    by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for e in g.out_edges[v] + g.in_edges[v]:
-                tail, head, _ = g.edges[e]
-                other = head if tail == v else tail
-                if not seen[other]:
-                    seen[other] = True
-                    stack.append(other)
-        comps.append(sorted(comp))
-    return comps

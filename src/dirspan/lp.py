@@ -6,22 +6,15 @@ path set, and per demand the flow through any edge is capped by that edge's
 x value.  The optimum is a lower bound on the size of every feasible spanner
 because the indicator vector of a spanner, with flow on one surviving path
 per demand, satisfies every row.
-
-A second, polynomially sized formulation for unit-length instances routes
-each demand through a layered copy of the graph (layer i holds the vertices
-reachable in i hops); its optimal value matches the path formulation and
-serves as a cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotUnitLength, NumericalFailure
-from .graph import INWARD, OUTWARD, shortest_paths
+from .errors import NumericalFailure
 from .paths import enumerate_demand_paths
 from .simplex import EQUAL, GREATER, LESS, solve_simplex
 
@@ -41,11 +34,9 @@ class Program:
 class LpModel:
     graph: object
     k: float
-    kind: str  # 'path' | 'layered'
     num_edge_vars: int
-    path_cols: tuple  # path kind: (demand, path) per flow column
-    flow_cols: tuple  # layered kind: (demand, edge, layer) per flow column
-    demand_paths: dict | None
+    path_cols: tuple  # (demand, path) per flow column
+    demand_paths: dict
     mandatory: frozenset  # edge indices presolved to x_e >= 1
     row_labels: tuple
     program: Program = field(repr=False)
@@ -53,9 +44,9 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # 'optimal' | 'infeasible' | 'cap_exceeded'
+    status: str  # 'optimal' | 'infeasible'
     x: tuple | None
-    f: dict | None  # (demand, path) -> value; empty for layered models
+    f: dict | None  # (demand, path) -> value
     objective_value: float | None
     iterations: int = 0
 
@@ -78,8 +69,7 @@ def build_lp(g, k, caps=None, presolve=True):
         if not dp.paths:
             raise AssertionError(f"demand {d} has no path within budget; shortest path must qualify")
         demand_paths[d] = dp
-        tail, head, _ = g.edges[d]
-        if presolve and dp.paths == ((tail, head),):
+        if presolve and dp.mandatory:
             mandatory.add(d)
 
     # one pass over the demands: each row's flow columns (and capacity edge)
@@ -123,118 +113,10 @@ def build_lp(g, k, caps=None, presolve=True):
     return LpModel(
         graph=g,
         k=k,
-        kind="path",
         num_edge_vars=m,
         path_cols=tuple(path_cols),
-        flow_cols=(),
         demand_paths=demand_paths,
         mandatory=frozenset(mandatory),
-        row_labels=tuple(labels),
-        program=program,
-    )
-
-
-def build_layered_lp_unit(g, k):
-    """Layered-flow formulation, valid only for unit-length instances.
-
-    For each demand (u, v), layer copies (w, i) carry the walks of at most
-    floor(k) hops from u; flow conservation plus per-edge capacities summed
-    over layers reproduce the path formulation's optimal value.
-    """
-    if not g.unit_lengths():
-        raise NotUnitLength("layered formulation requires every edge length to be 1")
-    kk = int(math.floor(k))
-    if kk < 1:
-        raise ValueError(f"stretch factor must be >= 1, got {k}")
-    m = g.m
-
-    flow_cols = []
-    col_of = {}
-    arcs_per_demand = {}
-    for d in range(m):
-        u, v, _ = g.edges[d]
-        hu = shortest_paths(g, u, OUTWARD).dist
-        hv = shortest_paths(g, v, INWARD).dist
-
-        def alive(w, i):
-            if w == u:
-                return i == 0
-            if not (1 <= i <= kk):
-                return False
-            return hu[w] <= i and hv[w] <= kk - i
-
-        arcs = []
-        for e, (wa, wb, _) in enumerate(g.edges):
-            if wa == v or wb == u:
-                continue  # sinks absorb, the source exists only at layer 0
-            for i in range(kk):
-                if alive(wa, i) and alive(wb, i + 1):
-                    col_of[(d, e, i)] = m + len(flow_cols)
-                    flow_cols.append((d, e, i))
-                    arcs.append((e, i))
-        arcs_per_demand[d] = arcs
-
-    ncols = m + len(flow_cols)
-    rows = []
-    labels = []
-    rhs = []
-    senses = []
-    for d in range(m):
-        u, v, _ = g.edges[d]
-        arcs = arcs_per_demand[d]
-        into = {}
-        outof = {}
-        for e, i in arcs:
-            wa, wb, _ = g.edges[e]
-            into.setdefault((wb, i + 1), []).append(col_of[(d, e, i)])
-            outof.setdefault((wa, i), []).append(col_of[(d, e, i)])
-        for node in sorted(set(into) | set(outof)):
-            w, i = node
-            if w == u or w == v:
-                continue
-            row = np.zeros(ncols)
-            for col in into.get(node, []):
-                row[col] += 1.0
-            for col in outof.get(node, []):
-                row[col] -= 1.0
-            rows.append(row)
-            rhs.append(0.0)
-            senses.append(EQUAL)
-            labels.append(("conserve", d, w, i))
-        row = np.zeros(ncols)
-        for node, cols in into.items():
-            if node[0] == v:
-                for col in cols:
-                    row[col] += 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        senses.append(GREATER)
-        labels.append(("demand", d))
-        by_edge = {}
-        for e, i in arcs:
-            by_edge.setdefault(e, []).append(col_of[(d, e, i)])
-        for e in sorted(by_edge):
-            row = np.zeros(ncols)
-            row[by_edge[e]] = 1.0
-            row[e] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            senses.append(LESS)
-            labels.append(("capacity", d, e))
-
-    c = np.zeros(ncols)
-    c[:m] = 1.0
-    a = np.array(rows).reshape(len(rows), ncols) if rows else np.zeros((0, ncols))
-    program = Program(c=c, a=a, b=np.array(rhs), senses=senses, lower=np.zeros(ncols))
-    return LpModel(
-        graph=g,
-        k=k,
-        kind="layered",
-        num_edge_vars=m,
-        path_cols=(),
-        flow_cols=tuple(flow_cols),
-        demand_paths=None,
-        mandatory=frozenset(),
         row_labels=tuple(labels),
         program=program,
     )
@@ -249,12 +131,11 @@ def solve_lp(model):
     m = model.num_edge_vars
     x = tuple(float(v) for v in res.z[:m])
     f = {}
-    if model.kind == "path":
-        for j, (d, pth) in enumerate(model.path_cols):
-            f[(d, pth)] = float(res.z[m + j])
-        for d in model.mandatory:
-            tail, head, _ = model.graph.edges[d]
-            f[(d, (tail, head))] = 1.0
+    for j, (d, pth) in enumerate(model.path_cols):
+        f[(d, pth)] = float(res.z[m + j])
+    for d in model.mandatory:
+        tail, head, _ = model.graph.edges[d]
+        f[(d, (tail, head))] = 1.0
     sol = LpSolution(
         status="optimal",
         x=x,
@@ -302,7 +183,7 @@ def export_lp_text(model):
     def vname(j):
         if j < m:
             return f"x{j}"
-        return f"p{j - m}" if model.kind == "path" else f"f{j - m}"
+        return f"p{j - m}"
 
     def terms(row):
         parts = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteEnumeration, PathExplosion
-from .graph import INF, INWARD, _dijkstra, shortest_paths
+from .graph import INF, _dijkstra
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,10 @@ class DemandPaths:
     covered: frozenset  # union of path vertices
     complete: bool
 
-
-def stretch_budget(g, k, demand):
-    """Length allowance for the demand: k times the exact shortest distance."""
-    if k < 1:
-        raise ValueError(f"stretch factor must be >= 1, got {k}")
-    tail, head, _ = g.edges[demand]
-    dm = shortest_paths(g, head, INWARD)
-    return k * dm.dist[tail]
+    @property
+    def mandatory(self):
+        """True when the demand edge is its own only within-budget path, so every spanner keeps it."""
+        return len(self.paths) == 1 and len(self.paths[0]) == 2
 
 
 def enumerate_demand_paths(g, k, demand, caps=None):
@@ -116,9 +112,9 @@ def enumerate_demand_paths(g, k, demand, caps=None):
 
 
 def covered_vertices(dp):
-    """Union of vertices over the demand's paths; refuses capped enumerations."""
+    """The demand's covered set; refuses capped enumerations, whose set is partial."""
     if not dp.complete:
         raise IncompleteEnumeration(
             f"demand {dp.demand}: enumeration was hop-capped, covered set would be partial"
         )
-    return frozenset(v for p in dp.paths for v in p)
+    return dp.covered

@@ -119,7 +119,7 @@ def run_solve(config, g=None, opt=None, sol=None):
 
     def one_trial(i):
         params = RoundingParams(alpha=alpha, mode=mode, seed=trial_seed(config.seed, i), k=config.k, n=g.n)
-        result = build_spanner(g, sol, params, opt_if_known=opt, g_dist=g_dist, tree_cache=tree_cache)
+        result = build_spanner(g, sol, params, g_dist=g_dist, tree_cache=tree_cache)
         return {
             "trial": i,
             "seed": params.seed,

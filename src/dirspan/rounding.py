@@ -105,10 +105,6 @@ class SpannerResult:
     tree_edges: frozenset
     e_h: frozenset
     feasible: bool
-    lp_value: float
-    opt_if_known: int | None
-    seed: int
-    alpha: float
 
 
 def build_spanner(
@@ -117,7 +113,6 @@ def build_spanner(
     params,
     force_rounded_edges=None,
     force_tree_roots=None,
-    opt_if_known=None,
     g_dist=None,
     tree_cache=None,
 ):
@@ -162,34 +157,4 @@ def build_spanner(
         tree_edges=frozenset(tree_edges),
         e_h=e_h,
         feasible=check.feasible,
-        lp_value=lp_sol.objective_value,
-        opt_if_known=opt_if_known,
-        seed=params.seed,
-        alpha=params.alpha,
-    )
-
-
-@dataclass(frozen=True)
-class CostReport:
-    rounded_count: int
-    tree_count: int
-    eh_count: int
-    step2_expected: float | None  # exact Bernoulli mean, needs the x vector
-    step2_bound: float  # alpha * sqrt(n) * lp_value
-    step3_edge_bound: float  # 2 * alpha * sqrt(n) * (n - 1)
-
-
-def expected_cost_report(result, lp_value, n, alpha, x=None):
-    """Observed sizes next to the theoretical step expectations."""
-    root_n = math.sqrt(n)
-    exact = None
-    if x is not None:
-        exact = float(sum(edge_inclusion_probs(x, alpha, n)))
-    return CostReport(
-        rounded_count=len(result.rounded_edges),
-        tree_count=len(result.tree_edges),
-        eh_count=len(result.e_h),
-        step2_expected=exact,
-        step2_bound=alpha * root_n * lp_value,
-        step3_edge_bound=2.0 * alpha * root_n * (n - 1),
     )

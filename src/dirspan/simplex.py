@@ -60,6 +60,10 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
         lower = np.asarray(lower, dtype=float)
 
     if nvars == 0:
+        # with no variables every row reads 0 against its b
+        for s, rhs in zip(senses, b):
+            if (rhs > FEAS_TOL and s != LESS) or (rhs < -FEAS_TOL and s != GREATER):
+                return SimplexResult(status="infeasible", z=None, objective=None, iterations=0)
         return SimplexResult(status="optimal", z=np.zeros(0), objective=0.0, iterations=0)
     if nrows == 0:
         if np.any(c < 0):
@@ -69,12 +73,10 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
 
     # shift to y = z - lower >= 0 and normalize rhs signs
     rhs = b - a @ lower
-    rows = a.copy()
-    for i in range(nrows):
-        if rhs[i] < 0:
-            rows[i] = -rows[i]
-            rhs[i] = -rhs[i]
-            senses[i] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[senses[i]]
+    flipped = np.flatnonzero(rhs < 0)
+    rhs[flipped] = -rhs[flipped]
+    for i in flipped:
+        senses[i] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[senses[i]]
 
     n_slack = sum(1 for s in senses if s == LESS)
     n_surplus = sum(1 for s in senses if s == GREATER)
@@ -83,7 +85,8 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
     art_start = nvars + n_slack + n_surplus
 
     T = np.zeros((nrows + 2, ncols + 1))
-    T[:nrows, :nvars] = rows
+    T[:nrows, :nvars] = a
+    T[flipped, :nvars] *= -1.0
     T[:nrows, -1] = rhs
     basis = np.empty(nrows, dtype=int)
 

@@ -63,23 +63,6 @@ def is_k_spanner(g, h_edges, k, g_dist=None):
     return SpannerCheck(feasible=True, violation=None)
 
 
-def all_pairs_spanner_check(g, h_edges, k):
-    """The quantifier-over-all-pairs variant of the stretch condition."""
-    h_out = _subset_out_edges(g, h_edges)
-    for s in range(g.n):
-        grow = _dijkstra(g.n, g.out_edges, g.edges, s)
-        hrow = _dijkstra(g.n, h_out, g.edges, s)
-        for t in range(g.n):
-            if not hrow[t] <= k * grow[t]:
-                return False
-    return True
-
-
-def edge_check_equals_allpairs_check(g, h_edges, k):
-    """True when the demand-only check and the all-pairs check agree."""
-    return is_k_spanner(g, h_edges, k).feasible == all_pairs_spanner_check(g, h_edges, k)
-
-
 @dataclass(frozen=True)
 class OptResult:
     opt: int
@@ -110,8 +93,7 @@ def brute_force_opt(g, k, caps=None, x=None):
             for i in range(len(p) - 1):
                 pm |= 1 << g.edge_index[(p[i], p[i + 1])]
             masks.append(pm)
-        tail, head, _ = g.edges[d]
-        if dp.paths == ((tail, head),):
+        if dp.mandatory:
             forced |= 1 << d
         demand_masks.append(tuple(sorted(masks, key=lambda pm: (bin(pm).count("1"), pm))))
 

@@ -120,14 +120,74 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+def layered_lp_unit(n, edges, k):
+    """Layered-flow formulation of the spanner LP, valid only for unit lengths.
+
+    Returns (c, a, b, senses): the m edge variables come first, then one flow
+    column per (demand, edge, layer) arc.  For each demand (u, v), layer
+    copies (w, i) carry the walks of at most floor(k) hops from u; flow
+    conservation plus per-edge capacities summed over layers reproduce the
+    path formulation's optimal value, with polynomially many rows.
+    """
+    if any(length != 1.0 for _, _, length in edges):
+        raise ValueError("layered formulation requires every edge length to be 1")
+    kk = int(math.floor(k))
+    if kk < 1:
+        raise ValueError(f"stretch factor must be >= 1, got {k}")
+    m = len(edges)
+    reverse = [(head, tail, length) for tail, head, length in edges]
+
+    arcs = []  # (demand, edge, layer): edge from layer i to layer i + 1
+    for d, (u, v, _) in enumerate(edges):
+        hops_from_u = dp_distances(n, edges, u)
+        hops_to_v = dp_distances(n, reverse, v)
+
+        def alive(w, i):
+            if w == u:
+                return i == 0
+            return 1 <= i <= kk and hops_from_u[w] <= i and hops_to_v[w] <= kk - i
+
+        for e, (wa, wb, _) in enumerate(edges):
+            if wa == v or wb == u:
+                continue  # the sink absorbs, the source exists only at layer 0
+            arcs.extend((d, e, i) for i in range(kk) if alive(wa, i) and alive(wb, i + 1))
+
+    ncols = m + len(arcs)
+    rows, b, senses = [], [], []
+
+    def add_row(entries, sense, rhs):
+        row = np.zeros(ncols)
+        for j, coef in entries:
+            row[j] += coef
+        rows.append(row)
+        b.append(rhs)
+        senses.append(sense)
+
+    for d, (u, v, _) in enumerate(edges):
+        mine = [(m + j, e, i) for j, (dd, e, i) in enumerate(arcs) if dd == d]
+        nodes = {(edges[e][1], i + 1) for _, e, i in mine} | {(edges[e][0], i) for _, e, i in mine}
+        for w, layer in sorted(nodes):
+            if w in (u, v):
+                continue
+            into = [(j, 1.0) for j, e, i in mine if (edges[e][1], i + 1) == (w, layer)]
+            out_of = [(j, -1.0) for j, e, i in mine if (edges[e][0], i) == (w, layer)]
+            add_row(into + out_of, "=", 0.0)
+        add_row([(j, 1.0) for j, e, _ in mine if edges[e][1] == v], ">=", 1.0)
+        for cap_edge in sorted({e for _, e, _ in mine}):
+            add_row([(j, 1.0) for j, e, _ in mine if e == cap_edge] + [(cap_edge, -1.0)], "<=", 0.0)
+
+    c = np.zeros(ncols)
+    c[:m] = 1.0
+    a = np.array(rows) if rows else np.zeros((0, ncols))
+    return c, a, np.array(b), senses
+
+
 def check_solution(model, sol, tol=1e-8):
     """Rows of a path LP model that an LpSolution violates (empty means feasible).
 
     Rebuilds the variable vector from the solution's public x and f maps and
     evaluates every row of model.program directly, lower bounds included.
     """
-    if model.kind != "path":
-        raise ValueError("check_solution rebuilds path-flow columns; layered models have none")
     p = model.program
     z = np.array(list(sol.x) + [sol.f.get(key, 0.0) for key in model.path_cols])
     fails = [f"variable {j} = {z[j]} < {p.lower[j]}" for j in np.flatnonzero(z < p.lower - tol)]

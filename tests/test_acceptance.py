@@ -16,15 +16,12 @@ from dirspan import (
     RunConfig,
     TooLarge,
     build_graph,
-    build_layered_lp_unit,
     build_lp,
     build_spanner,
     brute_force_opt,
-    check_claim1,
     covered_vertices,
     demand_distance_rows,
     dumps_report,
-    edge_check_equals_allpairs_check,
     edge_inclusion_probs,
     enumerate_demand_paths,
     generate_instance,
@@ -33,8 +30,10 @@ from dirspan import (
     select_alpha,
     solve_lp,
 )
+from dirspan.simplex import solve_simplex
 
-from oracles import make_rng, random_edge_list
+from oracles import layered_lp_unit, make_rng, random_edge_list
+from support import edge_check_equals_allpairs_check
 
 TOL_LP_VS_OPT = 1e-7
 TOL_FORMULATIONS = 1e-6
@@ -132,7 +131,7 @@ def test_criterion_2_formulation_equivalence():
             continue
         k = (3, 4, 5)[i % 3]
         pv = solve_lp(build_lp(g, k)).objective_value
-        lv = solve_lp(build_layered_lp_unit(g, k)).objective_value
+        lv = solve_simplex(*layered_lp_unit(g.n, g.edges, k)).objective
         worst = max(worst, abs(pv - lv))
         checked += 1
     ok = checked >= 100 and worst <= TOL_FORMULATIONS
@@ -266,7 +265,7 @@ def test_criterion_6_approximation_accounting(solved_batch):
         g_dist = demand_distance_rows(g)
         for t in range(25):
             params = RoundingParams(alpha=alpha, mode=mode, seed=5000 + idx * 100 + t, k=k, n=g.n)
-            res = _note_trial(build_spanner(g, sol, params, opt_if_known=opt, g_dist=g_dist), g.n)
+            res = _note_trial(build_spanner(g, sol, params, g_dist=g_dist), g.n)
             ratio_trials += 1
             if len(res.e_h) > bound:
                 ratio_violations += 1

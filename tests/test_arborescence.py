@@ -7,14 +7,12 @@ from dirspan import (
     ExplosionCap,
     NotReachable,
     build_graph,
-    check_claim1,
-    check_claim2,
     enumerate_arborescences,
-    shortest_path_tree_cut,
 )
 from dirspan.arborescence import cut_set_of_potentials
 
 from oracles import make_rng, parent_vector_arborescences, random_edge_list
+from support import shortest_path_tree_cut
 
 INF = math.inf
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
@@ -117,19 +115,15 @@ def test_claim_context_boundary_is_strict():
 
 def test_claim1_empty_subgraph_agrees():
     # both sides false: no path, and partial trees with uncut empty masks exist
-    g = build_graph(3, TRIANGLE)
-    res = check_claim1(g, frozenset(), 0, 2, 2.0)
-    assert res.agree
-    assert not res.path_exists
-    assert not res.long_trees_cut
+    ctx = ClaimContext(build_graph(3, TRIANGLE), 0, 2)
+    assert not ctx.path_within(frozenset(), 2.0)
+    assert not ctx.all_long_trees_cut(frozenset(), 2.0)
 
 
 def test_claim1_detour_subgraph_agrees():
-    g = build_graph(3, TRIANGLE)
-    res = check_claim1(g, frozenset({0, 2}), 0, 2, 2.0)
-    assert res.agree
-    assert res.path_exists
-    assert res.long_trees_cut
+    ctx = ClaimContext(build_graph(3, TRIANGLE), 0, 2)
+    assert ctx.path_within(frozenset({0, 2}), 2.0)
+    assert ctx.all_long_trees_cut(frozenset({0, 2}), 2.0)
 
 
 def test_claim1_random_never_disagrees():
@@ -142,40 +136,34 @@ def test_claim1_random_never_disagrees():
         u, v = rng.sample(range(n), 2)
         h = frozenset(e for e in range(g.m) if rng.random() < 0.5)
         K = rng.choice([0.0, 1.0, 2.0, 2.5, 4.0, float(n)])
-        res = check_claim1(g, h, u, v, K)
-        assert res.agree
+        ctx = ClaimContext(g, u, v)
+        assert ctx.path_within(h, K) == ctx.all_long_trees_cut(h, K)
         checked += 1
 
 
 def test_claim2_on_lp_point():
-    g = build_graph(3, TRIANGLE)
-    res = check_claim2((1.0, 0.0, 1.0), g, 0, 2, 2.0)
-    assert res.ok
-    assert res.min_mass == 1.0
-    assert res.long_trees == 2
+    ctx = ClaimContext(build_graph(3, TRIANGLE), 0, 2)
+    assert ctx.min_long_cut_mass((1.0, 0.0, 1.0), 2.0) == 1.0
+    assert ctx.long_tree_count(2.0) == 2
 
 
 def test_claim2_rejects_zero_vector():
-    g = build_graph(3, TRIANGLE)
-    res = check_claim2((0.0, 0.0, 0.0), g, 0, 2, 2.0)
-    assert not res.ok
-    assert res.min_mass == 0.0
+    ctx = ClaimContext(build_graph(3, TRIANGLE), 0, 2)
+    assert ctx.min_long_cut_mass((0.0, 0.0, 0.0), 2.0) == 0.0
 
 
 def test_claim2_trees_missing_target_are_always_long():
     # the single-vertex tree {root} never reaches the target, whatever K is
-    g = build_graph(3, TRIANGLE)
-    res = check_claim2((1.0, 1.0, 1.0), g, 0, 2, 100.0)
-    assert res.ok
-    assert res.long_trees == 2
+    ctx = ClaimContext(build_graph(3, TRIANGLE), 0, 2)
+    assert ctx.min_long_cut_mass((1.0, 1.0, 1.0), 100.0) >= 1.0
+    assert ctx.long_tree_count(100.0) == 2
 
 
 def test_claim2_vacuous_when_root_equals_target():
-    g = build_graph(3, TRIANGLE)
-    res = check_claim2((0.0, 0.0, 0.0), g, 0, 0, 1.0)
-    assert res.ok
-    assert res.min_mass is None
-    assert res.long_trees == 0
+    # no tree is long, so there is no cut mass to bound
+    ctx = ClaimContext(build_graph(3, TRIANGLE), 0, 0)
+    assert ctx.min_long_cut_mass((0.0, 0.0, 0.0), 1.0) is None
+    assert ctx.long_tree_count(1.0) == 0
 
 
 def test_sptree_cut_triangle():

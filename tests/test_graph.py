@@ -12,15 +12,17 @@ from dirspan import (
     NegativeLength,
     SelfLoop,
     build_graph,
-    distance_matrix,
     induced_subgraph,
     reverse_graph,
     shortest_path_tree,
     shortest_paths,
-    weakly_connected_components,
 )
 
 from oracles import dp_distances, make_rng, random_edge_list
+
+
+def distance_matrix(g):
+    return [list(shortest_paths(g, s).dist) for s in range(g.n)]
 
 
 def test_build_graph_basics():
@@ -142,12 +144,6 @@ def test_induced_subgraph_mapping():
     # surviving edges: 0->1 and 0->3 (as 0->2 in local ids)
     assert sub.graph.edges == ((0, 1, 1.0), (0, 2, 5.0))
     assert sub.edge_map == (0, 3)
-
-
-def test_weakly_connected_components():
-    g = build_graph(5, [(0, 1, 1.0), (3, 2, 1.0)])
-    comps = weakly_connected_components(g)
-    assert comps == [[0, 1], [2, 3], [4]]
 
 
 @settings(max_examples=120, deadline=None)

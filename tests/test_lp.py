@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from dirspan import (
-    NotUnitLength,
     build_graph,
-    build_layered_lp_unit,
     build_lp,
     export_lp_text,
     generate_instance,
@@ -17,7 +15,7 @@ from dirspan import (
 from dirspan.lp import LpSolution
 from dirspan.simplex import GREATER, LESS, solve_simplex
 
-from oracles import check_solution, lp_lower_bound_check, make_rng, random_edge_list
+from oracles import check_solution, layered_lp_unit, lp_lower_bound_check, make_rng, random_edge_list
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
@@ -99,16 +97,19 @@ def test_presolve_value_matches_on_random_instances():
         done += 1
 
 
+def layered_value(g, k):
+    return solve_simplex(*layered_lp_unit(g.n, g.edges, k)).objective
+
+
 def test_layered_requires_unit_lengths():
-    g = build_graph(2, [(0, 1, 2.0)])
-    with pytest.raises(NotUnitLength):
-        build_layered_lp_unit(g, 3)
+    with pytest.raises(ValueError):
+        layered_lp_unit(2, [(0, 1, 2.0)], 3)
 
 
 def test_layered_matches_path_formulation_on_examples():
-    assert solve_lp(build_layered_lp_unit(cycle(6), 3)).objective_value == pytest.approx(6.0, abs=1e-7)
+    assert layered_value(cycle(6), 3) == pytest.approx(6.0, abs=1e-7)
     g = build_graph(3, TRIANGLE)
-    assert solve_lp(build_layered_lp_unit(g, 2)).objective_value == pytest.approx(2.0, abs=1e-7)
+    assert layered_value(g, 2) == pytest.approx(2.0, abs=1e-7)
 
 
 def test_layered_matches_path_formulation_randomized():
@@ -121,7 +122,7 @@ def test_layered_matches_path_formulation_randomized():
             continue
         k = rng.choice([2, 3])
         pv = solve_lp(build_lp(g, k)).objective_value
-        lv = solve_lp(build_layered_lp_unit(g, k)).objective_value
+        lv = layered_value(g, k)
         assert lv == pytest.approx(pv, abs=1e-6)
         done += 1
 
@@ -166,13 +167,6 @@ def test_check_solution_roundtrip_and_detection():
         iterations=sol.iterations,
     )
     assert check_solution(model, broken)
-
-
-def test_check_solution_rejects_layered():
-    model = build_layered_lp_unit(cycle(4), 3)
-    sol = solve_lp(model)
-    with pytest.raises(ValueError):
-        check_solution(model, sol)
 
 
 def test_demand_count_grows_with_edges():

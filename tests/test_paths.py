@@ -7,7 +7,6 @@ from dirspan import (
     build_graph,
     covered_vertices,
     enumerate_demand_paths,
-    stretch_budget,
 )
 
 from oracles import all_simple_paths_within, make_rng, random_edge_list
@@ -18,12 +17,12 @@ TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 def test_stretch_budget_uses_distance_not_edge_length():
     # demand edge has length 5, but a length-2 detour sets the distance
     g = build_graph(3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)])
-    assert stretch_budget(g, 3, 0) == 6.0
+    assert enumerate_demand_paths(g, 3, 0).budget == 6.0
 
 
 def test_stretch_budget_direct_edge():
     g = build_graph(2, [(0, 1, 2.0)])
-    assert stretch_budget(g, 4, 0) == 8.0
+    assert enumerate_demand_paths(g, 4, 0).budget == 8.0
 
 
 def test_triangle_paths():
@@ -41,6 +40,12 @@ def test_direct_only_when_budget_tight():
     dp = enumerate_demand_paths(g, 1, 1)
     assert dp.paths == ((0, 2),)
     assert dp.covered == frozenset({0, 2})
+    assert dp.mandatory
+    assert not enumerate_demand_paths(g, 2, 1).mandatory
+    # one path, but a detour: the demand edge itself is over budget
+    detour = enumerate_demand_paths(build_graph(3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)]), 1, 0)
+    assert detour.paths == ((0, 2, 1),)
+    assert not detour.mandatory
 
 
 def test_max_paths_cap_raises():

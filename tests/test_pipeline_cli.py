@@ -70,6 +70,31 @@ def test_caps_is_one_type():
     assert dirspan.pipeline.Caps is dirspan.paths.Caps is Caps
 
 
+PUBLIC_NAMES = {
+    "Arborescence", "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError",
+    "DistanceMap", "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF",
+    "INWARD", "IncompleteEnumeration", "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
+    "NegativeLength", "NotReachable", "NotUnitLength", "NumericalFailure", "OUTWARD", "OptResult",
+    "PathExplosion", "RoundingParams", "RunConfig", "SelfLoop", "SpTree", "SpannerCheck", "SpannerResult",
+    "TooLarge", "brute_force_opt", "build_graph", "build_lp", "build_spanner", "caps_from_env",
+    "covered_vertices", "demand_distance_rows", "dumps_report", "edge_inclusion_probs",
+    "enumerate_arborescences", "enumerate_demand_paths", "export_lp_text", "generate_instance",
+    "induced_subgraph", "is_k_spanner", "parse_gen_spec", "parse_graph", "reverse_graph", "round_edges",
+    "run_claims", "run_oracle", "run_solve", "sample_tree_roots", "select_alpha", "serialize_graph",
+    "shortest_path_tree", "shortest_paths", "solve_lp", "trial_seed", "violated_rows",
+}
+
+
+def test_public_surface_is_pinned():
+    # a helper only tests call belongs under tests/, not in this list
+    import dirspan
+
+    assert len(dirspan.__all__) == len(set(dirspan.__all__))
+    assert set(dirspan.__all__) == PUBLIC_NAMES
+    for name in dirspan.__all__:
+        assert getattr(dirspan, name) is not None
+
+
 def test_load_input_generator_and_file(tmp_path):
     g, label = load_input("gen:cycle:n=5")
     assert g.n == 5

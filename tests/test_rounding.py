@@ -13,7 +13,6 @@ from dirspan import (
     build_lp,
     build_spanner,
     edge_inclusion_probs,
-    expected_cost_report,
     round_edges,
     sample_tree_roots,
     select_alpha,
@@ -228,27 +227,3 @@ def test_trees_realize_exact_distances():
         # inward side: distances toward the root, via the reversed graph
         rev = [(h, t, l) for t, h, l in edges]
         assert dp_distances(n, rev, root, allowed=res.tree_edges) == dp_distances(n, rev, root)
-
-
-def test_expected_cost_report_saturated_cycle():
-    g = cycle(9)
-    sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=1.0, mode="general", seed=3, k=3, n=9)
-    res = build_spanner(g, sol, params)
-    rep = expected_cost_report(res, sol.objective_value, 9, 1.0, x=sol.x)
-    # alpha * x_e * sqrt(9) = 3 clamps to 1 for every edge
-    assert rep.step2_expected == 9.0
-    assert rep.rounded_count == 9
-    assert rep.step2_bound == pytest.approx(27.0)
-    assert rep.step3_edge_bound == pytest.approx(48.0)
-    assert rep.eh_count == len(res.e_h)
-
-
-def test_expected_cost_report_without_x():
-    g = cycle(4)
-    sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.5, mode="general", seed=1, k=3, n=4)
-    res = build_spanner(g, sol, params)
-    rep = expected_cost_report(res, sol.objective_value, 4, 0.5)
-    assert rep.step2_expected is None
-    assert rep.step2_bound == pytest.approx(0.5 * 2.0 * 4.0)

@@ -55,6 +55,9 @@ def test_no_vars():
     assert res.status == "optimal"
     assert res.objective == 0.0
     assert solve_simplex([], [], [], []).objective == 0.0
+    # rows without variables read 0 against b: 0 >= 1 cannot hold, 0 <= 1 and 0 = 0 do
+    assert solve_simplex([], np.zeros((1, 0)), [1.0], [GREATER]).status == "infeasible"
+    assert solve_simplex([], np.zeros((2, 0)), [1.0, 0.0], [LESS, EQUAL]).status == "optimal"
 
 
 def test_negative_rhs_normalized():

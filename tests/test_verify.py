@@ -4,17 +4,16 @@ from dirspan import verify
 from dirspan import (
     Caps,
     TooLarge,
-    all_pairs_spanner_check,
     build_graph,
     build_lp,
     brute_force_opt,
     demand_distance_rows,
-    edge_check_equals_allpairs_check,
     is_k_spanner,
     solve_lp,
 )
 
 from oracles import exhaustive_opt, make_rng, naive_is_spanner, random_edge_list
+from support import all_pairs_spanner_check, edge_check_equals_allpairs_check
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
