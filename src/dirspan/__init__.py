@@ -6,7 +6,7 @@ and optimum oracles, and the cut-structure checks that justify the
 construction on small instances.
 """
 
-from .arborescence import Arborescence, ClaimContext, enumerate_arborescences
+from .arborescence import ClaimContext
 from .errors import (
     BadSpec,
     DirspanError,
@@ -17,7 +17,6 @@ from .errors import (
     IncompleteEnumeration,
     IndexOutOfRange,
     NegativeLength,
-    NotReachable,
     NotUnitLength,
     NumericalFailure,
     PathExplosion,
@@ -70,7 +69,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arborescence",
     "BadSpec",
     "Caps",
     "ClaimContext",
@@ -91,7 +89,6 @@ __all__ = [
     "LpModel",
     "LpSolution",
     "NegativeLength",
-    "NotReachable",
     "NotUnitLength",
     "NumericalFailure",
     "OptResult",
@@ -113,7 +110,6 @@ __all__ = [
     "demand_distance_rows",
     "dumps_report",
     "edge_inclusion_probs",
-    "enumerate_arborescences",
     "enumerate_demand_paths",
     "export_lp_text",
     "generate_instance",

@@ -1,4 +1,4 @@
-"""Arborescence enumeration and the cut-based path-existence checks.
+"""Rooted out-tree enumeration and the cut-based path-existence checks.
 
 For a rooted out-tree T, every vertex w on the tree gets the potential
 L_T(w) = tree distance from the root, and every vertex off the tree gets
@@ -15,41 +15,17 @@ Together they make path existence within K equivalent to "every out-tree
 with tree distance to v beyond K is cut by H", quantified over all rooted
 out-trees, spanning or not.  Restricting the quantifier to spanning
 arborescences breaks the equivalence (a graph whose spanning arborescences
-are all short says nothing about H), so the checks walk every vertex subset.
+are all short says nothing about H), so ClaimContext grows every rooted
+out-tree of the host graph, each exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ExplosionCap, NotReachable
-from .graph import INF, _dijkstra, induced_subgraph
+from .errors import ExplosionCap
+from .graph import INF, _dijkstra
 from .paths import Caps
 
 DEFAULT_MAX_TREES = Caps.max_trees
-
-
-@dataclass(frozen=True)
-class Arborescence:
-    graph: object
-    root: int
-    parent_edge: tuple  # per vertex; None at the root and off the tree
-    potentials: tuple  # tree distance from the root, INF off the tree
-    cut_set: frozenset  # edge indices violating the potential inequality
-
-
-def _reachable_from(g, root):
-    seen = [False] * g.n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for e in g.out_edges[v]:
-            head = g.edges[e][1]
-            if not seen[head]:
-                seen[head] = True
-                stack.append(head)
-    return seen
 
 
 def cut_set_of_potentials(g, potentials):
@@ -65,82 +41,39 @@ def cut_set_of_potentials(g, potentials):
     return frozenset(out)
 
 
-def enumerate_arborescences(g, root, max_count=DEFAULT_MAX_TREES):
-    """Yield every spanning arborescence of g rooted at root.
+def _grow(g, on_tree, pot, frontier, start, leaf):
+    """Decide frontier[start:] in order, calling leaf(pot) once per finished tree.
 
-    Backtracks over one incoming edge per non-root vertex, rejecting cycles
-    as they form.  Raises NotReachable when no spanning arborescence can
-    exist and ExplosionCap past max_count trees.
+    The frontier lists the edges leaving the tree in discovery order.  An edge
+    whose head is already on the tree is passed over; any other edge is either
+    taken (its head joins, its out-edges join the frontier, and the rest is
+    decided recursively) or skipped for good, which is the loop moving on.
+    Every rooted out-tree comes from exactly one sequence of decisions, and the
+    recursion is only as deep as the tree is large.
     """
-    if not (0 <= root < g.n):
-        raise NotReachable(f"root {root} outside 0..{g.n - 1}")
-    if not all(_reachable_from(g, root)):
-        raise NotReachable(f"not every vertex is reachable from {root}")
-    others = [v for v in range(g.n) if v != root]
-    parent = [None] * g.n
-    count = 0
-
-    def ancestor_of(w, start):
-        node = start
-        while node != root:
-            pe = parent[node]
-            if pe is None:
-                return False
-            node = g.edges[pe][0]
-            if node == w:
-                return True
-        return False
-
-    def materialize():
-        pot = [INF] * g.n
-        pot[root] = 0.0
-
-        def potential(w):
-            if pot[w] == INF:
-                tail, _, length = g.edges[parent[w]]
-                pot[w] = potential(tail) + length
-            return pot[w]
-
-        for w in others:
-            potential(w)
-        return Arborescence(
-            graph=g,
-            root=root,
-            parent_edge=tuple(parent),
-            potentials=tuple(pot),
-            cut_set=cut_set_of_potentials(g, pot),
-        )
-
-    def rec(i):
-        nonlocal count
-        if i == len(others):
-            count += 1
-            if count > max_count:
-                raise ExplosionCap(f"more than {max_count} arborescences")
-            yield materialize()
-            return
-        w = others[i]
-        for e in g.in_edges[w]:
-            tail = g.edges[e][0]
-            if ancestor_of(w, tail):
-                continue
-            parent[w] = e
-            yield from rec(i + 1)
-            parent[w] = None
-
-    if g.n == 0:
-        return
-    yield from rec(0)
+    for i in range(start, len(frontier)):
+        tail, head, length = g.edges[frontier[i]]
+        if on_tree[head]:
+            continue
+        on_tree[head] = True
+        pot[head] = pot[tail] + length
+        mark = len(frontier)
+        frontier.extend(g.out_edges[head])
+        _grow(g, on_tree, pot, frontier, i + 1, leaf)
+        del frontier[mark:]
+        on_tree[head] = False
+        pot[head] = INF
+    leaf(pot)
 
 
 class ClaimContext:
     """Every rooted out-tree of one small graph, materialized for reuse.
 
-    Walks all vertex subsets containing the root, enumerates the spanning
-    arborescences of each induced subgraph, and keeps one (distance-to-target,
-    cut-mask) pair per tree.  Both claim checks are methods that loop over
+    Grows each out-tree of g rooted at root once and keeps one
+    (distance-to-target, cut-mask) pair per tree; the distance is INF when
+    the tree misses the target.  Both claim checks are methods that loop over
     this list, so checking many subgraphs or LP vectors against the same
-    demand costs one enumeration.
+    demand costs one enumeration.  Raises ExplosionCap past max_trees trees.
     """
 
     def __init__(self, g, root, target, max_trees=DEFAULT_MAX_TREES):
@@ -148,23 +81,21 @@ class ClaimContext:
         self.root = root
         self.target = target
         trees = []
-        reachable = _reachable_from(g, root)
-        reach = [v for v in range(g.n) if v != root and reachable[v]]
-        for pick in range(1 << len(reach)):
-            vs = [root] + [reach[i] for i in range(len(reach)) if (pick >> i) & 1]
-            sub = induced_subgraph(g, vs)
-            sub_root = sub.vertices.index(root)
-            if not all(_reachable_from(sub.graph, sub_root)):
-                continue
-            for arb in enumerate_arborescences(sub.graph, sub_root, max_count=max_trees - len(trees)):
-                pot = [INF] * g.n
-                for i, orig in enumerate(sub.vertices):
-                    pot[orig] = arb.potentials[i]
-                dist_v = pot[target]
-                mask = 0
-                for e in cut_set_of_potentials(g, pot):
-                    mask |= 1 << e
-                trees.append((dist_v, mask))
+
+        def leaf(pot):
+            if len(trees) == max_trees:
+                raise ExplosionCap(f"more than {max_trees} rooted out-trees")
+            mask = 0
+            for e in cut_set_of_potentials(g, pot):
+                mask |= 1 << e
+            trees.append((pot[target], mask))
+
+        # membership is kept apart from pot: a tree distance can overflow to INF
+        on_tree = [False] * g.n
+        on_tree[root] = True
+        pot = [INF] * g.n
+        pot[root] = 0.0
+        _grow(g, on_tree, pot, list(g.out_edges[root]), 0, leaf)
         self.trees = trees
 
     def tree_count(self):

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 a size cap tripped,
-4 a spanner check failed under --require-feasible, 5 numerical failure.
+4 a spanner check failed under --require-feasible, 5 numerical failure or a
+broken internal check.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _write_report(report, args):
 
 def _cmd_solve(args):
     config = _config(args)
-    g, _ = load_input(config.input)
+    g = load_input(config.input)
     opt = None
     if args.oracle:
         opt = run_oracle(config, g=g)["opt"]
@@ -100,7 +101,7 @@ def _cmd_solve(args):
 
 def _cmd_lp(args):
     config = _config(args)
-    g, _ = load_input(config.input)
+    g = load_input(config.input)
     model = build_lp(g, config.k, caps=config.caps)
     sol = solve_lp(model)
     if args.export_lp:
@@ -136,7 +137,7 @@ def _dump_x(dump, m):
 
 def _cmd_round(args):
     config = _config(args)
-    g, _ = load_input(config.input)
+    g = load_input(config.input)
     with open(args.lp, "r", encoding="utf-8") as fh:
         dump = json.load(fh)
     if not isinstance(dump, dict):
@@ -182,7 +183,7 @@ def _read_subgraph_edges(g, path):
 
 def _cmd_verify(args):
     config = _config(args)
-    g, _ = load_input(config.input)
+    g = load_input(config.input)
     h_edges = _read_subgraph_edges(g, args.subgraph)
     check = is_k_spanner(g, h_edges, config.k, g_dist=demand_distance_rows(g))
     violation = None
@@ -295,6 +296,9 @@ def main(argv=None):
         return EXIT_CAP
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DirspanError as exc:
         print(f"error: {exc}", file=sys.stderr)

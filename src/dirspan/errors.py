@@ -57,12 +57,8 @@ class TooLarge(DirspanError):
     """Exact search would exceed its configured size cap."""
 
 
-class NotReachable(DirspanError):
-    pass
-
-
 class ExplosionCap(DirspanError):
-    """Arborescence enumeration exceeded its cap."""
+    """Rooted out-tree enumeration exceeded its cap."""
 
 
 class BadSpec(DirspanError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .paths import enumerate_demand_paths
-from .simplex import EQUAL, GREATER, LESS, solve_simplex
+from .simplex import GREATER, LESS, solve_simplex
 
 FEAS_TOL = 1e-9
 
@@ -170,8 +170,6 @@ def violated_rows(model, z, tol=FEAS_TOL * 10):
             fails.append(f"row {label} = {val} < {b}")
         elif sense == LESS and val > b + tol:
             fails.append(f"row {label} = {val} > {b}")
-        elif sense == EQUAL and abs(val - b) > tol:
-            fails.append(f"row {label} = {val} != {b}")
     return fails
 
 
@@ -200,7 +198,7 @@ def export_lp_text(model):
     lines.append("Subject To")
     for idx, (row, sense, b, label) in enumerate(zip(p.a, p.senses, p.b, model.row_labels)):
         name = "_".join(str(t) for t in label)
-        op = {LESS: "<=", GREATER: ">=", EQUAL: "="}[sense]
+        op = {LESS: "<=", GREATER: ">="}[sense]
         lines.append(f" r{idx}_{name}: {terms(row)} {op} {b:.17g}")
     bounds = [f" {vname(j)} >= {p.lower[j]:.17g}" for j in np.nonzero(p.lower)[0]]
     if bounds:

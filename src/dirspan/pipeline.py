@@ -79,9 +79,9 @@ class RunConfig:
 def load_input(spec_text):
     """Resolve a config input: 'gen:family:...' generates, anything else is a path."""
     if spec_text.startswith("gen:"):
-        return generate_instance(parse_gen_spec(spec_text[len("gen:"):])), spec_text
+        return generate_instance(parse_gen_spec(spec_text[len("gen:"):]))
     with open(spec_text, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read()), spec_text
+        return parse_graph(fh.read())
 
 
 def resolve_mode(config, g):
@@ -105,9 +105,7 @@ def run_solve(config, g=None, opt=None, sol=None):
     """
     t0 = time.perf_counter()
     if g is None:
-        g, label = load_input(config.input)
-    else:
-        label = config.input
+        g = load_input(config.input)
     mode = resolve_mode(config, g)
     alpha = resolve_alpha(config, g, mode)
     if sol is None:
@@ -137,7 +135,7 @@ def run_solve(config, g=None, opt=None, sol=None):
     feasible_count = sum(1 for r in records if r["feasible"])
     eh_sizes = [r["eh_size"] for r in records]
     report = {
-        "instance": {"input": label, "n": g.n, "m": g.m, "k": config.k, "mode": mode},
+        "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k, "mode": mode},
         "alpha": alpha,
         "lp": {"status": sol.status, "value": sol.objective_value},
         "opt": opt,
@@ -168,12 +166,10 @@ def run_solve(config, g=None, opt=None, sol=None):
 def run_oracle(config, g=None, x=None):
     t0 = time.perf_counter()
     if g is None:
-        g, label = load_input(config.input)
-    else:
-        label = config.input
+        g = load_input(config.input)
     res = brute_force_opt(g, config.k, caps=config.caps, x=x)
     return {
-        "instance": {"input": label, "n": g.n, "m": g.m, "k": config.k},
+        "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k},
         "opt": res.opt,
         "witness": sorted(res.witness),
         "timing": {"total_seconds": time.perf_counter() - t0},
@@ -189,9 +185,7 @@ def run_claims(config, g=None):
     """
     t0 = time.perf_counter()
     if g is None:
-        g, label = load_input(config.input)
-    else:
-        label = config.input
+        g = load_input(config.input)
     model = build_lp(g, config.k, caps=config.caps)
     sol = solve_lp(model)
 
@@ -238,7 +232,7 @@ def run_claims(config, g=None):
                 claim1_disagreements += 1
 
     return {
-        "instance": {"input": label, "n": g.n, "m": g.m, "k": config.k},
+        "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k},
         "lp_value": sol.objective_value,
         "demands_checked": demands_checked,
         "trees_enumerated": trees_total,

@@ -79,30 +79,59 @@ def exhaustive_opt(n, edges, k):
     return best, best_set
 
 
-def parent_vector_arborescences(n, edges, root):
-    """All spanning arborescences by filtering every parent-edge combination."""
+def parent_vector_out_trees(n, edges, root):
+    """All rooted out-trees by filtering every parent-edge combination.
+
+    Each non-root vertex takes one of its in-edges or None (off the tree); a
+    combination is a tree when every on-tree vertex's parent chain reaches
+    the root without a cycle.
+    """
     others = [v for v in range(n) if v != root]
-    in_lists = {v: [e for e, (_, head, _) in enumerate(edges) if head == v] for v in others}
-    if any(not in_lists[v] for v in others):
-        return []
+    choices = [[None] + [e for e, (_, head, _) in enumerate(edges) if head == v] for v in others]
+
+    def reaches_root(parent, v):
+        seen = set()
+        while v != root:
+            if v in seen or parent[v] is None:
+                return False
+            seen.add(v)
+            v = edges[parent[v]][0]
+        return True
+
     result = []
-    for combo in itertools.product(*(in_lists[v] for v in others)):
+    for combo in itertools.product(*choices):
         parent = dict(zip(others, combo))
-        ok = True
-        for v in others:
-            seen = set()
-            node = v
-            while node != root:
-                if node in seen:
-                    ok = False
-                    break
-                seen.add(node)
-                node = edges[parent[node]][0]
-            if not ok:
-                break
-        if ok:
-            result.append(dict(parent))
+        if all(parent[v] is None or reaches_root(parent, v) for v in others):
+            result.append(parent)
     return result
+
+
+def out_tree_census(n, edges, root, target):
+    """Sorted (tree distance to target, cut mask) over every rooted out-tree.
+
+    Off-tree vertices sit at infinity; the cut mask sets bit e for each edge
+    whose head potential exceeds its tail potential plus its length.
+    """
+    census = []
+    for parent in parent_vector_out_trees(n, edges, root):
+        pot = [INF] * n
+        pot[root] = 0.0
+
+        def potential(w):
+            if w != root and pot[w] == INF:
+                tail, _, length = edges[parent[w]]
+                pot[w] = potential(tail) + length
+            return pot[w]
+
+        for v, e in parent.items():
+            if e is not None:
+                potential(v)
+        mask = 0
+        for e, (tail, head, length) in enumerate(edges):
+            if pot[head] > pot[tail] + length:
+                mask |= 1 << e
+        census.append((pot[target], mask))
+    return sorted(census)
 
 
 def random_edge_list(rng, n, p, max_len=1):

@@ -1,99 +1,41 @@
-import math
-
 import pytest
 
-from dirspan import (
-    ClaimContext,
-    ExplosionCap,
-    NotReachable,
-    build_graph,
-    enumerate_arborescences,
-)
-from dirspan.arborescence import cut_set_of_potentials
+from dirspan import ClaimContext, ExplosionCap, build_graph
 
-from oracles import make_rng, parent_vector_arborescences, random_edge_list
+from oracles import make_rng, out_tree_census, random_edge_list
 from support import shortest_path_tree_cut
 
-INF = math.inf
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
-
-
-def test_path_graph_single_arborescence():
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    arbs = list(enumerate_arborescences(g, 0))
-    assert len(arbs) == 1
-    a = arbs[0]
-    assert a.potentials == (0.0, 1.0, 2.0)
-    assert a.parent_edge == (None, 0, 1)
-    assert a.cut_set == frozenset()
-
-
-def test_triangle_two_arborescences():
-    g = build_graph(3, TRIANGLE)
-    arbs = list(enumerate_arborescences(g, 0))
-    assert len(arbs) == 2
-    pots = sorted(a.potentials for a in arbs)
-    assert pots == [(0.0, 1.0, 1.0), (0.0, 1.0, 2.0)]
-
-
-def test_diamond_two_arborescences():
-    g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
-    assert len(list(enumerate_arborescences(g, 0))) == 2
-
-
-def test_unreachable_vertex_rejected():
-    g = build_graph(2, [])
-    with pytest.raises(NotReachable):
-        list(enumerate_arborescences(g, 0))
+DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.7, 1.0, 2.0, 3.0)
 
 
 def test_enumeration_cap():
-    g = build_graph(3, TRIANGLE)
-    with pytest.raises(ExplosionCap):
-        list(enumerate_arborescences(g, 0, max_count=1))
-
-
-def test_potentials_follow_parent_edges():
-    rng = make_rng(61)
-    done = 0
-    while done < 15:
-        n = rng.randint(2, 5)
-        edges = random_edge_list(rng, n, 0.6, max_len=3)
+    # a cap of exactly the tree count passes; one less trips it
+    rng = make_rng(59)
+    graphs = [(3, TRIANGLE)]
+    graphs += [(n, random_edge_list(rng, n, 0.5)) for n in (3, 4, 5, 5, 6)]
+    for n, edges in graphs:
         g = build_graph(n, edges)
-        from dirspan.arborescence import _reachable_from
-
-        if not all(_reachable_from(g, 0)):
-            continue
-        for a in enumerate_arborescences(g, 0):
-            assert a.potentials[0] == 0.0
-            for v in range(1, n):
-                e = a.parent_edge[v]
-                tail, head, length = g.edges[e]
-                assert head == v
-                assert a.potentials[v] == a.potentials[tail] + length
-            assert a.cut_set == cut_set_of_potentials(g, a.potentials)
-        done += 1
+        count = ClaimContext(g, 0, n - 1).tree_count()
+        assert ClaimContext(g, 0, n - 1, max_trees=count).tree_count() == count
+        if count > 1:
+            with pytest.raises(ExplosionCap):
+                ClaimContext(g, 0, n - 1, max_trees=count - 1)
 
 
-def test_count_matches_parent_vector_oracle():
+def test_trees_match_parent_vector_oracle():
     rng = make_rng(67)
-    done = 0
-    while done < 15:
-        n = rng.randint(2, 5)
-        edges = random_edge_list(rng, n, 0.6)
-        g = build_graph(n, edges)
-        from dirspan.arborescence import _reachable_from
-
-        if not all(_reachable_from(g, 0)):
-            continue
-        ours = list(enumerate_arborescences(g, 0))
-        ref = parent_vector_arborescences(n, edges, 0)
-        assert len(ours) == len(ref)
-        # the parent assignments must match as sets
-        ours_parents = {tuple(a.parent_edge[1:]) for a in ours}
-        ref_parents = {tuple(p[v] for v in range(1, n)) for p in ref}
-        assert ours_parents == ref_parents
-        done += 1
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        edges = [
+            (i, j, rng.choice(DECIMAL_LENGTHS))
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < 0.45
+        ]
+        root, target = rng.randrange(n), rng.randrange(n)
+        ctx = ClaimContext(build_graph(n, edges), root, target)
+        assert sorted(ctx.trees) == out_tree_census(n, edges, root, target)
 
 
 def test_claim_context_tree_census():

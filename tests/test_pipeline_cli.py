@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dirspan
 
 from dirspan import (
     BadSpec,
@@ -71,24 +77,22 @@ def test_caps_is_one_type():
 
 
 PUBLIC_NAMES = {
-    "Arborescence", "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError",
-    "DistanceMap", "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF",
-    "INWARD", "IncompleteEnumeration", "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
-    "NegativeLength", "NotReachable", "NotUnitLength", "NumericalFailure", "OUTWARD", "OptResult",
-    "PathExplosion", "RoundingParams", "RunConfig", "SelfLoop", "SpTree", "SpannerCheck", "SpannerResult",
-    "TooLarge", "brute_force_opt", "build_graph", "build_lp", "build_spanner", "caps_from_env",
-    "covered_vertices", "demand_distance_rows", "dumps_report", "edge_inclusion_probs",
-    "enumerate_arborescences", "enumerate_demand_paths", "export_lp_text", "generate_instance",
-    "induced_subgraph", "is_k_spanner", "parse_gen_spec", "parse_graph", "reverse_graph", "round_edges",
-    "run_claims", "run_oracle", "run_solve", "sample_tree_roots", "select_alpha", "serialize_graph",
-    "shortest_path_tree", "shortest_paths", "solve_lp", "trial_seed", "violated_rows",
+    "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError", "DistanceMap",
+    "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF", "INWARD",
+    "IncompleteEnumeration", "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
+    "NegativeLength", "NotUnitLength", "NumericalFailure", "OUTWARD", "OptResult", "PathExplosion",
+    "RoundingParams", "RunConfig", "SelfLoop", "SpTree", "SpannerCheck", "SpannerResult", "TooLarge",
+    "brute_force_opt", "build_graph", "build_lp", "build_spanner", "caps_from_env", "covered_vertices",
+    "demand_distance_rows", "dumps_report", "edge_inclusion_probs", "enumerate_demand_paths",
+    "export_lp_text", "generate_instance", "induced_subgraph", "is_k_spanner", "parse_gen_spec",
+    "parse_graph", "reverse_graph", "round_edges", "run_claims", "run_oracle", "run_solve",
+    "sample_tree_roots", "select_alpha", "serialize_graph", "shortest_path_tree", "shortest_paths",
+    "solve_lp", "trial_seed", "violated_rows",
 }
 
 
 def test_public_surface_is_pinned():
     # a helper only tests call belongs under tests/, not in this list
-    import dirspan
-
     assert len(dirspan.__all__) == len(set(dirspan.__all__))
     assert set(dirspan.__all__) == PUBLIC_NAMES
     for name in dirspan.__all__:
@@ -96,19 +100,17 @@ def test_public_surface_is_pinned():
 
 
 def test_load_input_generator_and_file(tmp_path):
-    g, label = load_input("gen:cycle:n=5")
+    g = load_input("gen:cycle:n=5")
     assert g.n == 5
-    assert label == "gen:cycle:n=5"
     p = tmp_path / "g.txt"
     p.write_text(TRIANGLE_TEXT)
-    g2, _ = load_input(str(p))
-    assert g2.m == 3
+    assert load_input(str(p)).m == 3
 
 
 def test_mode_auto_detects_unit():
-    unit, _ = load_input("gen:cycle:n=4")
+    unit = load_input("gen:cycle:n=4")
     assert resolve_mode(RunConfig(k=3, input=""), unit) == "unit"
-    weighted, _ = load_input("gen:cycle:n=4,max_len=3,seed=2")
+    weighted = load_input("gen:cycle:n=4,max_len=3,seed=2")
     assert resolve_mode(RunConfig(k=3, input=""), weighted) == "general"
     forced = RunConfig(k=3, input="", mode="general")
     assert resolve_mode(forced, unit) == "general"
@@ -424,3 +426,25 @@ def test_cli_numerical_failure_exit_5(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["solve", str(gpath), "-k", "2"])
     assert code == 5
     assert "numerical failure" in err
+
+
+# decimal lengths whose float sums make the path pruning drop demand 5's own shortest path at k=1
+FLOAT_BUDGET_TEXT = "6 7\n3 4 1.1\n4 2 0.1\n3 1 0.1\n4 5 0.3\n0 5 0.2\n4 1 1.1\n5 3 0.7\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "lp", "oracle", "claims"])
+def test_cli_internal_error_has_no_traceback(tmp_path, command):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(FLOAT_BUDGET_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(dirspan.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirspan.cli", command, str(gpath), "-k", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode in (0, 5), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 5:
+        assert proc.stderr.startswith("internal error: ")
