@@ -26,8 +26,8 @@ from .errors import (
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, serialize_graph
 from .lp import LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import Caps, RunConfig, caps_from_env, load_input, run_claims, run_oracle, run_solve
-from .verify import demand_distance_rows, is_k_spanner
+from .pipeline import MODES, Caps, RunConfig, caps_from_env, load_input, run_claims, run_oracle, run_solve
+from .verify import is_k_spanner
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -36,39 +36,40 @@ EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
 
-def _add_common(p, with_trials=True):
+# flags several subcommands read; each subcommand declares only the ones it reads
+SHARED_FLAGS = {
+    "--mode": dict(choices=MODES, default="auto", help="alpha formula; auto detects unit lengths"),
+    "--alpha": dict(dest="alpha_override", metavar="ALPHA", type=float, help="override the sampling constant"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=1),
+    "--require-feasible": dict(action="store_true", help="exit 4 if a spanner check fails"),
+    **{"--" + f.name.replace("_", "-"): dict(type=int) for f in fields(Caps)},
+}
+
+
+def _add_subcommand(sub, name, summary, func, *flags):
+    """A subcommand on one input graph and k, with the shared flags it reads."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("input", help="graph file path, or gen:family:key=value,... to generate")
     p.add_argument("-k", type=int, required=True, help="stretch factor (integer >= 1)")
-    p.add_argument("--mode", choices=["auto", "unit", "general"], default="auto")
-    p.add_argument("--alpha", type=float, default=None, help="override the sampling constant")
-    p.add_argument("--seed", type=int, default=0)
-    if with_trials:
-        p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--require-feasible", action="store_true")
-    p.add_argument("--max-paths", type=int, default=None)
-    p.add_argument("--max-hops", type=int, default=None)
-    p.add_argument("--max-free-edges", type=int, default=None)
-    p.add_argument("--max-trees", type=int, default=None)
+    p.add_argument("--out", help="write the report here instead of stdout")
+    for flag in flags:
+        p.add_argument(flag, **SHARED_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def _caps(args):
     """Environment caps, overridden by every --max-* flag given."""
-    given = {f.name: getattr(args, f.name) for f in fields(Caps) if getattr(args, f.name) is not None}
-    return replace(caps_from_env(), **given)
+    flags = {f.name: v for f in fields(Caps) if (v := getattr(args, f.name, None)) is not None}
+    return replace(caps_from_env(), **flags)
 
 
 def _config(args):
-    return RunConfig(
-        k=args.k,
-        input=args.input,
-        mode=args.mode,
-        alpha_override=args.alpha,
-        seed=args.seed,
-        trials=getattr(args, "trials", 1),
-        caps=_caps(args),
-        require_feasible=args.require_feasible,
-    )
+    """The run configuration; a field whose flag the subcommand lacks keeps its default."""
+    given = vars(args)
+    flags = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
+    return RunConfig(caps=_caps(args), **flags)
 
 
 def _write_report(report, args):
@@ -94,7 +95,7 @@ def _cmd_solve(args):
         f"alpha={report['alpha']:.6g} trials={config.trials} feasible={frac}",
         file=sys.stderr,
     )
-    if config.require_feasible and frac is not None and frac < 1.0:
+    if args.require_feasible and frac is not None and frac < 1.0:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -156,7 +157,7 @@ def _cmd_round(args):
     _write_report(report, args)
     frac = report["aggregate"]["feasible_fraction"]
     print(f"rounded {config.trials} trials, feasible fraction {frac}", file=sys.stderr)
-    if config.require_feasible and frac is not None and frac < 1.0:
+    if args.require_feasible and frac is not None and frac < 1.0:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -185,7 +186,7 @@ def _cmd_verify(args):
     config = _config(args)
     g = load_input(config.input)
     h_edges = _read_subgraph_edges(g, args.subgraph)
-    check = is_k_spanner(g, h_edges, config.k, g_dist=demand_distance_rows(g))
+    check = is_k_spanner(g, h_edges, config.k)
     violation = None
     if check.violation is not None:
         d, dist_g, dist_h = check.violation
@@ -201,7 +202,7 @@ def _cmd_verify(args):
     report = {"n": g.n, "m": g.m, "k": config.k, "h_size": len(h_edges), "feasible": check.feasible, "violation": violation}
     _write_report(report, args)
     print(f"subgraph of {len(h_edges)} edges: feasible={check.feasible}", file=sys.stderr)
-    if config.require_feasible and not check.feasible:
+    if args.require_feasible and not check.feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -247,33 +248,20 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="dirspan", description="Directed k-spanner approximation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="LP, rounding trials, and feasibility checks")
-    _add_common(p)
+    rounding = ("--mode", "--alpha", "--seed", "--trials", "--require-feasible")
+    p = _add_subcommand(sub, "solve", "LP, rounding trials, and feasibility checks", _cmd_solve,
+                        *rounding, "--max-paths", "--max-hops", "--max-free-edges")
     p.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("lp", help="solve the LP relaxation and dump x values")
-    _add_common(p, with_trials=False)
-    p.add_argument("--export-lp", default=None, help="also write the model in LP text format")
-    p.set_defaults(func=_cmd_lp)
-
-    p = sub.add_parser("round", help="rounding trials from an existing LP dump")
-    _add_common(p)
+    p = _add_subcommand(sub, "lp", "solve the LP relaxation and dump x values", _cmd_lp, "--max-paths", "--max-hops")
+    p.add_argument("--export-lp", help="also write the model in LP text format")
+    p = _add_subcommand(sub, "round", "rounding trials from an existing LP dump", _cmd_round, *rounding)
     p.add_argument("--lp", required=True, help="JSON dump produced by the lp subcommand")
-    p.set_defaults(func=_cmd_round)
-
-    p = sub.add_parser("verify", help="check a candidate subgraph")
-    _add_common(p, with_trials=False)
+    p = _add_subcommand(sub, "verify", "check a candidate subgraph", _cmd_verify, "--require-feasible")
     p.add_argument("--subgraph", required=True, help="file of 'tail head' lines selecting edges")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("oracle", help="exact minimum spanner by branch and bound")
-    _add_common(p, with_trials=False)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("claims", help="cut-structure checks on every demand")
-    _add_common(p)
-    p.set_defaults(func=_cmd_claims)
+    _add_subcommand(sub, "oracle", "exact minimum spanner by branch and bound", _cmd_oracle,
+                    "--max-paths", "--max-hops", "--max-free-edges")
+    _add_subcommand(sub, "claims", "cut-structure checks on every demand", _cmd_claims,
+                    "--seed", "--trials", "--max-paths", "--max-hops", "--max-trees")
 
     p = sub.add_parser("gen", help="write a generated instance as graph text")
     p.add_argument("--spec", required=True, help="family:key=value,... e.g. er:n=10,p=0.3,seed=1")

@@ -14,7 +14,7 @@ class IndexOutOfRange(GraphError):
 
 
 class NegativeLength(GraphError):
-    pass
+    """An edge length that is negative, NaN or infinite."""
 
 
 class SelfLoop(GraphError):

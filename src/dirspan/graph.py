@@ -1,4 +1,4 @@
-"""Directed graphs with nonnegative float edge lengths, shortest paths, and trees.
+"""Directed graphs with finite nonnegative float edge lengths, shortest paths, and trees.
 
 Vertices are integers 0..n-1.  Edges are (tail, head, length) triples addressed
 by their position in the edge tuple; that index is the stable identity used by
@@ -37,8 +37,8 @@ class DiGraph:
             if tail == head:
                 raise SelfLoop(f"edge {i}: self loop at vertex {tail}")
             length = float(length)
-            if length < 0 or math.isnan(length):
-                raise NegativeLength(f"edge {i}: length {length} is not a nonnegative number")
+            if not 0 <= length < INF:
+                raise NegativeLength(f"edge {i}: length {length} is not a finite nonnegative number")
             if (tail, head) in seen:
                 raise DuplicateEdge(f"edge {i}: duplicate of edge {seen[(tail, head)]} ({tail} -> {head})")
             seen[(tail, head)] = i

@@ -18,7 +18,7 @@ from .errors import NumericalFailure
 from .paths import enumerate_demand_paths
 from .simplex import GREATER, LESS, solve_simplex
 
-FEAS_TOL = 1e-9
+CHECK_TOL = 1e-8  # row slack violated_rows forgives, ten times the simplex's feasibility tolerance
 
 
 @dataclass
@@ -34,7 +34,6 @@ class Program:
 class LpModel:
     graph: object
     k: float
-    num_edge_vars: int
     path_cols: tuple  # (demand, path) per flow column
     demand_paths: dict
     mandatory: frozenset  # edge indices presolved to x_e >= 1
@@ -113,7 +112,6 @@ def build_lp(g, k, caps=None, presolve=True):
     return LpModel(
         graph=g,
         k=k,
-        num_edge_vars=m,
         path_cols=tuple(path_cols),
         demand_paths=demand_paths,
         mandatory=frozenset(mandatory),
@@ -128,7 +126,7 @@ def solve_lp(model):
     res = solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower)
     if res.status == "infeasible":
         return LpSolution(status="infeasible", x=None, f=None, objective_value=None, iterations=res.iterations)
-    m = model.num_edge_vars
+    m = model.graph.m
     x = tuple(float(v) for v in res.z[:m])
     f = {}
     for j, (d, pth) in enumerate(model.path_cols):
@@ -149,26 +147,25 @@ def solve_lp(model):
     return sol
 
 
-def violated_rows(model, z, tol=FEAS_TOL * 10):
+def violated_rows(model, z):
     """Independent feasibility evaluation of a full variable vector.
 
     Walks the model rows directly instead of trusting the solver's basis;
     returns descriptions of every violated row (empty means feasible).
     """
     p = model.program
-    m = model.num_edge_vars
     z = np.asarray(z, dtype=float)
     fails = []
-    if np.any(z < -tol):
+    if np.any(z < -CHECK_TOL):
         fails.append("negative variable value")
     for e in sorted(model.mandatory):
-        if z[e] < 1.0 - tol:
+        if z[e] < 1.0 - CHECK_TOL:
             fails.append(f"presolved edge {e} below 1: {z[e]}")
     for row, sense, b, label in zip(p.a, p.senses, p.b, model.row_labels):
         val = float(row @ z)
-        if sense == GREATER and val < b - tol:
+        if sense == GREATER and val < b - CHECK_TOL:
             fails.append(f"row {label} = {val} < {b}")
-        elif sense == LESS and val > b + tol:
+        elif sense == LESS and val > b + CHECK_TOL:
             fails.append(f"row {label} = {val} > {b}")
     return fails
 
@@ -176,7 +173,7 @@ def violated_rows(model, z, tol=FEAS_TOL * 10):
 def export_lp_text(model):
     """Writable LP-format text of the model, for external cross-checking."""
     p = model.program
-    m = model.num_edge_vars
+    m = model.graph.m
 
     def vname(j):
         if j < m:

@@ -7,6 +7,7 @@ run in order in one thread.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .arborescence import ClaimContext
-from .errors import BadSpec, IncompleteEnumeration
+from .errors import BadSpec, IncompleteEnumeration, NotUnitLength
 from .generate import generate_instance, parse_gen_spec
 from .graph import induced_subgraph
 from .io import parse_graph
@@ -24,6 +25,7 @@ from .rounding import RoundingParams, build_spanner, select_alpha
 from .verify import brute_force_opt, demand_distance_rows
 
 MASK64 = (1 << 64) - 1
+MODES = ("auto", "unit", "general")
 
 
 def splitmix64(value):
@@ -61,19 +63,22 @@ def caps_from_env():
 class RunConfig:
     k: int
     input: str  # file path, or generator spec prefixed with 'gen:'
-    mode: str = "auto"  # 'unit' | 'general' | 'auto'
+    mode: str = "auto"  # one of MODES
     alpha_override: float | None = None
     seed: int = 0
     trials: int = 1
     caps: Caps = field(default_factory=Caps)
     jobs: int = 1  # ignored, as trials run in one loop; the benchmark still passes jobs=2
-    require_feasible: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise BadSpec(f"stretch factor must be >= 1, got {self.k}")
         if self.trials < 0:
             raise BadSpec(f"trials must be >= 0, got {self.trials}")
+        if self.mode not in MODES:
+            raise BadSpec(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:
+            raise BadSpec(f"alpha must be a finite number > 0, got {self.alpha_override}")
 
 
 def load_input(spec_text):
@@ -85,8 +90,11 @@ def load_input(spec_text):
 
 
 def resolve_mode(config, g):
+    """The alpha formula's regime for g: 'unit' or 'general'."""
     if config.mode == "auto":
         return "unit" if g.unit_lengths() else "general"
+    if config.mode == "unit" and not g.unit_lengths():
+        raise NotUnitLength("mode 'unit' requires every edge length to be 1")
     return config.mode
 
 
@@ -116,7 +124,7 @@ def run_solve(config, g=None, opt=None, sol=None):
     tree_cache = {}  # root -> its tree edges, shared by every trial of this run
 
     def one_trial(i):
-        params = RoundingParams(alpha=alpha, mode=mode, seed=trial_seed(config.seed, i), k=config.k, n=g.n)
+        params = RoundingParams(alpha=alpha, seed=trial_seed(config.seed, i), k=config.k)
         result = build_spanner(g, sol, params, g_dist=g_dist, tree_cache=tree_cache)
         return {
             "trial": i,
@@ -163,11 +171,11 @@ def run_solve(config, g=None, opt=None, sol=None):
     return report
 
 
-def run_oracle(config, g=None, x=None):
+def run_oracle(config, g=None):
     t0 = time.perf_counter()
     if g is None:
         g = load_input(config.input)
-    res = brute_force_opt(g, config.k, caps=config.caps, x=x)
+    res = brute_force_opt(g, config.k, caps=config.caps)
     return {
         "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k},
         "opt": res.opt,

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitLength
 from .graph import INWARD, OUTWARD, shortest_path_tree
 from .verify import is_k_spanner
 
 EDGE_STREAM = 0
 ROOT_STREAM = 1
-
-MODES = ("unit", "general")
 
 
 def _stream(seed, label):
@@ -51,16 +48,12 @@ def select_alpha(mode, n, k=None):
 @dataclass(frozen=True)
 class RoundingParams:
     alpha: float
-    mode: str
     seed: int
     k: float
-    n: int
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise ValueError(f"stretch factor must be >= 1, got {self.k}")
 
@@ -129,10 +122,6 @@ def build_spanner(
     """
     if lp_sol.status != "optimal":
         raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
-    if params.mode == "unit" and not g.unit_lengths():
-        raise NotUnitLength("mode 'unit' requires every edge length to be 1")
-    if params.n != g.n:
-        raise ValueError(f"params.n = {params.n} does not match the graph ({g.n})")
 
     if force_rounded_edges is not None:
         rounded = frozenset(force_rounded_edges)

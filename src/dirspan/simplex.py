@@ -26,7 +26,7 @@ from .errors import NumericalFailure
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DEGENERATE_STREAK = 64
-DEFAULT_MAX_ITER = 10**6
+MAX_ITER = 10**6
 
 LESS = "<="
 GREATER = ">="
@@ -41,7 +41,7 @@ class SimplexResult:
     iterations: int
 
 
-def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
+def solve_simplex(c, a, b, senses, lower=None):
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -132,8 +132,8 @@ def solve_simplex(c, a, b, senses, lower=None, max_iter=DEFAULT_MAX_ITER):
 
     def run_phase(cost_row, allowed):
         while True:
-            if state["iters"] >= max_iter:
-                raise NumericalFailure(f"simplex exceeded {max_iter} iterations")
+            if state["iters"] >= MAX_ITER:
+                raise NumericalFailure(f"simplex exceeded {MAX_ITER} iterations")
             reduced = T[cost_row, :ncols]
             if state["bland"]:
                 candidates = np.nonzero(allowed & (reduced < -FEAS_TOL))[0]

@@ -69,13 +69,14 @@ class OptResult:
     witness: frozenset  # edge indices of one minimum spanner
 
 
-def brute_force_opt(g, k, caps=None, x=None):
+def brute_force_opt(g, k, caps=None):
     """Exact minimum k-spanner size by branch and bound over free edges.
 
     An edge is forced when its demand admits no other within-budget path.
-    The remaining free edges are branched include-first, ordered by the LP
-    values in x when provided; pruning uses monotone infeasibility of the
-    still-available edge set plus a disjoint-demand lower bound.
+    The remaining free edges are branched include-first, most-used first by
+    the count of within-budget paths through them; pruning uses monotone
+    infeasibility of the still-available edge set plus a disjoint-demand
+    lower bound.
     Raises TooLarge when more than caps.max_free_edges edges stay free.
     """
     m = g.m
@@ -100,11 +101,8 @@ def brute_force_opt(g, k, caps=None, x=None):
     free = [e for e in range(m) if not (forced >> e) & 1]
     if len(free) > caps.max_free_edges:
         raise TooLarge(f"{len(free)} free edges exceed the cap of {caps.max_free_edges}")
-    if x is not None:
-        free.sort(key=lambda e: (-x[e], e))
-    else:
-        counts = [sum(1 for masks in demand_masks for pm in masks if (pm >> e) & 1) for e in range(m)]
-        free.sort(key=lambda e: (-counts[e], e))
+    counts = [sum(1 for masks in demand_masks for pm in masks if (pm >> e) & 1) for e in range(m)]
+    free.sort(key=lambda e: (-counts[e], e))
 
     def satisfied(d, mask):
         for pm in demand_masks[d]:

@@ -92,7 +92,7 @@ def solved_batch():
             continue
         sol = solve_lp(build_lp(g, k))
         try:
-            opt = brute_force_opt(g, k, x=sol.x)
+            opt = brute_force_opt(g, k)
         except TooLarge:
             continue
         batch.append({"g": g, "k": k, "sol": sol, "opt": opt.opt, "kind": kind})
@@ -239,7 +239,7 @@ def test_criterion_5_feasibility_at_selected_alpha():
         alpha = select_alpha("general", g.n)
         g_dist = demand_distance_rows(g)
         for t in range(trials_per_instance):
-            params_t = RoundingParams(alpha=alpha, mode="general", seed=seed * 1000 + t, k=3, n=g.n)
+            params_t = RoundingParams(alpha=alpha, seed=seed * 1000 + t, k=3)
             res = _note_trial(build_spanner(g, sol, params_t, g_dist=g_dist), g.n)
             total += 1
             if not res.feasible:
@@ -264,7 +264,7 @@ def test_criterion_6_approximation_accounting(solved_batch):
         bound = RATIO_CONST * math.sqrt(g.n) * math.log(g.n) * opt
         g_dist = demand_distance_rows(g)
         for t in range(25):
-            params = RoundingParams(alpha=alpha, mode=mode, seed=5000 + idx * 100 + t, k=k, n=g.n)
+            params = RoundingParams(alpha=alpha, seed=5000 + idx * 100 + t, k=k)
             res = _note_trial(build_spanner(g, sol, params, g_dist=g_dist), g.n)
             ratio_trials += 1
             if len(res.e_h) > bound:
@@ -283,7 +283,7 @@ def test_criterion_6_approximation_accounting(solved_batch):
             sigma = math.sqrt(sum(p * (1 - p) for p in probs))
             counts = []
             for t in range(200):
-                params = RoundingParams(alpha=alpha, mode=mode, seed=6000 + idx * 1000 + t, k=k, n=g.n)
+                params = RoundingParams(alpha=alpha, seed=6000 + idx * 1000 + t, k=k)
                 res = _note_trial(
                     build_spanner(g, sol, params, force_tree_roots=frozenset(), g_dist=None),
                     g.n,
@@ -319,7 +319,7 @@ def test_criterion_7_tree_phase_bound():
     g_dist = demand_distance_rows(g)
     root_counts = set()
     for t in range(50):
-        params = RoundingParams(alpha=2.0, mode="general", seed=7000 + t, k=3, n=30)
+        params = RoundingParams(alpha=2.0, seed=7000 + t, k=3)
         res = _note_trial(build_spanner(g, sol, params, g_dist=g_dist), 30)
         root_counts.add(len(res.tree_roots))
     # proper random subsets, not the degenerate all-or-nothing regimes

@@ -8,6 +8,7 @@ from dirspan import (
     INWARD,
     OUTWARD,
     DuplicateEdge,
+    GraphError,
     IndexOutOfRange,
     NegativeLength,
     SelfLoop,
@@ -55,6 +56,14 @@ def test_build_graph_validation(n, edges, exc):
     else:
         with pytest.raises(exc):
             build_graph(n, edges)
+
+
+def test_non_finite_length_rejected():
+    for length in (math.inf, float("1e309"), math.nan):
+        with pytest.raises(GraphError, match="finite"):
+            build_graph(2, [(0, 1, length)])
+    # finite lengths stay accepted even where their sums overflow to inf
+    assert build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]).length(0) == 1e308
 
 
 def test_graph_equality_and_hash():

@@ -27,7 +27,6 @@ def cycle(n, length=1.0):
 def test_single_edge_shape_without_presolve():
     g = build_graph(2, [(0, 1, 1.0)])
     model = build_lp(g, 3, presolve=False)
-    assert model.num_edge_vars == 1
     assert model.path_cols == ((0, (0, 1)),)
     assert len(model.program.c) == 2
     labels = [lab[0] for lab in model.row_labels]
@@ -69,7 +68,6 @@ def test_triangle_flow_routes_middle_demand():
 def test_cycle_forces_every_edge():
     g = cycle(6)
     model = build_lp(g, 3, presolve=False)
-    assert model.num_edge_vars == 6
     assert len(model.path_cols) == 6
     sol = solve_lp(model)
     assert sol.objective_value == pytest.approx(6.0, abs=1e-9)
@@ -226,7 +224,7 @@ def test_build_lp_rows_follow_labels_and_path_columns():
     for g in graphs:
         for presolve in (True, False):
             model = build_lp(g, 3, presolve=presolve)
-            m = model.num_edge_vars
+            m = g.m
             a = model.program.a
             assert a.shape == (len(model.row_labels), m + len(model.path_cols))
             for row, label in zip(a, model.row_labels):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from dirspan import (
     serialize_graph,
     trial_seed,
 )
-from dirspan.cli import main
+from dirspan.cli import build_parser, main
 from dirspan.pipeline import load_input, resolve_mode, splitmix64
 
 
@@ -97,6 +99,15 @@ def test_public_surface_is_pinned():
     assert set(dirspan.__all__) == PUBLIC_NAMES
     for name in dirspan.__all__:
         assert getattr(dirspan, name) is not None
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"mode": "nope"}, {"alpha_override": 0.0}, {"alpha_override": -5.0}, {"alpha_override": math.nan},
+               {"alpha_override": math.inf}]
+)
+def test_run_config_rejects_bad_mode_or_alpha(kwargs):
+    with pytest.raises(BadSpec):
+        RunConfig(k=3, input="", **kwargs)
 
 
 def test_load_input_generator_and_file(tmp_path):
@@ -371,12 +382,81 @@ def test_cli_oracle_cap_is_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--max-trees", "0"], ["--max-free-edges", "-1"], ["--max-paths", "0"], ["--max-hops", "0"]]
+    "flags",
+    [
+        ["claims", "--max-trees", "0"],
+        ["oracle", "--max-free-edges", "-1"],
+        ["lp", "--max-paths", "0"],
+        ["solve", "--max-hops", "0"],
+    ],
 )
 def test_cli_invalid_cap_is_exit_2(capsys, flags):
-    code, _, err = _run(capsys, ["oracle", "gen:cycle:n=4", "-k", "2", *flags])
+    command, flag, value = flags
+    code, _, err = _run(capsys, [command, "gen:cycle:n=4", "-k", "2", flag, value])
     assert code == 2
-    assert flags[0][2:].replace("-", "_") in err
+    assert flag[2:].replace("-", "_") in err
+
+
+# every option each subcommand declares; each one changes what the subcommand runs
+CLI_FLAGS = {
+    "solve": {"input", "-k", "--mode", "--alpha", "--seed", "--trials", "--out", "--require-feasible",
+              "--max-paths", "--max-hops", "--max-free-edges", "--oracle"},
+    "lp": {"input", "-k", "--out", "--max-paths", "--max-hops", "--export-lp"},
+    "round": {"input", "-k", "--mode", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--lp"},
+    "verify": {"input", "-k", "--out", "--require-feasible", "--subgraph"},
+    "oracle": {"input", "-k", "--out", "--max-paths", "--max-hops", "--max-free-edges"},
+    "claims": {"input", "-k", "--seed", "--trials", "--out", "--max-paths", "--max-hops", "--max-trees"},
+    "gen": {"--spec", "--out"},
+}
+
+
+def test_cli_flag_sets_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {flag for a in p._actions if not isinstance(a, argparse._HelpAction) for flag in a.option_strings or [a.dest]}
+        for name, p in sub.choices.items()
+    }
+    assert declared == CLI_FLAGS
+    assert sum(len(flags) for flags in declared.values()) == 48
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lp", "gen:cycle:n=4", "-k", "2", "--alpha", "2"],
+        ["oracle", "gen:cycle:n=4", "-k", "2", "--max-trees", "5"],
+        ["claims", "gen:cycle:n=4", "-k", "2", "--require-feasible"],
+        ["round", "gen:cycle:n=4", "-k", "2", "--lp", "lp.json", "--max-paths", "3"],
+    ],
+)
+def test_cli_unread_flag_is_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize(
+    "flags", [["--alpha", "-5"], ["--alpha", "0"], ["--alpha", "nan"], ["--alpha", "inf"], ["--mode", "unit"]]
+)
+def test_cli_bad_alpha_or_mode_is_exit_2(capsys, flags, trials):
+    # rejected before the LP solve, whether or not a trial would use the value
+    code, out, err = _run(capsys, ["solve", "gen:cycle:n=4,max_len=3,seed=2", "-k", "3", "--trials", trials, *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("length", ["inf", "1e309"])
+@pytest.mark.parametrize("command", ["lp", "oracle"])
+def test_cli_non_finite_length_is_exit_2(tmp_path, capsys, command, length):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"3 3\n0 1 {length}\n1 2 1\n0 2 1\n")
+    code, out, err = _run(capsys, [command, str(gpath), "-k", "2"])
+    assert code == 2
+    assert out == ""
+    assert "not a finite nonnegative number" in err
 
 
 @pytest.mark.parametrize(

@@ -9,16 +9,19 @@ from dirspan import (
     LpSolution,
     NotUnitLength,
     RoundingParams,
+    RunConfig,
     build_graph,
     build_lp,
     build_spanner,
     edge_inclusion_probs,
     round_edges,
+    run_solve,
     sample_tree_roots,
     select_alpha,
     shortest_path_tree,
     solve_lp,
 )
+from dirspan.pipeline import resolve_mode
 
 from oracles import dp_distances, make_rng, random_edge_list
 
@@ -61,11 +64,9 @@ def test_select_alpha_rejects(kwargs):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RoundingParams(alpha=0.0, mode="general", seed=0, k=3, n=4)
+        RoundingParams(alpha=0.0, seed=0, k=3)
     with pytest.raises(ValueError):
-        RoundingParams(alpha=1.0, mode="nope", seed=0, k=3, n=4)
-    with pytest.raises(ValueError):
-        RoundingParams(alpha=1.0, mode="general", seed=0, k=0.5, n=4)
+        RoundingParams(alpha=1.0, seed=0, k=0.5)
 
 
 def test_edge_inclusion_probs_clamped():
@@ -104,7 +105,7 @@ def test_tiny_alpha_keeps_nothing():
 def test_build_spanner_deterministic():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.9, mode="general", seed=42, k=3, n=8)
+    params = RoundingParams(alpha=0.9, seed=42, k=3)
     a = build_spanner(g, sol, params)
     b = build_spanner(g, sol, params)
     assert a == b
@@ -115,7 +116,7 @@ def test_build_spanner_seed_changes_draws():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
     results = {
-        build_spanner(g, sol, RoundingParams(alpha=0.2, mode="general", seed=s, k=3, n=8)).e_h
+        build_spanner(g, sol, RoundingParams(alpha=0.2, seed=s, k=3)).e_h
         for s in range(6)
     }
     assert len(results) > 1
@@ -131,7 +132,7 @@ def test_shared_tree_cache_changes_nothing():
     sol = LpSolution(status="optimal", x=tuple(rng.random() for _ in range(g.m)), f={}, objective_value=1.0)
     cache = {}
     for seed in range(24):
-        params = RoundingParams(alpha=1.5, mode="general", seed=seed, k=2, n=n)
+        params = RoundingParams(alpha=1.5, seed=seed, k=2)
         forced = {"force_tree_roots": frozenset(rng.sample(range(n), seed % 4))} if seed % 3 == 0 else {}
         shared = build_spanner(g, sol, params, tree_cache=cache, **forced)
         assert shared == build_spanner(g, sol, params, **forced)
@@ -145,7 +146,7 @@ def test_shared_tree_cache_changes_nothing():
 def test_forcing_roots_leaves_edge_stream_alone():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.9, mode="general", seed=7, k=3, n=8)
+    params = RoundingParams(alpha=0.9, seed=7, k=3)
     free = build_spanner(g, sol, params)
     forced = build_spanner(g, sol, params, force_tree_roots=frozenset())
     assert forced.rounded_edges == free.rounded_edges
@@ -156,7 +157,7 @@ def test_forcing_roots_leaves_edge_stream_alone():
 def test_forcing_edges_leaves_root_stream_alone():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.9, mode="general", seed=7, k=3, n=8)
+    params = RoundingParams(alpha=0.9, seed=7, k=3)
     free = build_spanner(g, sol, params)
     forced = build_spanner(g, sol, params, force_rounded_edges=frozenset())
     assert forced.tree_roots == free.tree_roots
@@ -166,7 +167,7 @@ def test_triangle_saturated_probabilities():
     # x = (1, 0, 1) and alpha sqrt(3) > 1: edges 0 and 2 always kept, 1 never
     g = build_graph(3, TRIANGLE)
     sol = solve_lp(build_lp(g, 2))
-    params = RoundingParams(alpha=10.0, mode="general", seed=123, k=2, n=3)
+    params = RoundingParams(alpha=10.0, seed=123, k=2)
     res = build_spanner(g, sol, params, force_tree_roots=frozenset())
     assert res.rounded_edges == frozenset({0, 2})
     assert res.e_h == frozenset({0, 2})
@@ -174,19 +175,14 @@ def test_triangle_saturated_probabilities():
 
 
 def test_mode_unit_rejects_weighted_graph():
+    # checked once per run, before the LP, whatever the trial count
     g = build_graph(2, [(0, 1, 2.0)])
-    sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=1.0, mode="unit", seed=0, k=3, n=2)
-    with pytest.raises(NotUnitLength):
-        build_spanner(g, sol, params)
-
-
-def test_params_graph_size_mismatch():
-    g = cycle(4)
-    sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=1.0, mode="general", seed=0, k=3, n=5)
-    with pytest.raises(ValueError):
-        build_spanner(g, sol, params)
+    for trials in (0, 1):
+        config = RunConfig(k=3, input="", mode="unit", trials=trials)
+        with pytest.raises(NotUnitLength):
+            resolve_mode(config, g)
+        with pytest.raises(NotUnitLength):
+            run_solve(config, g=g)
 
 
 def test_tree_edge_budget_holds():
@@ -203,7 +199,7 @@ def test_tree_edge_budget_holds():
             f={},
             objective_value=1.0,
         )
-        params = RoundingParams(alpha=1.2, mode="general", seed=trial, k=3, n=n)
+        params = RoundingParams(alpha=1.2, seed=trial, k=3)
         res = build_spanner(g, sol, params)
         assert len(res.tree_edges) <= 2 * len(res.tree_roots) * (n - 1)
         assert res.e_h == res.rounded_edges | res.tree_edges
@@ -218,7 +214,7 @@ def test_trees_realize_exact_distances():
             continue
         sol = LpSolution(status="optimal", x=(0.0,) * g.m, f={}, objective_value=0.0)
         root = rng.randrange(n)
-        params = RoundingParams(alpha=1.0, mode="general", seed=trial, k=3, n=n)
+        params = RoundingParams(alpha=1.0, seed=trial, k=3)
         res = build_spanner(g, sol, params, force_rounded_edges=frozenset(), force_tree_roots={root})
         edges = list(g.edges)
         into = dp_distances(n, edges, root)
