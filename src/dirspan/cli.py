@@ -26,7 +26,7 @@ from .errors import (
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, serialize_graph
 from .lp import LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import MODES, Caps, RunConfig, caps_from_env, load_input, run_claims, run_oracle, run_solve
+from .pipeline import MODES, Caps, RunConfig, caps_from_env, load_input, resolve_mode, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
 EXIT_OK = 0
@@ -86,6 +86,7 @@ def _cmd_solve(args):
     g = load_input(config.input)
     opt = None
     if args.oracle:
+        resolve_mode(config, g)  # a --mode that does not fit g exits 2 before the exponential oracle runs
         opt = run_oracle(config, g=g)["opt"]
     report = run_solve(config, g=g, opt=opt)
     _write_report(report, args)

@@ -438,11 +438,19 @@ def test_cli_unread_flag_is_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("trials", ["0", "1"])
 @pytest.mark.parametrize(
-    "flags", [["--alpha", "-5"], ["--alpha", "0"], ["--alpha", "nan"], ["--alpha", "inf"], ["--mode", "unit"]]
+    "flags",
+    [
+        ["--alpha", "-5"],
+        ["--alpha", "0"],
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--mode", "unit"],
+        ["--mode", "unit", "--oracle", "--max-free-edges", "0"],
+    ],
 )
 def test_cli_bad_alpha_or_mode_is_exit_2(capsys, flags, trials):
-    # rejected before the LP solve, whether or not a trial would use the value
-    code, out, err = _run(capsys, ["solve", "gen:cycle:n=4,max_len=3,seed=2", "-k", "3", "--trials", trials, *flags])
+    # rejected before the oracle and the LP solve, whether or not a trial would use the value
+    code, out, err = _run(capsys, ["solve", "gen:er:n=6,p=0.5,max_len=3,seed=1", "-k", "3", "--trials", trials, *flags])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
