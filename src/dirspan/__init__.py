@@ -14,7 +14,6 @@ from .errors import (
     ExplosionCap,
     GraphError,
     GraphSyntaxError,
-    IncompleteEnumeration,
     IndexOutOfRange,
     NegativeLength,
     NotUnitLength,
@@ -47,8 +46,8 @@ from .lp import (
     solve_lp,
     violated_rows,
 )
-from .paths import DemandPaths, covered_vertices, enumerate_demand_paths
-from .pipeline import Caps, RunConfig, caps_from_env, run_claims, run_oracle, run_solve, trial_seed
+from .paths import DemandPaths, enumerate_demand_paths
+from .pipeline import Caps, RunConfig, run_claims, run_oracle, run_solve, trial_seed
 from .rounding import (
     RoundingParams,
     SpannerResult,
@@ -81,7 +80,6 @@ __all__ = [
     "GenSpec",
     "GraphError",
     "GraphSyntaxError",
-    "IncompleteEnumeration",
     "IndexOutOfRange",
     "InducedSubgraph",
     "INF",
@@ -105,8 +103,6 @@ __all__ = [
     "build_graph",
     "build_lp",
     "build_spanner",
-    "caps_from_env",
-    "covered_vertices",
     "demand_distance_rows",
     "dumps_report",
     "edge_inclusion_probs",

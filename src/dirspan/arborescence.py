@@ -22,8 +22,9 @@ out-tree of the host graph, each exactly once.
 from __future__ import annotations
 
 from .errors import ExplosionCap
-from .graph import INF, _dijkstra
+from .graph import INF
 from .paths import Caps
+from .verify import _source_rows, _subset_out_edges
 
 DEFAULT_MAX_TREES = Caps.max_trees
 
@@ -102,11 +103,8 @@ class ClaimContext:
         return len(self.trees)
 
     def path_within(self, h_edges, K):
-        out = [[] for _ in range(self.graph.n)]
-        for e in h_edges:
-            out[self.graph.edges[e][0]].append(e)
-        dist = _dijkstra(self.graph.n, out, self.graph.edges, self.root)
-        return dist[self.target] <= K
+        rows = _source_rows(self.graph, [self.root], _subset_out_edges(self.graph, h_edges))
+        return rows[self.root][self.target] <= K
 
     def all_long_trees_cut(self, h_edges, K):
         h_mask = 0

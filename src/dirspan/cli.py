@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -26,7 +27,7 @@ from .errors import (
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, serialize_graph
 from .lp import LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import MODES, Caps, RunConfig, caps_from_env, load_input, resolve_mode, run_claims, run_oracle, run_solve
+from .pipeline import MODES, Caps, RunConfig, load_input, resolve_mode, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
 EXIT_OK = 0
@@ -59,10 +60,30 @@ def _add_subcommand(sub, name, summary, func, *flags):
     return p
 
 
+def caps_from_env(names):
+    """Default caps, each field in names overridden by its DIRSPAN_<FIELD> variable when set."""
+    caps = Caps()
+    for name in names:
+        var = "DIRSPAN_" + name.upper()
+        raw = os.environ.get(var)
+        if raw is None:
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            raise BadSpec(f"{var} must be an integer, got {raw!r}") from None
+        try:
+            caps = replace(caps, **{name: value})
+        except ValueError as exc:
+            raise BadSpec(f"{var}: {exc}") from None
+    return caps
+
+
 def _caps(args):
-    """Environment caps, overridden by every --max-* flag given."""
-    flags = {f.name: v for f in fields(Caps) if (v := getattr(args, f.name, None)) is not None}
-    return replace(caps_from_env(), **flags)
+    """Caps of the cap flags the subcommand declares: the flag if given, else its variable."""
+    declared = [f.name for f in fields(Caps) if f.name in vars(args)]
+    flags = {name: v for name in declared if (v := getattr(args, name)) is not None}
+    return replace(caps_from_env([name for name in declared if name not in flags]), **flags)
 
 
 def _config(args):
@@ -251,18 +272,18 @@ def build_parser():
 
     rounding = ("--mode", "--alpha", "--seed", "--trials", "--require-feasible")
     p = _add_subcommand(sub, "solve", "LP, rounding trials, and feasibility checks", _cmd_solve,
-                        *rounding, "--max-paths", "--max-hops", "--max-free-edges")
+                        *rounding, "--max-paths", "--max-free-edges")
     p.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
-    p = _add_subcommand(sub, "lp", "solve the LP relaxation and dump x values", _cmd_lp, "--max-paths", "--max-hops")
+    p = _add_subcommand(sub, "lp", "solve the LP relaxation and dump x values", _cmd_lp, "--max-paths")
     p.add_argument("--export-lp", help="also write the model in LP text format")
     p = _add_subcommand(sub, "round", "rounding trials from an existing LP dump", _cmd_round, *rounding)
     p.add_argument("--lp", required=True, help="JSON dump produced by the lp subcommand")
     p = _add_subcommand(sub, "verify", "check a candidate subgraph", _cmd_verify, "--require-feasible")
     p.add_argument("--subgraph", required=True, help="file of 'tail head' lines selecting edges")
     _add_subcommand(sub, "oracle", "exact minimum spanner by branch and bound", _cmd_oracle,
-                    "--max-paths", "--max-hops", "--max-free-edges")
+                    "--max-paths", "--max-free-edges")
     _add_subcommand(sub, "claims", "cut-structure checks on every demand", _cmd_claims,
-                    "--seed", "--trials", "--max-paths", "--max-hops", "--max-trees")
+                    "--seed", "--trials", "--max-paths", "--max-trees")
 
     p = sub.add_parser("gen", help="write a generated instance as graph text")
     p.add_argument("--spec", required=True, help="family:key=value,... e.g. er:n=10,p=0.3,seed=1")

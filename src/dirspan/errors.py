@@ -41,10 +41,6 @@ class PathExplosion(DirspanError):
         self.demand = demand
 
 
-class IncompleteEnumeration(DirspanError):
-    pass
-
-
 class NotUnitLength(DirspanError):
     pass
 

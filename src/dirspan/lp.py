@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
-from .paths import enumerate_demand_paths
+from .paths import demand_path_sets
 from .simplex import GREATER, LESS, solve_simplex
 
 CHECK_TOL = 1e-8  # row slack violated_rows forgives, ten times the simplex's feasibility tolerance
@@ -35,7 +35,7 @@ class LpModel:
     graph: object
     k: float
     path_cols: tuple  # (demand, path) per flow column
-    demand_paths: dict
+    demand_paths: tuple  # DemandPaths per demand, indexed by demand
     mandatory: frozenset  # edge indices presolved to x_e >= 1
     row_labels: tuple
     program: Program = field(repr=False)
@@ -61,15 +61,8 @@ def build_lp(g, k, caps=None, presolve=True):
     itself, fixing that edge's variable to >= 1 instead of carrying its rows.
     """
     m = g.m
-    demand_paths = {}
-    mandatory = set()
-    for d in range(m):
-        dp = enumerate_demand_paths(g, k, d, caps)
-        if not dp.paths:
-            raise AssertionError(f"demand {d} has no path within budget; shortest path must qualify")
-        demand_paths[d] = dp
-        if presolve and dp.mandatory:
-            mandatory.add(d)
+    demand_paths = demand_path_sets(g, k, caps)
+    mandatory = {dp.demand for dp in demand_paths if presolve and dp.mandatory}
 
     # one pass over the demands: each row's flow columns (and capacity edge)
     path_cols = []

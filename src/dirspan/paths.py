@@ -3,14 +3,15 @@
 Every edge (u, v) of the input graph is a demand: the spanner must connect u to
 v within k times their shortest distance.  The demand's path set is the simple
 u->v paths whose length stays within that budget; their vertex union is the
-demand's covered set.
+demand's covered set.  The LP and the exact optimum search both read one
+complete path set per demand, so neither may drop a within-budget path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompleteEnumeration, PathExplosion
+from .errors import PathExplosion
 from .graph import INF, _dijkstra
 
 
@@ -19,15 +20,12 @@ class Caps:
     """Size caps of one run; each default is written here and nowhere else."""
 
     max_paths: int = 100_000  # simple paths enumerated per demand
-    max_hops: int | None = None  # None means n - 1, i.e. no real restriction
     max_free_edges: int = 22  # edges the optimum search may branch over
     max_trees: int = 10**6  # rooted trees enumerated per claim context
 
     def __post_init__(self):
         if self.max_paths < 1:
             raise ValueError(f"max_paths must be at least 1, got {self.max_paths}")
-        if self.max_hops is not None and self.max_hops < 1:
-            raise ValueError(f"max_hops must be at least 1 when set, got {self.max_hops}")
         if self.max_free_edges < 0:
             raise ValueError(f"max_free_edges must be at least 0, got {self.max_free_edges}")
         if self.max_trees < 1:
@@ -40,7 +38,6 @@ class DemandPaths:
     budget: float
     paths: tuple  # tuple of vertex tuples, DFS discovery order
     covered: frozenset  # union of path vertices
-    complete: bool
 
     @property
     def mandatory(self):
@@ -54,27 +51,21 @@ def enumerate_demand_paths(g, k, demand, caps=None):
     Exact float pruning against the remaining inward distance; the prune is
     lossless whenever length sums are exactly representable, which holds for
     the integer lengths every generator in this package emits.  Exceeding
-    max_paths raises PathExplosion; a binding max_hops only clears the
-    completeness flag.
+    max_paths raises PathExplosion.
     """
     if k < 1:
         raise ValueError(f"stretch factor must be >= 1, got {k}")
     caps = caps or Caps()
-    max_hops = caps.max_hops if caps.max_hops is not None else g.n - 1
-    if max_hops < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     src, dst, _ = g.edges[demand]
     to_dst = _dijkstra(g.n, g.in_edges, g.edges, dst, far=0)
     budget = k * to_dst[src]
 
     paths = []
-    hop_capped = False
     path = [src]
     on_path = [False] * g.n
     on_path[src] = True
 
-    def extend(vertex, length, hops):
-        nonlocal hop_capped
+    def extend(vertex, length):
         for e in g.out_edges[vertex]:
             _, head, elen = g.edges[e]
             if on_path[head]:
@@ -90,31 +81,28 @@ def enumerate_demand_paths(g, k, demand, caps=None):
                     )
                 paths.append(tuple(path) + (dst,))
                 continue
-            if hops == max_hops - 1:
-                # a budget-feasible continuation exists but the hop cap bars it
-                hop_capped = True
-                continue
             path.append(head)
             on_path[head] = True
-            extend(head, new_len, hops + 1)
+            extend(head, new_len)
             path.pop()
             on_path[head] = False
 
-    extend(src, 0.0, 0)
+    extend(src, 0.0)
     covered = frozenset(v for p in paths for v in p)
-    return DemandPaths(
-        demand=demand,
-        budget=budget,
-        paths=tuple(paths),
-        covered=covered,
-        complete=not hop_capped,
-    )
+    return DemandPaths(demand=demand, budget=budget, paths=tuple(paths), covered=covered)
 
 
-def covered_vertices(dp):
-    """The demand's covered set; refuses capped enumerations, whose set is partial."""
-    if not dp.complete:
-        raise IncompleteEnumeration(
-            f"demand {dp.demand}: enumeration was hop-capped, covered set would be partial"
-        )
-    return dp.covered
+def demand_path_sets(g, k, caps=None):
+    """The complete path set of every demand edge of g, indexed by demand.
+
+    Raises AssertionError when a demand has no path: its shortest path fits
+    the budget in exact arithmetic, so an empty set means float rounding in
+    the prune dropped it.
+    """
+    out = []
+    for d in range(g.m):
+        dp = enumerate_demand_paths(g, k, d, caps)
+        if not dp.paths:
+            raise AssertionError(f"demand {d} has no path within budget; shortest path must qualify")
+        out.append(dp)
+    return tuple(out)

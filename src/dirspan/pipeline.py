@@ -8,19 +8,18 @@ run in order in one thread.
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arborescence import ClaimContext
-from .errors import BadSpec, IncompleteEnumeration, NotUnitLength
+from .errors import BadSpec, NotUnitLength
 from .generate import generate_instance, parse_gen_spec
 from .graph import induced_subgraph
 from .io import parse_graph
 from .lp import build_lp, solve_lp
-from .paths import Caps, covered_vertices
+from .paths import Caps
 from .rounding import RoundingParams, build_spanner, select_alpha
 from .verify import brute_force_opt, demand_distance_rows
 
@@ -38,25 +37,6 @@ def splitmix64(value):
 
 def trial_seed(seed, index):
     return splitmix64((seed + index) & MASK64)
-
-
-def caps_from_env():
-    """Default caps, overridden by each DIRSPAN_<FIELD> variable set, e.g. DIRSPAN_MAX_PATHS."""
-    caps = Caps()
-    for f in fields(Caps):
-        var = "DIRSPAN_" + f.name.upper()
-        raw = os.environ.get(var)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            raise BadSpec(f"{var} must be an integer, got {raw!r}") from None
-        try:
-            caps = replace(caps, **{f.name: value})
-        except ValueError as exc:
-            raise BadSpec(f"{var}: {exc}") from None
-    return caps
 
 
 @dataclass(frozen=True)
@@ -206,11 +186,7 @@ def run_claims(config, g=None):
     claim2_violations = 0
     min_mass = None
     for d in range(g.m):
-        try:
-            covered = covered_vertices(model.demand_paths[d])
-        except IncompleteEnumeration:
-            continue
-        sub = induced_subgraph(g, covered)
+        sub = induced_subgraph(g, model.demand_paths[d].covered)
         u, v, length = g.edges[d]
         su, sv = sub.vertices.index(u), sub.vertices.index(v)
         ctx = ClaimContext(sub.graph, su, sv, max_trees=config.caps.max_trees)

@@ -29,10 +29,8 @@ def dp_distances(n, edges, source, allowed=None):
     return dist
 
 
-def all_simple_paths_within(n, edges, src, dst, budget, max_hops=None):
+def all_simple_paths_within(n, edges, src, dst, budget):
     """Every simple src->dst path with length <= budget, no pruning at all."""
-    if max_hops is None:
-        max_hops = n - 1
     out = [[] for _ in range(n)]
     for tail, head, length in edges:
         out[tail].append((head, length))
@@ -43,8 +41,6 @@ def all_simple_paths_within(n, edges, src, dst, budget, max_hops=None):
         if here == dst:
             if length <= budget:
                 found.append(tuple(path))
-            return
-        if len(path) - 1 >= max_hops:
             return
         for head, elen in out[here]:
             if head not in path:

@@ -19,7 +19,6 @@ from dirspan import (
     build_lp,
     build_spanner,
     brute_force_opt,
-    covered_vertices,
     demand_distance_rows,
     dumps_report,
     edge_inclusion_probs,
@@ -190,8 +189,7 @@ def test_criterion_4_claim2_cut_mass():
         sol = solve_lp(build_lp(g, k))
         instances += 1
         for d in range(g.m):
-            dp = enumerate_demand_paths(g, k, d)
-            covered = covered_vertices(dp)
+            covered = enumerate_demand_paths(g, k, d).covered
             assert len(covered) <= 7
             sub = induced_subgraph(g, covered)
             u, v, length = g.edges[d]

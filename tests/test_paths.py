@@ -2,10 +2,8 @@ import pytest
 
 from dirspan import (
     Caps,
-    IncompleteEnumeration,
     PathExplosion,
     build_graph,
-    covered_vertices,
     enumerate_demand_paths,
 )
 
@@ -30,7 +28,6 @@ def test_triangle_paths():
     dp = enumerate_demand_paths(g, 2, 1)
     assert dp.demand == 1
     assert dp.budget == 2.0
-    assert dp.complete
     assert set(dp.paths) == {(0, 2), (0, 1, 2)}
     assert dp.covered == frozenset({0, 1, 2})
 
@@ -54,24 +51,8 @@ def test_max_paths_cap_raises():
         enumerate_demand_paths(g, 2, 1, Caps(max_paths=1))
 
 
-def test_hop_cap_marks_incomplete():
-    g = build_graph(3, TRIANGLE)
-    dp = enumerate_demand_paths(g, 2, 1, Caps(max_hops=1))
-    assert dp.paths == ((0, 2),)
-    assert not dp.complete
-    with pytest.raises(IncompleteEnumeration):
-        covered_vertices(dp)
-
-
-def test_hop_cap_without_pressure_stays_complete():
-    # budget already rules out anything longer than one hop
-    g = build_graph(3, TRIANGLE)
-    dp = enumerate_demand_paths(g, 1, 1, Caps(max_hops=1))
-    assert dp.complete
-
-
 def test_bad_caps_rejected():
-    for name, bad in (("max_paths", 0), ("max_hops", 0), ("max_free_edges", -1), ("max_trees", 0)):
+    for name, bad in (("max_paths", 0), ("max_free_edges", -1), ("max_trees", 0)):
         with pytest.raises(ValueError, match=name):
             Caps(**{name: bad})
 

@@ -15,7 +15,6 @@ from dirspan import (
     Caps,
     RunConfig,
     build_graph,
-    caps_from_env,
     dumps_report,
     run_claims,
     run_oracle,
@@ -23,7 +22,7 @@ from dirspan import (
     serialize_graph,
     trial_seed,
 )
-from dirspan.cli import build_parser, main
+from dirspan.cli import build_parser, caps_from_env, main
 from dirspan.pipeline import load_input, resolve_mode, splitmix64
 
 
@@ -48,27 +47,31 @@ def test_trial_seed_wraps_and_spreads():
     assert len(seeds) == 100
 
 
+ALL_CAPS = ("max_paths", "max_free_edges", "max_trees")
+
+
 def test_caps_env_overrides(monkeypatch):
     monkeypatch.setenv("DIRSPAN_MAX_PATHS", "123")
     monkeypatch.setenv("DIRSPAN_MAX_FREE_EDGES", "5")
-    caps = caps_from_env()
+    caps = caps_from_env(ALL_CAPS)
     assert caps.max_paths == 123
     assert caps.max_free_edges == 5
     assert caps.max_trees == Caps().max_trees
-    monkeypatch.setenv("DIRSPAN_MAX_HOPS", "4")
     monkeypatch.setenv("DIRSPAN_MAX_TREES", "7")
-    assert caps_from_env() == Caps(max_paths=123, max_hops=4, max_free_edges=5, max_trees=7)
+    assert caps_from_env(ALL_CAPS) == Caps(max_paths=123, max_free_edges=5, max_trees=7)
+    # a variable whose field is not named is never read
+    assert caps_from_env(("max_paths",)) == Caps(max_paths=123)
 
 
 def test_caps_env_rejects_garbage(monkeypatch):
     monkeypatch.setenv("DIRSPAN_MAX_PATHS", "lots")
     with pytest.raises(BadSpec):
-        caps_from_env()
+        caps_from_env(ALL_CAPS)
     # an integer that fails validation names the field it is for
     monkeypatch.delenv("DIRSPAN_MAX_PATHS")
     monkeypatch.setenv("DIRSPAN_MAX_TREES", "0")
     with pytest.raises(BadSpec, match="max_trees"):
-        caps_from_env()
+        caps_from_env(ALL_CAPS)
 
 
 def test_caps_is_one_type():
@@ -81,10 +84,10 @@ def test_caps_is_one_type():
 PUBLIC_NAMES = {
     "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError", "DistanceMap",
     "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF", "INWARD",
-    "IncompleteEnumeration", "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
+    "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
     "NegativeLength", "NotUnitLength", "NumericalFailure", "OUTWARD", "OptResult", "PathExplosion",
     "RoundingParams", "RunConfig", "SelfLoop", "SpTree", "SpannerCheck", "SpannerResult", "TooLarge",
-    "brute_force_opt", "build_graph", "build_lp", "build_spanner", "caps_from_env", "covered_vertices",
+    "brute_force_opt", "build_graph", "build_lp", "build_spanner",
     "demand_distance_rows", "dumps_report", "edge_inclusion_probs", "enumerate_demand_paths",
     "export_lp_text", "generate_instance", "induced_subgraph", "is_k_spanner", "parse_gen_spec",
     "parse_graph", "reverse_graph", "round_edges", "run_claims", "run_oracle", "run_solve",
@@ -170,18 +173,16 @@ def test_run_solve_jobs_do_not_change_records():
 
 
 def test_run_claims_enumerates_each_demand_once(monkeypatch):
-    import dirspan.lp
     import dirspan.paths
-    import dirspan.pipeline
 
     seen = []
+    enumerate_demand_paths = dirspan.paths.enumerate_demand_paths
 
     def counting(g, k, demand, caps=None):
         seen.append(demand)
-        return dirspan.paths.enumerate_demand_paths(g, k, demand, caps)
+        return enumerate_demand_paths(g, k, demand, caps)
 
-    for module in (dirspan.lp, dirspan.pipeline):
-        monkeypatch.setattr(module, "enumerate_demand_paths", counting, raising=False)
+    monkeypatch.setattr(dirspan.paths, "enumerate_demand_paths", counting)
     report = run_claims(RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1))
     assert report["demands_checked"] > 0
     assert sorted(seen) == list(range(report["instance"]["m"]))
@@ -387,7 +388,7 @@ def test_cli_oracle_cap_is_exit_3(tmp_path, capsys):
         ["claims", "--max-trees", "0"],
         ["oracle", "--max-free-edges", "-1"],
         ["lp", "--max-paths", "0"],
-        ["solve", "--max-hops", "0"],
+        ["solve", "--max-free-edges", "-1"],
     ],
 )
 def test_cli_invalid_cap_is_exit_2(capsys, flags):
@@ -400,24 +401,40 @@ def test_cli_invalid_cap_is_exit_2(capsys, flags):
 # every option each subcommand declares; each one changes what the subcommand runs
 CLI_FLAGS = {
     "solve": {"input", "-k", "--mode", "--alpha", "--seed", "--trials", "--out", "--require-feasible",
-              "--max-paths", "--max-hops", "--max-free-edges", "--oracle"},
-    "lp": {"input", "-k", "--out", "--max-paths", "--max-hops", "--export-lp"},
+              "--max-paths", "--max-free-edges", "--oracle"},
+    "lp": {"input", "-k", "--out", "--max-paths", "--export-lp"},
     "round": {"input", "-k", "--mode", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--lp"},
     "verify": {"input", "-k", "--out", "--require-feasible", "--subgraph"},
-    "oracle": {"input", "-k", "--out", "--max-paths", "--max-hops", "--max-free-edges"},
-    "claims": {"input", "-k", "--seed", "--trials", "--out", "--max-paths", "--max-hops", "--max-trees"},
+    "oracle": {"input", "-k", "--out", "--max-paths", "--max-free-edges"},
+    "claims": {"input", "-k", "--seed", "--trials", "--out", "--max-paths", "--max-trees"},
     "gen": {"--spec", "--out"},
 }
 
 
-def test_cli_flag_sets_are_pinned():
+def _declared_flags():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    declared = {
+    return {
         name: {flag for a in p._actions if not isinstance(a, argparse._HelpAction) for flag in a.option_strings or [a.dest]}
         for name, p in sub.choices.items()
     }
+
+
+def test_cli_flag_sets_are_pinned():
+    declared = _declared_flags()
     assert declared == CLI_FLAGS
-    assert sum(len(flags) for flags in declared.values()) == 48
+    assert sum(len(flags) for flags in declared.values()) == 44
+
+
+def test_readme_cli_table_matches_parser():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Subcommand | Arguments and flags |") + 2  # past the header and its rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = {flag.strip().strip("`") for flag in flags.split(",")}
+    assert table == _declared_flags()
 
 
 @pytest.mark.parametrize(
@@ -427,6 +444,8 @@ def test_cli_flag_sets_are_pinned():
         ["oracle", "gen:cycle:n=4", "-k", "2", "--max-trees", "5"],
         ["claims", "gen:cycle:n=4", "-k", "2", "--require-feasible"],
         ["round", "gen:cycle:n=4", "-k", "2", "--lp", "lp.json", "--max-paths", "3"],
+        ["lp", "gen:cycle:n=4", "-k", "1", "--max-hops", "1"],
+        ["oracle", "gen:cycle:n=4", "-k", "1", "--max-hops", "1"],
     ],
 )
 def test_cli_unread_flag_is_exit_2(capsys, argv):
@@ -434,6 +453,34 @@ def test_cli_unread_flag_is_exit_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, var, value, expected",
+    [
+        (["verify"], "DIRSPAN_MAX_PATHS", "lots", 0),
+        (["round"], "DIRSPAN_MAX_PATHS", "lots", 0),
+        (["solve"], "DIRSPAN_MAX_TREES", "0", 0),
+        (["oracle"], "DIRSPAN_MAX_TREES", "0", 0),
+        (["claims"], "DIRSPAN_MAX_FREE_EDGES", "-1", 0),
+        (["lp", "--max-paths", "5"], "DIRSPAN_MAX_PATHS", "lots", 0),  # the flag replaces its variable
+        # a cap the subcommand declares still reads its variable
+        (["lp"], "DIRSPAN_MAX_PATHS", "lots", 2),
+        (["solve"], "DIRSPAN_MAX_PATHS", "1", 3),
+    ],
+)
+def test_cli_reads_only_the_env_caps_it_uses(tmp_path, capsys, monkeypatch, argv, var, value, expected):
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    sub = tmp_path / "h.txt"
+    sub.write_text("0 1\n1 2\n")
+    dump = tmp_path / "lp.json"
+    assert main(["lp", str(gpath), "-k", "2", "--out", str(dump)]) == 0
+    command, *flags = argv
+    extra = {"verify": ["--subgraph", str(sub)], "round": ["--lp", str(dump)]}.get(command, [])
+    monkeypatch.setenv(var, value)
+    code, _, err = _run(capsys, [command, str(gpath), "-k", "2", *extra, *flags])
+    assert code == expected, err
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])
@@ -532,7 +579,6 @@ def test_cli_internal_error_has_no_traceback(tmp_path, command):
         env=env,
         timeout=120,
     )
-    assert proc.returncode in (0, 5), proc.stderr
-    assert "Traceback" not in proc.stderr
-    if proc.returncode == 5:
-        assert proc.stderr.startswith("internal error: ")
+    # every subcommand fails on the one path-set check, with the same line
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr == "internal error: demand 5 has no path within budget; shortest path must qualify\n"
