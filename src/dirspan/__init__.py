@@ -16,7 +16,6 @@ from .errors import (
     GraphSyntaxError,
     IndexOutOfRange,
     NegativeLength,
-    NotUnitLength,
     NumericalFailure,
     PathExplosion,
     SelfLoop,
@@ -25,17 +24,12 @@ from .errors import (
 from .generate import GenSpec, generate_instance, parse_gen_spec
 from .graph import (
     INF,
-    INWARD,
-    OUTWARD,
     DiGraph,
-    DistanceMap,
     InducedSubgraph,
-    SpTree,
     build_graph,
     induced_subgraph,
     reverse_graph,
     shortest_path_tree,
-    shortest_paths,
 )
 from .io import dumps_report, parse_graph, serialize_graph
 from .lp import (
@@ -74,7 +68,6 @@ __all__ = [
     "DemandPaths",
     "DiGraph",
     "DirspanError",
-    "DistanceMap",
     "DuplicateEdge",
     "ExplosionCap",
     "GenSpec",
@@ -83,21 +76,17 @@ __all__ = [
     "IndexOutOfRange",
     "InducedSubgraph",
     "INF",
-    "INWARD",
     "LpModel",
     "LpSolution",
     "NegativeLength",
-    "NotUnitLength",
     "NumericalFailure",
     "OptResult",
-    "OUTWARD",
     "PathExplosion",
     "RoundingParams",
     "RunConfig",
     "SelfLoop",
     "SpannerCheck",
     "SpannerResult",
-    "SpTree",
     "TooLarge",
     "brute_force_opt",
     "build_graph",
@@ -122,7 +111,6 @@ __all__ = [
     "select_alpha",
     "serialize_graph",
     "shortest_path_tree",
-    "shortest_paths",
     "solve_lp",
     "trial_seed",
     "violated_rows",

@@ -26,8 +26,6 @@ from .graph import INF
 from .paths import Caps
 from .verify import _source_rows, _subset_out_edges
 
-DEFAULT_MAX_TREES = Caps.max_trees
-
 
 def cut_set_of_potentials(g, potentials):
     """Edges of g whose head potential exceeds tail potential plus length.
@@ -77,7 +75,7 @@ class ClaimContext:
     demand costs one enumeration.  Raises ExplosionCap past max_trees trees.
     """
 
-    def __init__(self, g, root, target, max_trees=DEFAULT_MAX_TREES):
+    def __init__(self, g, root, target, max_trees=Caps.max_trees):
         self.graph = g
         self.root = root
         self.target = target

@@ -27,7 +27,7 @@ from .errors import (
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, serialize_graph
 from .lp import LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import MODES, Caps, RunConfig, load_input, resolve_mode, run_claims, run_oracle, run_solve
+from .pipeline import Caps, RunConfig, load_input, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
 EXIT_OK = 0
@@ -39,7 +39,6 @@ EXIT_NUMERICAL = 5
 
 # flags several subcommands read; each subcommand declares only the ones it reads
 SHARED_FLAGS = {
-    "--mode": dict(choices=MODES, default="auto", help="alpha formula; auto detects unit lengths"),
     "--alpha": dict(dest="alpha_override", metavar="ALPHA", type=float, help="override the sampling constant"),
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=1),
@@ -107,7 +106,6 @@ def _cmd_solve(args):
     g = load_input(config.input)
     opt = None
     if args.oracle:
-        resolve_mode(config, g)  # a --mode that does not fit g exits 2 before the exponential oracle runs
         opt = run_oracle(config, g=g)["opt"]
     report = run_solve(config, g=g, opt=opt)
     _write_report(report, args)
@@ -270,7 +268,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="dirspan", description="Directed k-spanner approximation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rounding = ("--mode", "--alpha", "--seed", "--trials", "--require-feasible")
+    rounding = ("--alpha", "--seed", "--trials", "--require-feasible")
     p = _add_subcommand(sub, "solve", "LP, rounding trials, and feasibility checks", _cmd_solve,
                         *rounding, "--max-paths", "--max-free-edges")
     p.add_argument("--oracle", action="store_true", help="also compute the exact optimum")

@@ -41,10 +41,6 @@ class PathExplosion(DirspanError):
         self.demand = demand
 
 
-class NotUnitLength(DirspanError):
-    pass
-
-
 class NumericalFailure(DirspanError):
     """The LP solver hit its iteration cap or lost numerical footing."""
 

@@ -17,9 +17,6 @@ from .errors import DuplicateEdge, IndexOutOfRange, NegativeLength, SelfLoop
 
 INF = math.inf
 
-OUTWARD = "outward"
-INWARD = "inward"
-
 
 class DiGraph:
     """Immutable directed graph. Construct through build_graph or the ops below."""
@@ -59,13 +56,6 @@ class DiGraph:
     def m(self):
         return len(self.edges)
 
-    def length(self, e):
-        return self.edges[e][2]
-
-    def endpoints(self, e):
-        tail, head, _ = self.edges[e]
-        return tail, head
-
     def unit_lengths(self):
         return all(length == 1.0 for _, _, length in self.edges)
 
@@ -93,23 +83,6 @@ def reverse_graph(g):
     stays public as the reference those searches are tested against.
     """
     return DiGraph(g.n, tuple((head, tail, length) for tail, head, length in g.edges))
-
-
-@dataclass(frozen=True)
-class DistanceMap:
-    """Single-source distances. For direction=inward, dist[w] is the w->source distance."""
-
-    source: int
-    direction: str
-    dist: tuple
-    parent_edge: tuple
-
-
-@dataclass(frozen=True)
-class SpTree:
-    root: int
-    direction: str
-    tree_edges: frozenset
 
 
 def _check_vertex(g, v, what):
@@ -143,7 +116,7 @@ def _dijkstra(n, adj, edges, source, far=1):
     return dist
 
 
-def _select_parents(g, source, dist, direction):
+def _select_parents(g, source, dist, outward):
     """Pick one tight edge per reachable vertex, toward the source's side.
 
     Outward, w's parent is an edge entering w from an attached tail; inward,
@@ -153,7 +126,7 @@ def _select_parents(g, source, dist, direction):
     reduces to plain lowest-tight-index; the attachment condition only matters
     for zero-length ties, where it keeps the parent pointers acyclic.
     """
-    adj, near = (g.in_edges, 0) if direction == OUTWARD else (g.out_edges, 1)
+    adj, near = (g.in_edges, 0) if outward else (g.out_edges, 1)
     parent = [None] * g.n
     attached = [False] * g.n
     attached[source] = True
@@ -184,30 +157,18 @@ def _select_parents(g, source, dist, direction):
     return parent
 
 
-def shortest_paths(g, source, direction=OUTWARD):
-    """Dijkstra from source. direction=inward walks the edges backward, so
-    dist[w] is the w->source distance and parent_edge[w] the first edge of a
-    shortest w->source path."""
-    _check_vertex(g, source, "source")
-    if direction == OUTWARD:
-        dist = _dijkstra(g.n, g.out_edges, g.edges, source)
-    elif direction == INWARD:
-        dist = _dijkstra(g.n, g.in_edges, g.edges, source, far=0)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    parent = _select_parents(g, source, dist, direction)
-    return DistanceMap(source=source, direction=direction, dist=tuple(dist), parent_edge=tuple(parent))
+def shortest_path_tree(g, root):
+    """Edges of the root's outward and inward shortest-path trees, as one set.
 
-
-def shortest_path_tree(g, root, direction=OUTWARD):
-    """Shortest-path tree reaching every vertex connected to the root in the
-    given direction; tree paths realize exact shortest distances."""
-    dm = shortest_paths(g, root, direction)
-    return SpTree(
-        root=root,
-        direction=direction,
-        tree_edges=frozenset(e for e in dm.parent_edge if e is not None),
-    )
+    The outward tree reaches every vertex the root reaches and the inward
+    tree every vertex that reaches the root; each tree path realizes the exact
+    shortest distance in its direction.
+    """
+    _check_vertex(g, root, "root")
+    outward = _dijkstra(g.n, g.out_edges, g.edges, root)
+    inward = _dijkstra(g.n, g.in_edges, g.edges, root, far=0)
+    parents = _select_parents(g, root, outward, True) + _select_parents(g, root, inward, False)
+    return frozenset(e for e in parents if e is not None)
 
 
 @dataclass(frozen=True)

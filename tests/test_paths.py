@@ -75,12 +75,12 @@ def test_paths_are_simple_and_within_budget():
         k = rng.choice([1, 2, 3])
         d = rng.randrange(g.m)
         dp = enumerate_demand_paths(g, k, d)
-        tail, head = g.endpoints(d)
+        tail, head, _ = g.edges[d]
         for path in dp.paths:
             assert path[0] == tail
             assert path[-1] == head
             assert len(set(path)) == len(path)
-            total = sum(g.length(g.edge_index[(path[i], path[i + 1])]) for i in range(len(path) - 1))
+            total = sum(g.edges[g.edge_index[(path[i], path[i + 1])]][2] for i in range(len(path) - 1))
             assert total <= dp.budget
 
 
@@ -93,7 +93,7 @@ def test_enumeration_matches_unpruned_oracle(seed):
     for d in range(g.m):
         k = 1 + seed % 3
         dp = enumerate_demand_paths(g, k, d)
-        tail, head = g.endpoints(d)
+        tail, head, _ = g.edges[d]
         expect = all_simple_paths_within(n, edges, tail, head, dp.budget)
         assert sorted(dp.paths) == expect
         assert dp.covered == frozenset(v for p in expect for v in p)

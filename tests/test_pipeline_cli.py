@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dirspan
 
@@ -19,11 +22,12 @@ from dirspan import (
     run_claims,
     run_oracle,
     run_solve,
+    select_alpha,
     serialize_graph,
     trial_seed,
 )
-from dirspan.cli import build_parser, caps_from_env, main
-from dirspan.pipeline import load_input, resolve_mode, splitmix64
+from dirspan.cli import SHARED_FLAGS, build_parser, caps_from_env, main
+from dirspan.pipeline import load_input, splitmix64
 
 
 def cycle_text(n):
@@ -82,16 +86,16 @@ def test_caps_is_one_type():
 
 
 PUBLIC_NAMES = {
-    "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError", "DistanceMap",
-    "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF", "INWARD",
+    "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError",
+    "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF",
     "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
-    "NegativeLength", "NotUnitLength", "NumericalFailure", "OUTWARD", "OptResult", "PathExplosion",
-    "RoundingParams", "RunConfig", "SelfLoop", "SpTree", "SpannerCheck", "SpannerResult", "TooLarge",
+    "NegativeLength", "NumericalFailure", "OptResult", "PathExplosion",
+    "RoundingParams", "RunConfig", "SelfLoop", "SpannerCheck", "SpannerResult", "TooLarge",
     "brute_force_opt", "build_graph", "build_lp", "build_spanner",
     "demand_distance_rows", "dumps_report", "edge_inclusion_probs", "enumerate_demand_paths",
     "export_lp_text", "generate_instance", "induced_subgraph", "is_k_spanner", "parse_gen_spec",
     "parse_graph", "reverse_graph", "round_edges", "run_claims", "run_oracle", "run_solve",
-    "sample_tree_roots", "select_alpha", "serialize_graph", "shortest_path_tree", "shortest_paths",
+    "sample_tree_roots", "select_alpha", "serialize_graph", "shortest_path_tree",
     "solve_lp", "trial_seed", "violated_rows",
 }
 
@@ -105,8 +109,8 @@ def test_public_surface_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"mode": "nope"}, {"alpha_override": 0.0}, {"alpha_override": -5.0}, {"alpha_override": math.nan},
-               {"alpha_override": math.inf}]
+    "kwargs", [{"alpha_override": -math.inf}, {"alpha_override": 0.0}, {"alpha_override": -5.0},
+               {"alpha_override": math.nan}, {"alpha_override": math.inf}]
 )
 def test_run_config_rejects_bad_mode_or_alpha(kwargs):
     with pytest.raises(BadSpec):
@@ -122,12 +126,11 @@ def test_load_input_generator_and_file(tmp_path):
 
 
 def test_mode_auto_detects_unit():
-    unit = load_input("gen:cycle:n=4")
-    assert resolve_mode(RunConfig(k=3, input=""), unit) == "unit"
-    weighted = load_input("gen:cycle:n=4,max_len=3,seed=2")
-    assert resolve_mode(RunConfig(k=3, input=""), weighted) == "general"
-    forced = RunConfig(k=3, input="", mode="general")
-    assert resolve_mode(forced, unit) == "general"
+    # the regime comes from the lengths alone; --alpha is the only way to pick another constant
+    for spec, mode in (("gen:cycle:n=4", "unit"), ("gen:cycle:n=4,max_len=3,seed=2", "general")):
+        report = run_solve(RunConfig(k=3, input=spec))
+        assert report["instance"]["mode"] == mode
+        assert report["alpha"] == select_alpha(mode, 4, 3)
 
 
 def test_run_solve_saturated_cycle():
@@ -400,10 +403,10 @@ def test_cli_invalid_cap_is_exit_2(capsys, flags):
 
 # every option each subcommand declares; each one changes what the subcommand runs
 CLI_FLAGS = {
-    "solve": {"input", "-k", "--mode", "--alpha", "--seed", "--trials", "--out", "--require-feasible",
+    "solve": {"input", "-k", "--alpha", "--seed", "--trials", "--out", "--require-feasible",
               "--max-paths", "--max-free-edges", "--oracle"},
     "lp": {"input", "-k", "--out", "--max-paths", "--export-lp"},
-    "round": {"input", "-k", "--mode", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--lp"},
+    "round": {"input", "-k", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--lp"},
     "verify": {"input", "-k", "--out", "--require-feasible", "--subgraph"},
     "oracle": {"input", "-k", "--out", "--max-paths", "--max-free-edges"},
     "claims": {"input", "-k", "--seed", "--trials", "--out", "--max-paths", "--max-trees"},
@@ -422,7 +425,13 @@ def _declared_flags():
 def test_cli_flag_sets_are_pinned():
     declared = _declared_flags()
     assert declared == CLI_FLAGS
-    assert sum(len(flags) for flags in declared.values()) == 44
+    assert sum(len(flags) for flags in declared.values()) == 42
+
+
+def test_every_shared_flag_is_declared():
+    # a flag no subcommand declares would be a dead entry of the shared table
+    declared = set().union(*_declared_flags().values())
+    assert set(SHARED_FLAGS) <= declared
 
 
 def test_readme_cli_table_matches_parser():
@@ -446,6 +455,8 @@ def test_readme_cli_table_matches_parser():
         ["round", "gen:cycle:n=4", "-k", "2", "--lp", "lp.json", "--max-paths", "3"],
         ["lp", "gen:cycle:n=4", "-k", "1", "--max-hops", "1"],
         ["oracle", "gen:cycle:n=4", "-k", "1", "--max-hops", "1"],
+        ["solve", "gen:cycle:n=4", "-k", "2", "--mode", "general"],
+        ["round", "gen:cycle:n=4", "-k", "2", "--lp", "lp.json", "--mode", "unit"],
     ],
 )
 def test_cli_unread_flag_is_exit_2(capsys, argv):
@@ -491,8 +502,8 @@ def test_cli_reads_only_the_env_caps_it_uses(tmp_path, capsys, monkeypatch, argv
         ["--alpha", "0"],
         ["--alpha", "nan"],
         ["--alpha", "inf"],
-        ["--mode", "unit"],
-        ["--mode", "unit", "--oracle", "--max-free-edges", "0"],
+        ["--alpha=-inf"],
+        ["--alpha", "0", "--oracle", "--max-free-edges", "0"],
     ],
 )
 def test_cli_bad_alpha_or_mode_is_exit_2(capsys, flags, trials):
@@ -582,3 +593,60 @@ def test_cli_internal_error_has_no_traceback(tmp_path, command):
     # every subcommand fails on the one path-set check, with the same line
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr == "internal error: demand 5 has no path within budget; shortest path must qualify\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "round"])
+def test_cli_empty_graph_with_alpha(tmp_path, capsys, command):
+    # n = 0 samples no roots instead of dividing by sqrt(0)
+    gpath = tmp_path / "e.txt"
+    gpath.write_text("0 0\n")
+    dump = tmp_path / "lp.json"
+    assert main(["lp", str(gpath), "-k", "2", "--out", str(dump)]) == 0
+    extra = {"round": ["--lp", str(dump)]}.get(command, [])
+    code, out, err = _run(capsys, [command, str(gpath), "-k", "2", *extra, "--alpha", "1"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["trials"][0]["tree_roots"] == 0
+    assert report["aggregate"]["feasible_fraction"] == 1.0
+
+
+# zero, inexact decimals, the largest and the smallest positive float
+PROPERTY_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 1.0, 1e308, 5e-324)
+
+
+@st.composite
+def cli_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = build_graph(n, [(t, h, draw(st.sampled_from(PROPERTY_LENGTHS))) for t, h in chosen])
+    subgraph = draw(st.lists(st.sampled_from(chosen), unique=True)) if chosen else []
+    k = draw(st.integers(min_value=1, max_value=3))
+    alpha = draw(st.sampled_from(("0.25", "1", "7.5")))
+    return serialize_graph(g), subgraph, k, alpha
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_inputs())
+def test_cli_exit_codes_are_documented(tmp_path_factory, case):
+    text, subgraph, k, alpha = case
+    d = tmp_path_factory.mktemp("cli")
+    gpath, hpath, out = d / "g.txt", d / "h.txt", d / "out.json"
+    gpath.write_text(text)
+    hpath.write_text("".join(f"{t} {h}\n" for t, h in subgraph))
+    common = [str(gpath), "-k", str(k), "--out", str(out)]
+    runs = [
+        ["solve", *common],
+        ["solve", *common, "--alpha", alpha],
+        ["lp", *common],
+        ["oracle", *common],
+        ["claims", *common],
+        ["verify", *common, "--subgraph", str(hpath)],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception escaping main fails the test with its traceback
+        # exit 5 covers the float-budget case of the path pruning
+        assert code in (0, 2, 3, 4, 5), (argv[0], code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -4,25 +4,18 @@ import numpy as np
 import pytest
 
 from dirspan import (
-    INWARD,
-    OUTWARD,
     LpSolution,
-    NotUnitLength,
     RoundingParams,
-    RunConfig,
     build_graph,
     build_lp,
     build_spanner,
     edge_inclusion_probs,
     round_edges,
-    run_solve,
     sample_tree_roots,
     select_alpha,
     shortest_path_tree,
     solve_lp,
 )
-from dirspan.pipeline import resolve_mode
-
 from oracles import dp_distances, make_rng, random_edge_list
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
@@ -138,9 +131,7 @@ def test_shared_tree_cache_changes_nothing():
         assert shared == build_spanner(g, sol, params, **forced)
     assert cache and set(cache) <= set(range(n))
     for root, tree in cache.items():
-        assert frozenset(tree) == (
-            shortest_path_tree(g, root, OUTWARD).tree_edges | shortest_path_tree(g, root, INWARD).tree_edges
-        )
+        assert frozenset(tree) == shortest_path_tree(g, root)
 
 
 def test_forcing_roots_leaves_edge_stream_alone():
@@ -172,17 +163,6 @@ def test_triangle_saturated_probabilities():
     assert res.rounded_edges == frozenset({0, 2})
     assert res.e_h == frozenset({0, 2})
     assert res.feasible
-
-
-def test_mode_unit_rejects_weighted_graph():
-    # checked once per run, before the LP, whatever the trial count
-    g = build_graph(2, [(0, 1, 2.0)])
-    for trials in (0, 1):
-        config = RunConfig(k=3, input="", mode="unit", trials=trials)
-        with pytest.raises(NotUnitLength):
-            resolve_mode(config, g)
-        with pytest.raises(NotUnitLength):
-            run_solve(config, g=g)
 
 
 def test_tree_edge_budget_holds():
