@@ -41,7 +41,7 @@ from .lp import (
     violated_rows,
 )
 from .paths import DemandPaths, enumerate_demand_paths
-from .pipeline import Caps, RunConfig, run_claims, run_oracle, run_solve, trial_seed
+from .pipeline import RunConfig, run_claims, run_oracle, run_solve, trial_seed
 from .rounding import (
     RoundingParams,
     SpannerResult,
@@ -63,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadSpec",
-    "Caps",
     "ClaimContext",
     "DemandPaths",
     "DiGraph",

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from .errors import ExplosionCap
 from .graph import INF
-from .paths import Caps
 from .verify import _source_rows, _subset_out_edges
+
+MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
 
 def cut_set_of_potentials(g, potentials):
@@ -72,18 +73,18 @@ class ClaimContext:
     (distance-to-target, cut-mask) pair per tree; the distance is INF when
     the tree misses the target.  Both claim checks are methods that loop over
     this list, so checking many subgraphs or LP vectors against the same
-    demand costs one enumeration.  Raises ExplosionCap past max_trees trees.
+    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees.
     """
 
-    def __init__(self, g, root, target, max_trees=Caps.max_trees):
+    def __init__(self, g, root, target):
         self.graph = g
         self.root = root
         self.target = target
         trees = []
 
         def leaf(pot):
-            if len(trees) == max_trees:
-                raise ExplosionCap(f"more than {max_trees} rooted out-trees")
+            if len(trees) == MAX_TREES:
+                raise ExplosionCap(f"more than {MAX_TREES} rooted out-trees")
             mask = 0
             for e in cut_set_of_potentials(g, pot):
                 mask |= 1 << e

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .errors import (
     BadSpec,
@@ -27,7 +26,7 @@ from .errors import (
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, serialize_graph
 from .lp import LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import Caps, RunConfig, load_input, run_claims, run_oracle, run_solve
+from .pipeline import RunConfig, load_input, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
 EXIT_OK = 0
@@ -43,7 +42,6 @@ SHARED_FLAGS = {
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=1),
     "--require-feasible": dict(action="store_true", help="exit 4 if a spanner check fails"),
-    **{"--" + f.name.replace("_", "-"): dict(type=int) for f in fields(Caps)},
 }
 
 
@@ -59,37 +57,11 @@ def _add_subcommand(sub, name, summary, func, *flags):
     return p
 
 
-def caps_from_env(names):
-    """Default caps, each field in names overridden by its DIRSPAN_<FIELD> variable when set."""
-    caps = Caps()
-    for name in names:
-        var = "DIRSPAN_" + name.upper()
-        raw = os.environ.get(var)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            raise BadSpec(f"{var} must be an integer, got {raw!r}") from None
-        try:
-            caps = replace(caps, **{name: value})
-        except ValueError as exc:
-            raise BadSpec(f"{var}: {exc}") from None
-    return caps
-
-
-def _caps(args):
-    """Caps of the cap flags the subcommand declares: the flag if given, else its variable."""
-    declared = [f.name for f in fields(Caps) if f.name in vars(args)]
-    flags = {name: v for name in declared if (v := getattr(args, name)) is not None}
-    return replace(caps_from_env([name for name in declared if name not in flags]), **flags)
-
-
 def _config(args):
     """The run configuration; a field whose flag the subcommand lacks keeps its default."""
     given = vars(args)
     flags = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
-    return RunConfig(caps=_caps(args), **flags)
+    return RunConfig(**flags)
 
 
 def _write_report(report, args):
@@ -123,7 +95,7 @@ def _cmd_solve(args):
 def _cmd_lp(args):
     config = _config(args)
     g = load_input(config.input)
-    model = build_lp(g, config.k, caps=config.caps)
+    model = build_lp(g, config.k)
     sol = solve_lp(model)
     if args.export_lp:
         with open(args.export_lp, "w", encoding="utf-8") as fh:
@@ -269,19 +241,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     rounding = ("--alpha", "--seed", "--trials", "--require-feasible")
-    p = _add_subcommand(sub, "solve", "LP, rounding trials, and feasibility checks", _cmd_solve,
-                        *rounding, "--max-paths", "--max-free-edges")
+    p = _add_subcommand(sub, "solve", "LP, rounding trials, and feasibility checks", _cmd_solve, *rounding)
     p.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
-    p = _add_subcommand(sub, "lp", "solve the LP relaxation and dump x values", _cmd_lp, "--max-paths")
+    p = _add_subcommand(sub, "lp", "solve the LP relaxation and dump x values", _cmd_lp)
     p.add_argument("--export-lp", help="also write the model in LP text format")
     p = _add_subcommand(sub, "round", "rounding trials from an existing LP dump", _cmd_round, *rounding)
     p.add_argument("--lp", required=True, help="JSON dump produced by the lp subcommand")
     p = _add_subcommand(sub, "verify", "check a candidate subgraph", _cmd_verify, "--require-feasible")
     p.add_argument("--subgraph", required=True, help="file of 'tail head' lines selecting edges")
-    _add_subcommand(sub, "oracle", "exact minimum spanner by branch and bound", _cmd_oracle,
-                    "--max-paths", "--max-free-edges")
-    _add_subcommand(sub, "claims", "cut-structure checks on every demand", _cmd_claims,
-                    "--seed", "--trials", "--max-paths", "--max-trees")
+    _add_subcommand(sub, "oracle", "exact minimum spanner by branch and bound", _cmd_oracle)
+    _add_subcommand(sub, "claims", "cut-structure checks on every demand", _cmd_claims, "--seed", "--trials")
 
     p = sub.add_parser("gen", help="write a generated instance as graph text")
     p.add_argument("--spec", required=True, help="family:key=value,... e.g. er:n=10,p=0.3,seed=1")

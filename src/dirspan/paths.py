@@ -14,22 +14,7 @@ from dataclasses import dataclass
 from .errors import PathExplosion
 from .graph import INF, _dijkstra
 
-
-@dataclass(frozen=True)
-class Caps:
-    """Size caps of one run; each default is written here and nowhere else."""
-
-    max_paths: int = 100_000  # simple paths enumerated per demand
-    max_free_edges: int = 22  # edges the optimum search may branch over
-    max_trees: int = 10**6  # rooted trees enumerated per claim context
-
-    def __post_init__(self):
-        if self.max_paths < 1:
-            raise ValueError(f"max_paths must be at least 1, got {self.max_paths}")
-        if self.max_free_edges < 0:
-            raise ValueError(f"max_free_edges must be at least 0, got {self.max_free_edges}")
-        if self.max_trees < 1:
-            raise ValueError(f"max_trees must be at least 1, got {self.max_trees}")
+MAX_PATHS = 100_000  # within-budget simple paths one demand may have
 
 
 @dataclass(frozen=True)
@@ -45,17 +30,16 @@ class DemandPaths:
         return len(self.paths) == 1 and len(self.paths[0]) == 2
 
 
-def enumerate_demand_paths(g, k, demand, caps=None):
+def enumerate_demand_paths(g, k, demand):
     """All simple within-budget paths for one demand edge.
 
     Exact float pruning against the remaining inward distance; the prune is
     lossless whenever length sums are exactly representable, which holds for
     the integer lengths every generator in this package emits.  Exceeding
-    max_paths raises PathExplosion.
+    MAX_PATHS raises PathExplosion.
     """
     if k < 1:
         raise ValueError(f"stretch factor must be >= 1, got {k}")
-    caps = caps or Caps()
     src, dst, _ = g.edges[demand]
     to_dst = _dijkstra(g.n, g.in_edges, g.edges, dst, far=0)
     budget = k * to_dst[src]
@@ -74,9 +58,9 @@ def enumerate_demand_paths(g, k, demand, caps=None):
             if to_dst[head] == INF or new_len + to_dst[head] > budget:
                 continue
             if head == dst:
-                if len(paths) >= caps.max_paths:
+                if len(paths) >= MAX_PATHS:
                     raise PathExplosion(
-                        f"demand {demand}: more than {caps.max_paths} paths within budget",
+                        f"demand {demand}: more than {MAX_PATHS} paths within budget",
                         demand=demand,
                     )
                 paths.append(tuple(path) + (dst,))
@@ -92,7 +76,7 @@ def enumerate_demand_paths(g, k, demand, caps=None):
     return DemandPaths(demand=demand, budget=budget, paths=tuple(paths), covered=covered)
 
 
-def demand_path_sets(g, k, caps=None):
+def demand_path_sets(g, k):
     """The complete path set of every demand edge of g, indexed by demand.
 
     Raises AssertionError when a demand has no path: its shortest path fits
@@ -101,7 +85,7 @@ def demand_path_sets(g, k, caps=None):
     """
     out = []
     for d in range(g.m):
-        dp = enumerate_demand_paths(g, k, d, caps)
+        dp = enumerate_demand_paths(g, k, d)
         if not dp.paths:
             raise AssertionError(f"demand {d} has no path within budget; shortest path must qualify")
         out.append(dp)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .generate import generate_instance, parse_gen_spec
 from .graph import induced_subgraph
 from .io import parse_graph
 from .lp import build_lp, solve_lp
-from .paths import Caps
 from .rounding import RoundingParams, build_spanner, select_alpha
 from .verify import brute_force_opt, demand_distance_rows
 
@@ -45,7 +44,6 @@ class RunConfig:
     alpha_override: float | None = None
     seed: int = 0
     trials: int = 1
-    caps: Caps = field(default_factory=Caps)
     jobs: int = 1  # ignored, as trials run in one loop; the benchmark still passes jobs=2
 
     def __post_init__(self):
@@ -81,7 +79,7 @@ def run_solve(config, g=None, opt=None, sol=None):
     else:
         alpha = select_alpha(mode, g.n, config.k)
     if sol is None:
-        sol = solve_lp(build_lp(g, config.k, caps=config.caps))
+        sol = solve_lp(build_lp(g, config.k))
     t_lp = time.perf_counter()
 
     g_dist = demand_distance_rows(g)
@@ -139,7 +137,7 @@ def run_oracle(config, g=None):
     t0 = time.perf_counter()
     if g is None:
         g = load_input(config.input)
-    res = brute_force_opt(g, config.k, caps=config.caps)
+    res = brute_force_opt(g, config.k)
     return {
         "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k},
         "opt": res.opt,
@@ -158,7 +156,7 @@ def run_claims(config, g=None):
     t0 = time.perf_counter()
     if g is None:
         g = load_input(config.input)
-    model = build_lp(g, config.k, caps=config.caps)
+    model = build_lp(g, config.k)
     sol = solve_lp(model)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(2,))))
@@ -173,7 +171,7 @@ def run_claims(config, g=None):
         sub = induced_subgraph(g, model.demand_paths[d].covered)
         u, v, length = g.edges[d]
         su, sv = sub.vertices.index(u), sub.vertices.index(v)
-        ctx = ClaimContext(sub.graph, su, sv, max_trees=config.caps.max_trees)
+        ctx = ClaimContext(sub.graph, su, sv)
         demands_checked += 1
         trees_total += ctx.tree_count()
 

@@ -32,16 +32,16 @@ def select_alpha(mode, n, k=None):
     """Scaling constant of the sampling probabilities, natural logarithm.
 
     unit-length instances afford 10 * sqrt(k) * ln n; the general setting
-    uses 5 * ln n.
+    uses 5 * ln n.  A graph of fewer than 2 vertices has no edge, so any
+    positive constant builds the same empty spanner: it takes the n = 2 one.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    log_n = math.log(max(n, 2))
     if mode == "unit":
         if k is None or k < 1:
             raise ValueError("unit mode needs the stretch factor k >= 1")
-        return 10.0 * math.sqrt(k) * math.log(n)
+        return 10.0 * math.sqrt(k) * log_n
     if mode == "general":
-        return 5.0 * math.log(n)
+        return 5.0 * log_n
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .graph import _dijkstra
-from .paths import Caps, demand_path_sets
+from .paths import demand_path_sets
+
+MAX_FREE_EDGES = 22  # edges the optimum search may branch over
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class OptResult:
     witness: frozenset  # edge indices of one minimum spanner
 
 
-def brute_force_opt(g, k, caps=None):
+def brute_force_opt(g, k):
     """Exact minimum k-spanner size by branch and bound over free edges.
 
     An edge is forced when its demand admits no other within-budget path.
@@ -77,16 +79,15 @@ def brute_force_opt(g, k, caps=None):
     the count of within-budget paths through them; pruning uses monotone
     infeasibility of the still-available edge set plus a disjoint-demand
     lower bound.
-    Raises TooLarge when more than caps.max_free_edges edges stay free.
+    Raises TooLarge when more than MAX_FREE_EDGES edges stay free.
     """
     m = g.m
     if m == 0:
         return OptResult(opt=0, witness=frozenset())
-    caps = caps or Caps()
 
     demand_masks = []
     forced = 0
-    for dp in demand_path_sets(g, k, caps):
+    for dp in demand_path_sets(g, k):
         masks = []
         for p in dp.paths:
             pm = 0
@@ -98,8 +99,8 @@ def brute_force_opt(g, k, caps=None):
         demand_masks.append(tuple(sorted(masks, key=lambda pm: (bin(pm).count("1"), pm))))
 
     free = [e for e in range(m) if not (forced >> e) & 1]
-    if len(free) > caps.max_free_edges:
-        raise TooLarge(f"{len(free)} free edges exceed the cap of {caps.max_free_edges}")
+    if len(free) > MAX_FREE_EDGES:
+        raise TooLarge(f"{len(free)} free edges exceed the cap of {MAX_FREE_EDGES}")
     counts = [sum(1 for masks in demand_masks for pm in masks if (pm >> e) & 1) for e in range(m)]
     free.sort(key=lambda e: (-counts[e], e))
 

@@ -1,6 +1,6 @@
 import pytest
 
-from dirspan import ClaimContext, ExplosionCap, build_graph
+from dirspan import ClaimContext, ExplosionCap, arborescence, build_graph
 
 from oracles import make_rng, out_tree_census, random_edge_list
 from support import shortest_path_tree_cut
@@ -9,7 +9,7 @@ TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.7, 1.0, 2.0, 3.0)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     # a cap of exactly the tree count passes; one less trips it
     rng = make_rng(59)
     graphs = [(3, TRIANGLE)]
@@ -17,10 +17,13 @@ def test_enumeration_cap():
     for n, edges in graphs:
         g = build_graph(n, edges)
         count = ClaimContext(g, 0, n - 1).tree_count()
-        assert ClaimContext(g, 0, n - 1, max_trees=count).tree_count() == count
+        monkeypatch.setattr(arborescence, "MAX_TREES", count)
+        assert ClaimContext(g, 0, n - 1).tree_count() == count
         if count > 1:
+            monkeypatch.setattr(arborescence, "MAX_TREES", count - 1)
             with pytest.raises(ExplosionCap):
-                ClaimContext(g, 0, n - 1, max_trees=count - 1)
+                ClaimContext(g, 0, n - 1)
+        monkeypatch.undo()
 
 
 def test_trees_match_parent_vector_oracle():

@@ -1,7 +1,7 @@
 import pytest
 
+from dirspan import paths
 from dirspan import (
-    Caps,
     PathExplosion,
     build_graph,
     enumerate_demand_paths,
@@ -45,16 +45,14 @@ def test_direct_only_when_budget_tight():
     assert not detour.mandatory
 
 
-def test_max_paths_cap_raises():
+def test_max_paths_cap_raises(monkeypatch):
+    # demand 1 has two paths at k=2: a cap of exactly 2 passes, one less trips it
     g = build_graph(3, TRIANGLE)
+    monkeypatch.setattr(paths, "MAX_PATHS", 2)
+    assert len(enumerate_demand_paths(g, 2, 1).paths) == 2
+    monkeypatch.setattr(paths, "MAX_PATHS", 1)
     with pytest.raises(PathExplosion):
-        enumerate_demand_paths(g, 2, 1, Caps(max_paths=1))
-
-
-def test_bad_caps_rejected():
-    for name, bad in (("max_paths", 0), ("max_free_edges", -1), ("max_trees", 0)):
-        with pytest.raises(ValueError, match=name):
-            Caps(**{name: bad})
+        enumerate_demand_paths(g, 2, 1)
 
 
 def test_zero_length_budget_zero():

@@ -15,7 +15,6 @@ import dirspan
 
 from dirspan import (
     BadSpec,
-    Caps,
     RunConfig,
     build_graph,
     dumps_report,
@@ -26,7 +25,7 @@ from dirspan import (
     serialize_graph,
     trial_seed,
 )
-from dirspan.cli import SHARED_FLAGS, build_parser, caps_from_env, main
+from dirspan.cli import SHARED_FLAGS, build_parser, main
 from dirspan.pipeline import load_input, splitmix64
 
 
@@ -51,42 +50,8 @@ def test_trial_seed_wraps_and_spreads():
     assert len(seeds) == 100
 
 
-ALL_CAPS = ("max_paths", "max_free_edges", "max_trees")
-
-
-def test_caps_env_overrides(monkeypatch):
-    monkeypatch.setenv("DIRSPAN_MAX_PATHS", "123")
-    monkeypatch.setenv("DIRSPAN_MAX_FREE_EDGES", "5")
-    caps = caps_from_env(ALL_CAPS)
-    assert caps.max_paths == 123
-    assert caps.max_free_edges == 5
-    assert caps.max_trees == Caps().max_trees
-    monkeypatch.setenv("DIRSPAN_MAX_TREES", "7")
-    assert caps_from_env(ALL_CAPS) == Caps(max_paths=123, max_free_edges=5, max_trees=7)
-    # a variable whose field is not named is never read
-    assert caps_from_env(("max_paths",)) == Caps(max_paths=123)
-
-
-def test_caps_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("DIRSPAN_MAX_PATHS", "lots")
-    with pytest.raises(BadSpec):
-        caps_from_env(ALL_CAPS)
-    # an integer that fails validation names the field it is for
-    monkeypatch.delenv("DIRSPAN_MAX_PATHS")
-    monkeypatch.setenv("DIRSPAN_MAX_TREES", "0")
-    with pytest.raises(BadSpec, match="max_trees"):
-        caps_from_env(ALL_CAPS)
-
-
-def test_caps_is_one_type():
-    import dirspan.paths
-    import dirspan.pipeline
-
-    assert dirspan.pipeline.Caps is dirspan.paths.Caps is Caps
-
-
 PUBLIC_NAMES = {
-    "BadSpec", "Caps", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError",
+    "BadSpec", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError",
     "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF",
     "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
     "NegativeLength", "NumericalFailure", "OptResult", "PathExplosion",
@@ -181,9 +146,9 @@ def test_run_claims_enumerates_each_demand_once(monkeypatch):
     seen = []
     enumerate_demand_paths = dirspan.paths.enumerate_demand_paths
 
-    def counting(g, k, demand, caps=None):
+    def counting(g, k, demand):
         seen.append(demand)
-        return enumerate_demand_paths(g, k, demand, caps)
+        return enumerate_demand_paths(g, k, demand)
 
     monkeypatch.setattr(dirspan.paths, "enumerate_demand_paths", counting)
     report = run_claims(RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1))
@@ -370,46 +335,42 @@ def test_cli_bad_gen_spec_is_exit_2(capsys):
     assert code == 2
 
 
-def test_cli_path_cap_is_exit_3(tmp_path, capsys):
-    gpath = tmp_path / "t.txt"
-    gpath.write_text(TRIANGLE_TEXT)
-    code, _, err = _run(capsys, ["solve", str(gpath), "-k", "2", "--max-paths", "1"])
-    assert code == 3
-    assert "cap exceeded" in err
-
-
-def test_cli_oracle_cap_is_exit_3(tmp_path, capsys):
-    gpath = tmp_path / "t.txt"
-    gpath.write_text(TRIANGLE_TEXT)
-    code, _, _ = _run(capsys, ["oracle", str(gpath), "-k", "2", "--max-free-edges", "0"])
-    assert code == 3
-
-
+# every (subcommand, cap) pair that can trip, with a value that trips it on the triangle at k=2
 @pytest.mark.parametrize(
-    "flags",
+    "argv, constant, value",
     [
-        ["claims", "--max-trees", "0"],
-        ["oracle", "--max-free-edges", "-1"],
-        ["lp", "--max-paths", "0"],
-        ["solve", "--max-free-edges", "-1"],
+        (["solve"], "paths.MAX_PATHS", 1),
+        (["lp"], "paths.MAX_PATHS", 1),
+        (["oracle"], "paths.MAX_PATHS", 1),
+        (["claims"], "paths.MAX_PATHS", 1),
+        (["oracle"], "verify.MAX_FREE_EDGES", 0),
+        (["solve", "--oracle"], "verify.MAX_FREE_EDGES", 0),
+        (["claims"], "arborescence.MAX_TREES", 1),
     ],
+    ids=lambda v: "".join(v) if isinstance(v, list) else None,
 )
-def test_cli_invalid_cap_is_exit_2(capsys, flags):
-    command, flag, value = flags
-    code, _, err = _run(capsys, [command, "gen:cycle:n=4", "-k", "2", flag, value])
-    assert code == 2
-    assert flag[2:].replace("-", "_") in err
+def test_cli_cap_is_exit_3(tmp_path, capsys, monkeypatch, argv, constant, value):
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    command, *flags = argv
+    run = [command, str(gpath), "-k", "2", *flags]
+    assert _run(capsys, run)[0] == 0  # the constant's own value lets the run through
+    module, name = constant.split(".")
+    monkeypatch.setattr(getattr(dirspan, module), name, value)
+    code, out, err = _run(capsys, run)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cap exceeded: ")
 
 
 # every option each subcommand declares; each one changes what the subcommand runs
 CLI_FLAGS = {
-    "solve": {"input", "-k", "--alpha", "--seed", "--trials", "--out", "--require-feasible",
-              "--max-paths", "--max-free-edges", "--oracle"},
-    "lp": {"input", "-k", "--out", "--max-paths", "--export-lp"},
+    "solve": {"input", "-k", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--oracle"},
+    "lp": {"input", "-k", "--out", "--export-lp"},
     "round": {"input", "-k", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--lp"},
     "verify": {"input", "-k", "--out", "--require-feasible", "--subgraph"},
-    "oracle": {"input", "-k", "--out", "--max-paths", "--max-free-edges"},
-    "claims": {"input", "-k", "--seed", "--trials", "--out", "--max-paths", "--max-trees"},
+    "oracle": {"input", "-k", "--out"},
+    "claims": {"input", "-k", "--seed", "--trials", "--out"},
     "gen": {"--spec", "--out"},
 }
 
@@ -425,7 +386,7 @@ def _declared_flags():
 def test_cli_flag_sets_are_pinned():
     declared = _declared_flags()
     assert declared == CLI_FLAGS
-    assert sum(len(flags) for flags in declared.values()) == 42
+    assert sum(len(flags) for flags in declared.values()) == 35
 
 
 def test_every_shared_flag_is_declared():
@@ -457,6 +418,10 @@ def test_readme_cli_table_matches_parser():
         ["oracle", "gen:cycle:n=4", "-k", "1", "--max-hops", "1"],
         ["solve", "gen:cycle:n=4", "-k", "2", "--mode", "general"],
         ["round", "gen:cycle:n=4", "-k", "2", "--lp", "lp.json", "--mode", "unit"],
+        ["solve", "gen:cycle:n=4", "-k", "2", "--max-paths", "1"],
+        ["lp", "gen:cycle:n=4", "-k", "2", "--max-paths", "1"],
+        ["oracle", "gen:cycle:n=4", "-k", "2", "--max-free-edges", "0"],
+        ["claims", "gen:cycle:n=4", "-k", "2", "--max-trees", "1"],
     ],
 )
 def test_cli_unread_flag_is_exit_2(capsys, argv):
@@ -467,31 +432,20 @@ def test_cli_unread_flag_is_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, var, value, expected",
-    [
-        (["verify"], "DIRSPAN_MAX_PATHS", "lots", 0),
-        (["round"], "DIRSPAN_MAX_PATHS", "lots", 0),
-        (["solve"], "DIRSPAN_MAX_TREES", "0", 0),
-        (["oracle"], "DIRSPAN_MAX_TREES", "0", 0),
-        (["claims"], "DIRSPAN_MAX_FREE_EDGES", "-1", 0),
-        (["lp", "--max-paths", "5"], "DIRSPAN_MAX_PATHS", "lots", 0),  # the flag replaces its variable
-        # a cap the subcommand declares still reads its variable
-        (["lp"], "DIRSPAN_MAX_PATHS", "lots", 2),
-        (["solve"], "DIRSPAN_MAX_PATHS", "1", 3),
-    ],
+    "command, var, value",
+    [("solve", "DIRSPAN_MAX_PATHS", "1"), ("oracle", "DIRSPAN_MAX_FREE_EDGES", "0"), ("claims", "DIRSPAN_MAX_TREES", "1")],
 )
-def test_cli_reads_only_the_env_caps_it_uses(tmp_path, capsys, monkeypatch, argv, var, value, expected):
+def test_cli_ignores_cap_variables(tmp_path, capsys, monkeypatch, command, var, value):
+    # the caps are constants: a variable that once set one to a value that trips changes no run
     gpath = tmp_path / "t.txt"
     gpath.write_text(TRIANGLE_TEXT)
-    sub = tmp_path / "h.txt"
-    sub.write_text("0 1\n1 2\n")
-    dump = tmp_path / "lp.json"
-    assert main(["lp", str(gpath), "-k", "2", "--out", str(dump)]) == 0
-    command, *flags = argv
-    extra = {"verify": ["--subgraph", str(sub)], "round": ["--lp", str(dump)]}.get(command, [])
+    argv = [command, str(gpath), "-k", "2"]
+    code, base, _ = _run(capsys, argv)
+    assert code == 0
     monkeypatch.setenv(var, value)
-    code, _, err = _run(capsys, [command, str(gpath), "-k", "2", *extra, *flags])
-    assert code == expected, err
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert {**json.loads(out), "timing": None} == {**json.loads(base), "timing": None}
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])
@@ -503,11 +457,13 @@ def test_cli_reads_only_the_env_caps_it_uses(tmp_path, capsys, monkeypatch, argv
         ["--alpha", "nan"],
         ["--alpha", "inf"],
         ["--alpha=-inf"],
-        ["--alpha", "0", "--oracle", "--max-free-edges", "0"],
+        ["--alpha", "0", "--oracle"],
     ],
 )
-def test_cli_bad_alpha_or_mode_is_exit_2(capsys, flags, trials):
-    # rejected before the oracle and the LP solve, whether or not a trial would use the value
+def test_cli_bad_alpha_or_mode_is_exit_2(capsys, monkeypatch, flags, trials):
+    # rejected before the oracle and the LP solve, whether or not a trial would use the value;
+    # with --oracle, a bad alpha exits 2 even where the oracle's cap would trip
+    monkeypatch.setattr(dirspan.verify, "MAX_FREE_EDGES", 0)
     code, out, err = _run(capsys, ["solve", "gen:er:n=6,p=0.5,max_len=3,seed=1", "-k", "3", "--trials", trials, *flags])
     assert code == 2
     assert out == ""
@@ -610,6 +566,20 @@ def test_cli_empty_graph_with_alpha(tmp_path, capsys, command):
     assert report["aggregate"]["feasible_fraction"] == 1.0
 
 
+@pytest.mark.parametrize("text", ["0 0", "1 0"], ids=["n0", "n1"])
+@pytest.mark.parametrize("command", ["solve", "round"])
+def test_cli_graph_below_two_vertices_without_alpha(tmp_path, capsys, command, text):
+    # no edge to span: the constant of n = 2 builds the same empty spanner as any other
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text + "\n")
+    dump = tmp_path / "lp.json"
+    assert main(["lp", str(gpath), "-k", "2", "--out", str(dump)]) == 0
+    extra = {"round": ["--lp", str(dump)]}.get(command, [])
+    code, out, err = _run(capsys, [command, str(gpath), "-k", "2", *extra])
+    assert code == 0, err
+    assert json.loads(out)["aggregate"]["feasible_fraction"] == 1.0
+
+
 # zero, inexact decimals, the largest and the smallest positive float
 PROPERTY_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 1.0, 1e308, 5e-324)
 
@@ -648,5 +618,5 @@ def test_cli_exit_codes_are_documented(tmp_path_factory, case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)  # an exception escaping main fails the test with its traceback
         # exit 5 covers the float-budget case of the path pruning
-        assert code in (0, 2, 3, 4, 5), (argv[0], code, err.getvalue())
+        assert code in (0, 3, 4, 5), (argv[0], code, err.getvalue())
         assert "Traceback" not in err.getvalue()

@@ -39,10 +39,16 @@ def test_select_alpha_unit():
     assert select_alpha("unit", 3, k=1) == pytest.approx(10.986122886681098, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_select_alpha_below_two_vertices_is_the_n_2_constant(n):
+    # such a graph has no edge, so every positive constant builds the same empty spanner
+    assert select_alpha("general", n) == select_alpha("general", 2)
+    assert select_alpha("unit", n, k=3) == select_alpha("unit", 2, k=3)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"mode": "general", "n": 1},
         {"mode": "unit", "n": 10},
         {"mode": "unit", "n": 10, "k": 0.5},
         {"mode": "banana", "n": 10},

@@ -2,7 +2,6 @@ import pytest
 
 from dirspan import verify
 from dirspan import (
-    Caps,
     TooLarge,
     build_graph,
     build_lp,
@@ -171,10 +170,14 @@ def test_witness_is_minimum_not_just_minimal():
         done += 1
 
 
-def test_too_large_guard():
+def test_too_large_guard(monkeypatch):
+    # at k=2 edge 0->2 is the triangle's one free edge: a cap of 1 passes, 0 trips it
     g = build_graph(3, TRIANGLE)
+    monkeypatch.setattr(verify, "MAX_FREE_EDGES", 1)
+    assert brute_force_opt(g, 2).opt == 2
+    monkeypatch.setattr(verify, "MAX_FREE_EDGES", 0)
     with pytest.raises(TooLarge):
-        brute_force_opt(g, 2, caps=Caps(max_free_edges=0))
+        brute_force_opt(g, 2)
 
 
 def test_opt_sandwiched_by_lp():
