@@ -22,8 +22,8 @@ out-tree of the host graph, each exactly once.
 from __future__ import annotations
 
 from .errors import ExplosionCap
-from .graph import INF
-from .verify import _source_rows, _subset_out_edges
+from .graph import INF, _dijkstra
+from .verify import _subset_out_edges
 
 MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
@@ -102,8 +102,8 @@ class ClaimContext:
         return len(self.trees)
 
     def path_within(self, h_edges, K):
-        rows = _source_rows(self.graph, [self.root], _subset_out_edges(self.graph, h_edges))
-        return rows[self.root][self.target] <= K
+        g = self.graph
+        return _dijkstra(g.n, _subset_out_edges(g, h_edges), g.edges, self.root)[self.target] <= K
 
     def all_long_trees_cut(self, h_edges, K):
         h_mask = 0

@@ -60,15 +60,13 @@ class RoundingParams:
 
 def edge_inclusion_probs(x, alpha, n):
     """Exact per-edge keep probabilities min(alpha * x_e * sqrt(n), 1)."""
-    root_n = math.sqrt(n)
-    return [min(alpha * xe * root_n, 1.0) for xe in x]
+    return np.minimum(alpha * np.asarray(x, dtype=float) * math.sqrt(n), 1.0).tolist()
 
 
 def round_edges(g, x, alpha, rng):
     """Independent Bernoulli keep per edge, one uniform draw in index order."""
     probs = edge_inclusion_probs(x, alpha, g.n)
-    draws = rng.random(g.m)
-    return frozenset(e for e in range(g.m) if draws[e] < probs[e])
+    return frozenset(np.flatnonzero(rng.random(g.m) < probs).tolist())
 
 
 def sample_tree_roots(n, alpha, rng):

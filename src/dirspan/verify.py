@@ -2,9 +2,10 @@
 
 A subgraph H of G is a k-spanner when dist_H(u, v) <= k * dist_G(u, v) for
 every pair; checking only the demand pairs (the edges of G) is equivalent,
-because shortest paths of G decompose into edges.  The optimum search fixes
-the edges no alternative route can replace, then branches over the remaining
-ones with bitmask path covers.
+because shortest paths of G decompose into edges.  The check searches H
+only from the tails that some demand needs, up to the first violation.  The
+optimum search fixes the edges no alternative route can replace, then
+branches over the rest with bitmask path covers.
 """
 
 from __future__ import annotations
@@ -29,39 +30,38 @@ def _subset_out_edges(g, h_edges):
     for e in sorted(h_edges):
         tail = g.edges[e][0]
         out[tail].append(e)
-    return [tuple(lst) for lst in out]
-
-
-def _source_rows(g, sources, out_edges=None):
-    out = out_edges if out_edges is not None else g.out_edges
-    return {s: _dijkstra(g.n, out, g.edges, s) for s in sources}
+    return out
 
 
 def demand_distance_rows(g):
     """dist_G rows for every demand tail, reusable across many H checks."""
-    return _source_rows(g, sorted({tail for tail, _, _ in g.edges}))
+    return {s: _dijkstra(g.n, g.out_edges, g.edges, s) for s in sorted({tail for tail, _, _ in g.edges})}
 
 
 def is_k_spanner(g, h_edges, k, g_dist=None):
-    """Exact per-demand stretch check; returns the first violation if any.
+    """Exact per-demand stretch check; returns the lowest-index violation if any.
 
-    g_dist may carry precomputed rows of dist_G keyed by source vertex, which
-    callers running many subgraphs against one base graph exploit.  When the
-    edge set of H is all of E, those rows are H's rows too.
+    Demands are scanned in index order.  One whose own edge is in H with
+    length <= k * dist_G needs no search, since the first relaxation from its
+    tail sets dist_H[head] <= 0.0 + length exactly; any other reads its tail's
+    full H row, computed on first need.  g_dist may carry precomputed dist_G
+    rows keyed by source vertex; it is never written.  H = E reuses them.
     """
-    tails = sorted({g.edges[e][0] for e in range(g.m)})
-    if g_dist is None:
-        g_dist = _source_rows(g, tails)
-    if frozenset(h_edges) == frozenset(range(g.m)):
-        h_dist = g_dist
-    else:
-        h_dist = _source_rows(g, tails, _subset_out_edges(g, h_edges))
-    for d in range(g.m):
-        tail, head, _ = g.edges[d]
-        allowed = k * g_dist[tail][head]
-        got = h_dist[tail][head]
+    h = frozenset(h_edges)
+    g_rows = dict(g_dist or {})
+    h_out, h_rows = (g.out_edges, g_rows) if h == frozenset(range(g.m)) else (_subset_out_edges(g, h), {})
+    for d, (tail, head, length) in enumerate(g.edges):
+        if tail not in g_rows:
+            g_rows[tail] = _dijkstra(g.n, g.out_edges, g.edges, tail)
+        dist_g = g_rows[tail][head]
+        allowed = k * dist_g
+        if d in h and length <= allowed:
+            continue
+        if tail not in h_rows:
+            h_rows[tail] = _dijkstra(g.n, h_out, g.edges, tail)
+        got = h_rows[tail][head]
         if not got <= allowed:
-            return SpannerCheck(feasible=False, violation=(d, g_dist[tail][head], got))
+            return SpannerCheck(feasible=False, violation=(d, dist_g, got))
     return SpannerCheck(feasible=True, violation=None)
 
 

@@ -8,7 +8,7 @@ so tests can check that both forms agree.
 from dirspan import is_k_spanner
 from dirspan.arborescence import cut_set_of_potentials
 from dirspan.graph import _dijkstra
-from dirspan.verify import _subset_out_edges
+from dirspan.verify import SpannerCheck, _subset_out_edges
 
 
 def shortest_path_tree_cut(g, h_edges, root):
@@ -36,3 +36,19 @@ def all_pairs_spanner_check(g, h_edges, k):
 def edge_check_equals_allpairs_check(g, h_edges, k):
     """True when the demand-only check and the all-pairs check agree."""
     return is_k_spanner(g, h_edges, k).feasible == all_pairs_spanner_check(g, h_edges, k)
+
+
+def eager_spanner_check(g, h_edges, k):
+    """The demand check with every dist_G and dist_H row computed up front.
+
+    It reports the first violated demand in index order, as the lazy scan of
+    is_k_spanner must, so the two results compare whole.
+    """
+    tails = sorted({tail for tail, _, _ in g.edges})
+    h_out = _subset_out_edges(g, h_edges)
+    g_rows = {s: _dijkstra(g.n, g.out_edges, g.edges, s) for s in tails}
+    h_rows = {s: _dijkstra(g.n, h_out, g.edges, s) for s in tails}
+    for d, (tail, head, _) in enumerate(g.edges):
+        if not h_rows[tail][head] <= k * g_rows[tail][head]:
+            return SpannerCheck(feasible=False, violation=(d, g_rows[tail][head], h_rows[tail][head]))
+    return SpannerCheck(feasible=True, violation=None)

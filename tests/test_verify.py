@@ -1,4 +1,7 @@
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirspan import verify
 from dirspan import (
@@ -12,7 +15,7 @@ from dirspan import (
 )
 
 from oracles import exhaustive_opt, make_rng, naive_is_spanner, random_edge_list
-from support import all_pairs_spanner_check, edge_check_equals_allpairs_check
+from support import all_pairs_spanner_check, eager_spanner_check, edge_check_equals_allpairs_check
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
@@ -74,9 +77,51 @@ def test_full_edge_set_reuses_g_rows(monkeypatch):
     def no_dijkstra(*args, **kwargs):
         raise AssertionError("H = E must reuse the dist_G rows")
 
-    monkeypatch.setattr(verify, "_source_rows", no_dijkstra)
+    monkeypatch.setattr(verify, "_dijkstra", no_dijkstra)
     assert is_k_spanner(g, frozenset(range(g.m)), 1, g_dist=rows) == is_k_spanner(g, [2, 1, 0], 1, g_dist=rows)
     assert is_k_spanner(g, range(g.m), 1, g_dist=rows).feasible
+
+
+# 0->1, 1->2, 0->2, 2->3, 1->3, all of length 1: tails 0, 1 and 2; at k=2 each
+# of 0->2 and 1->3 has a detour of length 2
+SEARCH_GRAPH = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "h, given_rows, searches, feasible",
+    [
+        ([4, 3, 2, 1, 0], True, 0, True),  # every demand edge is in H within budget
+        ({0, 1, 3, 4}, True, 1, True),  # only tail 0 lacks its own edge
+        ({0, 1, 2, 3}, True, 1, True),  # only tail 1 lacks its own edge
+        (set(), True, 1, False),  # demand 0 fails at once
+        (set(), False, 2, False),  # tail 0's G row and its H row
+    ],
+)
+def test_searches_only_the_tails_that_need_it(monkeypatch, h, given_rows, searches, feasible):
+    g = build_graph(4, SEARCH_GRAPH)
+    rows = demand_distance_rows(g) if given_rows else None
+    dijkstra = verify._dijkstra
+    calls = []
+
+    def counting_dijkstra(*args):
+        calls.append(args)
+        return dijkstra(*args)
+
+    monkeypatch.setattr(verify, "_dijkstra", counting_dijkstra)
+    check = is_k_spanner(g, h, 2, g_dist=rows)
+    assert check.feasible == feasible
+    assert len(calls) == searches
+
+
+def test_own_edge_over_budget_is_still_searched():
+    # edge 0 (0->2, length 3) is in H, but dist_G is 2 through 0->1->2
+    g = build_graph(3, [(0, 2, 3.0), (0, 1, 1.0), (1, 2, 1.0)])
+    assert is_k_spanner(g, {0, 1}, 1).violation == (0, 2.0, 3.0)
+    assert is_k_spanner(g, {0, 1, 2}, 1).feasible  # H = E: the detour is in H
+    assert is_k_spanner(g, {0, 1}, 1.5).violation == (2, 1.0, float("inf"))  # 3 <= 1.5 * 2 meets demand 0
+    for h in ({0}, {0, 1}, {0, 2}, {0, 1, 2}):
+        for k in (1, 1.5, 2):
+            assert is_k_spanner(g, h, k) == eager_spanner_check(g, h, k)
 
 
 def test_length_m_list_missing_an_edge_gets_full_check():
@@ -113,6 +158,30 @@ def test_edge_check_agrees_with_all_pairs():
         k = rng.choice([1, 2, 3, 4])
         assert edge_check_equals_allpairs_check(g, h, k)
         assert is_k_spanner(g, h, k).feasible == all_pairs_spanner_check(g, h, k)
+
+
+DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1.1, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lazy_check_matches_eager_reference(data):
+    # the whole SpannerCheck must match, violation included, and dist_G rows
+    # that the caller passes (all, some or none of them) are never written
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = build_graph(n, [(t, h, data.draw(st.sampled_from(DECIMAL_LENGTHS))) for t, h in chosen])
+    h = data.draw(st.lists(st.integers(min_value=0, max_value=g.m - 1))) if g.m else []
+    k = data.draw(st.sampled_from((1, 1.5, 2, 3)))
+    given_rows = data.draw(st.sampled_from(("all", "some", "none")))
+    rows = demand_distance_rows(g)
+    if given_rows == "some":
+        rows = {s: row for s, row in rows.items() if data.draw(st.booleans())}
+    rows = None if given_rows == "none" else rows
+    before = copy.deepcopy(rows)
+    assert is_k_spanner(g, h, k, g_dist=rows) == eager_spanner_check(g, h, k)
+    assert rows == before
 
 
 def test_opt_triangle():
