@@ -24,9 +24,9 @@ from .errors import (
     TooLarge,
 )
 from .generate import generate_instance, parse_gen_spec
-from .io import dumps_report, serialize_graph
+from .io import dumps_report, parse_graph, serialize_graph
 from .lp import LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import RunConfig, load_input, run_claims, run_oracle, run_solve
+from .pipeline import RunConfig, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
 EXIT_OK = 0
@@ -57,11 +57,23 @@ def _add_subcommand(sub, name, summary, func, *flags):
     return p
 
 
-def _config(args):
-    """The run configuration; a field whose flag the subcommand lacks keeps its default."""
+def load_input(spec_text):
+    """Resolve an input: 'gen:family:...' generates, anything else is a path."""
+    if spec_text.startswith("gen:"):
+        return generate_instance(parse_gen_spec(spec_text[len("gen:"):]))
+    with open(spec_text, "r", encoding="utf-8") as fh:
+        return parse_graph(fh.read())
+
+
+def _load(args):
+    """The run configuration (unread fields keep their defaults) and its graph, loaded once and range-checked."""
     given = vars(args)
-    flags = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
-    return RunConfig(**flags)
+    config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    g = load_input(config.input)
+    total = sum(length for _, _, length in g.edges)  # no sum a run forms exceeds the claims cap below
+    if not math.isfinite(config.k * total * 2.5 + 1.0):
+        raise BadSpec(f"lengths sum to {total!r}, so 2.5 * k * sum + 1.0 overflows a double at k={config.k}")
+    return config, g
 
 
 def _write_report(report, args):
@@ -74,8 +86,7 @@ def _write_report(report, args):
 
 
 def _cmd_solve(args):
-    config = _config(args)
-    g = load_input(config.input)
+    config, g = _load(args)
     opt = None
     if args.oracle:
         opt = run_oracle(config, g=g)["opt"]
@@ -93,8 +104,7 @@ def _cmd_solve(args):
 
 
 def _cmd_lp(args):
-    config = _config(args)
-    g = load_input(config.input)
+    config, g = _load(args)
     model = build_lp(g, config.k)
     sol = solve_lp(model)
     if args.export_lp:
@@ -106,7 +116,7 @@ def _cmd_lp(args):
         "k": config.k,
         "status": sol.status,
         "objective": sol.objective_value,
-        "x": list(sol.x) if sol.x is not None else None,
+        "x": list(sol.x),
     }
     _write_report(report, args)
     print(f"lp objective {sol.objective_value:.10g} ({sol.status})", file=sys.stderr)
@@ -129,16 +139,16 @@ def _dump_x(dump, m):
 
 
 def _cmd_round(args):
-    config = _config(args)
-    g = load_input(config.input)
+    config, g = _load(args)
     with open(args.lp, "r", encoding="utf-8") as fh:
         dump = json.load(fh)
     if not isinstance(dump, dict):
         raise BadSpec("LP dump must be a JSON object")
     if not _finite(dump.get("objective")):
         raise BadSpec(f"LP dump objective {dump.get('objective')!r} is not a finite number")
-    if dump.get("m") != g.m or dump.get("n") != g.n:
-        raise BadSpec(f"LP dump is for n={dump.get('n')}, m={dump.get('m')}; graph has n={g.n}, m={g.m}")
+    if (dump.get("n"), dump.get("m"), dump.get("k")) != (g.n, g.m, config.k):
+        raise BadSpec(f"LP dump is for n={dump.get('n')}, m={dump.get('m')}, k={dump.get('k')}; "
+                      f"the run has n={g.n}, m={g.m}, k={config.k}")
     sol = LpSolution(
         status=dump.get("status", "optimal"),
         x=_dump_x(dump, g.m),
@@ -175,8 +185,7 @@ def _read_subgraph_edges(g, path):
 
 
 def _cmd_verify(args):
-    config = _config(args)
-    g = load_input(config.input)
+    config, g = _load(args)
     h_edges = _read_subgraph_edges(g, args.subgraph)
     check = is_k_spanner(g, h_edges, config.k)
     violation = None
@@ -200,16 +209,16 @@ def _cmd_verify(args):
 
 
 def _cmd_oracle(args):
-    config = _config(args)
-    report = run_oracle(config)
+    config, g = _load(args)
+    report = run_oracle(config, g=g)
     _write_report(report, args)
     print(f"opt {report['opt']} (witness of {len(report['witness'])} edges)", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_claims(args):
-    config = _config(args)
-    report = run_claims(config)
+    config, g = _load(args)
+    report = run_claims(config, g=g)
     _write_report(report, args)
     c1 = report["claim1"]
     c2 = report["claim2"]

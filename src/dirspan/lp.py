@@ -43,10 +43,10 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # 'optimal' | 'infeasible'
-    x: tuple | None
-    f: dict | None  # (demand, path) -> value
-    objective_value: float | None
+    status: str  # 'optimal' from solve_lp; round keeps the status its dump states
+    x: tuple
+    f: dict  # (demand, path) -> value
+    objective_value: float
     iterations: int = 0
 
 
@@ -118,7 +118,8 @@ def solve_lp(model):
     p = model.program
     res = solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower)
     if res.status == "infeasible":
-        return LpSolution(status="infeasible", x=None, f=None, objective_value=None, iterations=res.iterations)
+        # x_e = 1 everywhere, with a unit of flow on any within-budget path, meets every row
+        raise NumericalFailure("simplex called the path LP infeasible, but x = 1 is always feasible")
     m = model.graph.m
     x = tuple(float(v) for v in res.z[:m])
     f = {}

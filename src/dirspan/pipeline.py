@@ -1,4 +1,4 @@
-"""End-to-end runs: solve, rounding trials, oracle, and claim batches.
+"""End-to-end runs on a loaded graph: solve, rounding trials, oracle, and claim batches.
 
 Per-trial seeds come from the master seed through splitmix64(seed + index),
 so each trial's record depends only on the config and its index; the trials
@@ -8,6 +8,7 @@ run in order in one thread.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -15,9 +16,7 @@ import numpy as np
 
 from .arborescence import ClaimContext
 from .errors import BadSpec
-from .generate import generate_instance, parse_gen_spec
 from .graph import induced_subgraph
-from .io import parse_graph
 from .lp import build_lp, solve_lp
 from .rounding import RoundingParams, build_spanner, select_alpha
 from .verify import brute_force_opt, demand_distance_rows
@@ -40,7 +39,7 @@ def trial_seed(seed, index):
 @dataclass(frozen=True)
 class RunConfig:
     k: int
-    input: str  # file path, or generator spec prefixed with 'gen:'
+    input: str  # the report's label: the file path or 'gen:' spec the graph came from
     alpha_override: float | None = None
     seed: int = 0
     trials: int = 1
@@ -49,30 +48,22 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 1:
             raise BadSpec(f"stretch factor must be >= 1, got {self.k}")
+        if not self.k <= sys.float_info.max:
+            raise BadSpec(f"stretch factor must be <= {sys.float_info.max!r}, the largest double")
         if self.trials < 0:
             raise BadSpec(f"trials must be >= 0, got {self.trials}")
         if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:
             raise BadSpec(f"alpha must be a finite number > 0, got {self.alpha_override}")
 
 
-def load_input(spec_text):
-    """Resolve a config input: 'gen:family:...' generates, anything else is a path."""
-    if spec_text.startswith("gen:"):
-        return generate_instance(parse_gen_spec(spec_text[len("gen:"):]))
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
-def run_solve(config, g=None, opt=None, sol=None):
-    """Full pipeline: LP once, then config.trials rounding trials.
+def run_solve(config, g, opt=None, sol=None):
+    """Full pipeline on graph g: LP once, then config.trials rounding trials.
 
     Returns a plain dict ready for dumps_report; the per-trial records are a
     pure function of the config, while timing lives only at the top level.
     A pre-solved LP may be passed in to round without re-solving.
     """
     t0 = time.perf_counter()
-    if g is None:
-        g = load_input(config.input)
     mode = "unit" if g.unit_lengths() else "general"  # the regime of the alpha formula
     if config.alpha_override is not None:
         alpha = float(config.alpha_override)
@@ -133,10 +124,8 @@ def run_solve(config, g=None, opt=None, sol=None):
     return report
 
 
-def run_oracle(config, g=None):
+def run_oracle(config, g):
     t0 = time.perf_counter()
-    if g is None:
-        g = load_input(config.input)
     res = brute_force_opt(g, config.k)
     return {
         "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k},
@@ -146,16 +135,14 @@ def run_oracle(config, g=None):
     }
 
 
-def run_claims(config, g=None):
-    """Check both claims on every demand of one instance.
+def run_claims(config, g):
+    """Check both claims on every demand of graph g.
 
     The cut-mass check runs once per demand against the solved LP; the
     equivalence check runs config.trials times per demand on random
     subgraphs and thresholds drawn from the run seed.
     """
     t0 = time.perf_counter()
-    if g is None:
-        g = load_input(config.input)
     model = build_lp(g, config.k)
     sol = solve_lp(model)
 

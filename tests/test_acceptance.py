@@ -29,6 +29,7 @@ from dirspan import (
     select_alpha,
     solve_lp,
 )
+from dirspan.cli import load_input
 from dirspan.simplex import solve_simplex
 
 from oracles import layered_lp_unit, make_rng, random_edge_list
@@ -333,10 +334,11 @@ def test_criterion_7_tree_phase_bound():
 
 def test_criterion_8_deterministic_records():
     config = RunConfig(k=3, input="gen:er:n=12,p=0.3,seed=21", trials=20, seed=13)
-    first = dumps_report(run_solve(config)["trials"])
-    second = dumps_report(run_solve(config)["trials"])
+    first = dumps_report(run_solve(config, load_input(config.input))["trials"])
+    second = dumps_report(run_solve(config, load_input(config.input))["trials"])
     parallel = dumps_report(
-        run_solve(RunConfig(k=3, input="gen:er:n=12,p=0.3,seed=21", trials=20, seed=13, jobs=4))["trials"]
+        run_solve(RunConfig(k=3, input="gen:er:n=12,p=0.3,seed=21", trials=20, seed=13, jobs=4),
+                  load_input(config.input))["trials"]
     )
     ok = first == second == parallel
     _stamp(

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -25,8 +26,8 @@ from dirspan import (
     serialize_graph,
     trial_seed,
 )
-from dirspan.cli import SHARED_FLAGS, build_parser, main
-from dirspan.pipeline import load_input, splitmix64
+from dirspan.cli import SHARED_FLAGS, build_parser, load_input, main
+from dirspan.pipeline import splitmix64
 
 
 def cycle_text(n):
@@ -90,10 +91,24 @@ def test_load_input_generator_and_file(tmp_path):
     assert load_input(str(p)).m == 3
 
 
+def test_pipeline_imports_no_input_module():
+    # runs take a loaded graph; reading files and generator specs is the CLI's job
+    tree = ast.parse(Path(dirspan.pipeline.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported |= {base, *(f"{base}.{a.name}".replace("..", ".") for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert ".lp" in imported
+    assert not imported & {".io", ".generate", "dirspan.io", "dirspan.generate"}
+
+
 def test_mode_auto_detects_unit():
     # the regime comes from the lengths alone; --alpha is the only way to pick another constant
     for spec, mode in (("gen:cycle:n=4", "unit"), ("gen:cycle:n=4,max_len=3,seed=2", "general")):
-        report = run_solve(RunConfig(k=3, input=spec))
+        report = run_solve(RunConfig(k=3, input=spec), load_input(spec))
         assert report["instance"]["mode"] == mode
         assert report["alpha"] == select_alpha(mode, 4, 3)
 
@@ -101,7 +116,7 @@ def test_mode_auto_detects_unit():
 def test_run_solve_saturated_cycle():
     # alpha 3 > sqrt(8): every keep probability clamps to 1
     config = RunConfig(k=3, input="gen:cycle:n=8", alpha_override=3.0, trials=5, seed=1)
-    report = run_solve(config)
+    report = run_solve(config, load_input(config.input))
     assert report["lp"]["value"] == pytest.approx(8.0, abs=1e-9)
     assert report["aggregate"]["feasible_fraction"] == 1.0
     assert all(r["eh_size"] == 8 for r in report["trials"])
@@ -110,7 +125,7 @@ def test_run_solve_saturated_cycle():
 
 def test_run_solve_aggregate_arithmetic():
     config = RunConfig(k=3, input="gen:er:n=9,p=0.35,seed=11", alpha_override=0.8, trials=12, seed=4)
-    report = run_solve(config)
+    report = run_solve(config, load_input(config.input))
     records = report["trials"]
     assert len(records) == 12
     agg = report["aggregate"]
@@ -125,8 +140,8 @@ def test_run_solve_aggregate_arithmetic():
 
 def test_run_solve_trial_records_are_reproducible():
     config = RunConfig(k=3, input="gen:er:n=10,p=0.3,seed=2", alpha_override=1.1, trials=8, seed=9)
-    a = run_solve(config)
-    b = run_solve(config)
+    a = run_solve(config, load_input(config.input))
+    b = run_solve(config, load_input(config.input))
     assert dumps_report(a["trials"]) == dumps_report(b["trials"])
     # timing may differ; everything else must not
     a.pop("timing")
@@ -137,7 +152,9 @@ def test_run_solve_trial_records_are_reproducible():
 def test_run_solve_jobs_do_not_change_records():
     base = RunConfig(k=3, input="gen:er:n=10,p=0.3,seed=2", alpha_override=1.1, trials=8, seed=9)
     par = RunConfig(k=3, input="gen:er:n=10,p=0.3,seed=2", alpha_override=1.1, trials=8, seed=9, jobs=4)
-    assert dumps_report(run_solve(base)["trials"]) == dumps_report(run_solve(par)["trials"])
+    a = run_solve(base, load_input(base.input))
+    b = run_solve(par, load_input(par.input))
+    assert dumps_report(a["trials"]) == dumps_report(b["trials"])
 
 
 def test_run_claims_enumerates_each_demand_once(monkeypatch):
@@ -151,7 +168,8 @@ def test_run_claims_enumerates_each_demand_once(monkeypatch):
         return enumerate_demand_paths(g, k, demand)
 
     monkeypatch.setattr(dirspan.paths, "enumerate_demand_paths", counting)
-    report = run_claims(RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1))
+    config = RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1)
+    report = run_claims(config, load_input(config.input))
     assert report["demands_checked"] > 0
     assert sorted(seen) == list(range(report["instance"]["m"]))
 
@@ -159,14 +177,14 @@ def test_run_claims_enumerates_each_demand_once(monkeypatch):
 def test_run_oracle_triangle(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text(TRIANGLE_TEXT)
-    report = run_oracle(RunConfig(k=2, input=str(p)))
+    report = run_oracle(RunConfig(k=2, input=str(p)), load_input(str(p)))
     assert report["opt"] == 2
     assert sorted(report["witness"]) == [0, 2]
 
 
 def test_run_claims_cycle():
     config = RunConfig(k=3, input="gen:cycle:n=6", trials=4, seed=0)
-    report = run_claims(config)
+    report = run_claims(config, load_input(config.input))
     assert report["demands_checked"] == 6
     assert report["claim1"]["checks"] == 24
     assert report["claim1"]["disagreements"] == 0
@@ -233,9 +251,12 @@ def test_cli_round_rejects_mismatched_dump(tmp_path, capsys):
     dump = tmp_path / "lp.json"
     code, _, _ = _run(capsys, ["lp", str(gpath), "-k", "3", "--out", str(dump)])
     assert code == 0
-    code, _, err = _run(capsys, ["round", str(other), "-k", "3", "--lp", str(dump)])
-    assert code == 2
-    assert "error" in err
+    # another graph, then the same graph at another k: the k=3 LP value must not reach a k=2 report
+    for graph, k in ((other, "3"), (gpath, "2")):
+        code, out, err = _run(capsys, ["round", str(graph), "-k", k, "--lp", str(dump)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: LP dump is for n=6, m=6, k=3; ")
 
 
 @pytest.mark.parametrize(
@@ -530,6 +551,21 @@ def test_cli_numerical_failure_exit_5(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "lp", "claims"])
+def test_cli_infeasible_lp_is_exit_5(capsys, monkeypatch, command):
+    # x = 1 with a unit of flow on any within-budget path meets every row, so "infeasible" is a solver failure
+    import dirspan.lp
+    from dirspan.simplex import SimplexResult
+
+    def infeasible(*args, **kwargs):
+        return SimplexResult(status="infeasible", z=None, objective=None, iterations=0)
+
+    monkeypatch.setattr(dirspan.lp, "solve_simplex", infeasible)
+    code, out, err = _run(capsys, [command, "gen:er:n=7,p=0.4,seed=3", "-k", "3"])
+    assert (code, out) == (5, "")
+    assert err == "numerical failure: simplex called the path LP infeasible, but x = 1 is always feasible\n"
+
+
 # decimal lengths whose float sums make the path pruning drop demand 5's own shortest path at k=1
 FLOAT_BUDGET_TEXT = "6 7\n3 4 1.1\n4 2 0.1\n3 1 0.1\n4 5 0.3\n0 5 0.2\n4 1 1.1\n5 3 0.7\n"
 
@@ -580,8 +616,66 @@ def test_cli_graph_below_two_vertices_without_alpha(tmp_path, capsys, command, t
     assert json.loads(out)["aggregate"]["feasible_fraction"] == 1.0
 
 
-# zero, inexact decimals, the largest and the smallest positive float
-PROPERTY_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 1.0, 1e308, 5e-324)
+INPUT_COMMANDS = ("solve", "lp", "round", "verify", "oracle", "claims")
+
+
+def _input_argv(tmp_path, command, gpath, k):
+    """argv of one input subcommand; round reads lp.json and verify h.txt from tmp_path."""
+    extra = {"round": ["--lp", str(tmp_path / "lp.json")], "verify": ["--subgraph", str(tmp_path / "h.txt")]}
+    return [command, str(gpath), "-k", k, *extra.get(command, [])]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_each_input_subcommand_loads_its_graph_once(tmp_path, capsys, monkeypatch, command):
+    import dirspan.cli as cli
+
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    (tmp_path / "h.txt").write_text("0 1\n1 2\n")
+    assert main(["lp", str(gpath), "-k", "2", "--out", str(tmp_path / "lp.json")]) == 0
+    loads = []
+
+    def counting(spec):
+        loads.append(spec)
+        return load_input(spec)
+
+    monkeypatch.setattr(cli, "load_input", counting)
+    flags = ["--oracle"] if command == "solve" else []
+    code, _, err = _run(capsys, [*_input_argv(tmp_path, command, gpath, "2"), *flags])
+    assert code == 0, err
+    assert loads == [str(gpath)]
+
+
+# 3 * 1e308 overflows to inf, and the empty subgraph then passes as a 3-spanner
+OVERFLOW_TEXT = "2 1\n0 1 1e308\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [(command, []) for command in INPUT_COMMANDS] + [("solve", ["--alpha", "0.001"])],
+    ids=[*INPUT_COMMANDS, "solve-alpha"],
+)
+@pytest.mark.parametrize(
+    "text, k, message",
+    [
+        (OVERFLOW_TEXT, "3", "error: lengths sum to 1e+308, so 2.5 * k * sum + 1.0 overflows a double at k=3\n"),
+        (TRIANGLE_TEXT, str(10**400),
+         "error: stretch factor must be <= 1.7976931348623157e+308, the largest double\n"),
+    ],
+    ids=["length-1e308", "k-1e400"],
+)
+def test_cli_out_of_range_input_is_exit_2(tmp_path, capsys, text, k, message, command, flags):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    (tmp_path / "h.txt").write_text("")
+    dump = {"n": 2, "m": 1, "k": 3, "status": "optimal", "objective": 1.0, "x": [1.0]}
+    (tmp_path / "lp.json").write_text(json.dumps(dump))
+    code, out, err = _run(capsys, [*_input_argv(tmp_path, command, gpath, k), *flags])
+    assert (code, out, err) == (2, "", message)
+
+
+# zero, inexact decimals, a large length whose sums stay finite, the largest and the smallest positive float
+PROPERTY_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 1.0, 1e300, 1e308, 5e-324)
 
 
 @st.composite
@@ -593,16 +687,16 @@ def cli_inputs(draw):
     subgraph = draw(st.lists(st.sampled_from(chosen), unique=True)) if chosen else []
     k = draw(st.integers(min_value=1, max_value=3))
     alpha = draw(st.sampled_from(("0.25", "1", "7.5")))
-    return serialize_graph(g), subgraph, k, alpha
+    return g, subgraph, k, alpha
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_inputs())
 def test_cli_exit_codes_are_documented(tmp_path_factory, case):
-    text, subgraph, k, alpha = case
+    g, subgraph, k, alpha = case
     d = tmp_path_factory.mktemp("cli")
     gpath, hpath, out = d / "g.txt", d / "h.txt", d / "out.json"
-    gpath.write_text(text)
+    gpath.write_text(serialize_graph(g))
     hpath.write_text("".join(f"{t} {h}\n" for t, h in subgraph))
     common = [str(gpath), "-k", str(k), "--out", str(out)]
     runs = [
@@ -613,10 +707,17 @@ def test_cli_exit_codes_are_documented(tmp_path_factory, case):
         ["claims", *common],
         ["verify", *common, "--subgraph", str(hpath)],
     ]
+    total = sum(length for _, _, length in g.edges)
+    out_of_range = not math.isfinite(k * total * 2.5 + 1.0)  # the range rule: some sum a run forms would overflow
     for argv in runs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)  # an exception escaping main fails the test with its traceback
-        # exit 5 covers the float-budget case of the path pruning
-        assert code in (0, 3, 4, 5), (argv[0], code, err.getvalue())
+        if out_of_range:
+            assert code == 2, (argv[0], err.getvalue())
+            message = f"error: lengths sum to {total!r}, so 2.5 * k * sum + 1.0 overflows a double at k={k}\n"
+            assert err.getvalue() == message
+        else:
+            # exit 5 covers the float-budget case of the path pruning
+            assert code in (0, 3, 4, 5), (argv[0], code, err.getvalue())
         assert "Traceback" not in err.getvalue()
