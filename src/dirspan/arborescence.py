@@ -28,21 +28,8 @@ from .verify import _subset_out_edges
 MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
 
-def cut_set_of_potentials(g, potentials):
-    """Edges of g whose head potential exceeds tail potential plus length.
-
-    Exact float comparison; infinities follow IEEE rules, so edges leaving
-    the finite region are in, edges between infinite potentials are out.
-    """
-    out = []
-    for e, (tail, head, length) in enumerate(g.edges):
-        if potentials[head] > potentials[tail] + length:
-            out.append(e)
-    return frozenset(out)
-
-
-def _grow(g, on_tree, pot, frontier, start, leaf):
-    """Decide frontier[start:] in order, calling leaf(pot) once per finished tree.
+def _grow(g, on_tree, pot, mask, frontier, start, leaf):
+    """Decide frontier[start:] in order, calling leaf(pot, mask) once per finished tree.
 
     The frontier lists the edges leaving the tree in discovery order.  An edge
     whose head is already on the tree is passed over; any other edge is either
@@ -50,20 +37,33 @@ def _grow(g, on_tree, pot, frontier, start, leaf):
     decided recursively) or skipped for good, which is the loop moving on.
     Every rooted out-tree comes from exactly one sequence of decisions, and the
     recursion is only as deep as the tree is large.
+
+    mask is the cut set of the current tree as a bit per edge.  Only the
+    potential of the joining vertex changes, so only its out- and in-edges
+    can change cut status: each of those is re-tested, and its bit set or
+    cleared, in the child's copy of the mask.
     """
+    edges = g.edges
     for i in range(start, len(frontier)):
-        tail, head, length = g.edges[frontier[i]]
+        tail, head, length = edges[frontier[i]]
         if on_tree[head]:
             continue
         on_tree[head] = True
         pot[head] = pot[tail] + length
+        child = mask
+        for e in g.out_edges[head] + g.in_edges[head]:
+            t, w, le = edges[e]
+            if pot[w] > pot[t] + le:
+                child |= 1 << e
+            else:
+                child &= ~(1 << e)
         mark = len(frontier)
         frontier.extend(g.out_edges[head])
-        _grow(g, on_tree, pot, frontier, i + 1, leaf)
+        _grow(g, on_tree, pot, child, frontier, i + 1, leaf)
         del frontier[mark:]
         on_tree[head] = False
         pot[head] = INF
-    leaf(pot)
+    leaf(pot, mask)
 
 
 class ClaimContext:
@@ -82,12 +82,9 @@ class ClaimContext:
         self.target = target
         trees = []
 
-        def leaf(pot):
+        def leaf(pot, mask):
             if len(trees) == MAX_TREES:
                 raise ExplosionCap(f"more than {MAX_TREES} rooted out-trees")
-            mask = 0
-            for e in cut_set_of_potentials(g, pot):
-                mask |= 1 << e
             trees.append((pot[target], mask))
 
         # membership is kept apart from pot: a tree distance can overflow to INF
@@ -95,7 +92,10 @@ class ClaimContext:
         on_tree[root] = True
         pot = [INF] * g.n
         pot[root] = 0.0
-        _grow(g, on_tree, pot, list(g.out_edges[root]), 0, leaf)
+        mask = 0  # every length is finite, so the root alone is cut by exactly its out-edges
+        for e in g.out_edges[root]:
+            mask |= 1 << e
+        _grow(g, on_tree, pot, mask, list(g.out_edges[root]), 0, leaf)
         self.trees = trees
 
     def tree_count(self):
@@ -112,17 +112,19 @@ class ClaimContext:
         return all(mask & h_mask for dist_v, mask in self.trees if dist_v > K)
 
     def min_long_cut_mass(self, x, K):
-        """Smallest cut mass over the long trees; None when no tree is long."""
+        """Smallest cut mass over the long trees; None when no tree is long.
+
+        Each mass sums x over the tree's cut edges in ascending edge order,
+        walking the mask's set bits lowest first.
+        """
         best = None
         for dist_v, mask in self.trees:
             if dist_v > K:
                 total = 0.0
-                e = 0
                 while mask:
-                    if mask & 1:
-                        total += x[e]
-                    mask >>= 1
-                    e += 1
+                    low = mask & -mask
+                    total += x[low.bit_length() - 1]
+                    mask ^= low
                 if best is None or total < best:
                     best = total
         return best

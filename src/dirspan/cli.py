@@ -25,7 +25,7 @@ from .errors import (
 )
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, parse_graph, serialize_graph
-from .lp import LpSolution, build_lp, export_lp_text, solve_lp
+from .lp import CHECK_TOL, LpSolution, build_lp, export_lp_text, solve_lp
 from .pipeline import RunConfig, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
@@ -149,12 +149,14 @@ def _cmd_round(args):
     if (dump.get("n"), dump.get("m"), dump.get("k")) != (g.n, g.m, config.k):
         raise BadSpec(f"LP dump is for n={dump.get('n')}, m={dump.get('m')}, k={dump.get('k')}; "
                       f"the run has n={g.n}, m={g.m}, k={config.k}")
-    sol = LpSolution(
-        status=dump.get("status", "optimal"),
-        x=_dump_x(dump, g.m),
-        f={},
-        objective_value=float(dump["objective"]),
-    )
+    x = _dump_x(dump, g.m)
+    status = dump.get("status", "optimal")
+    if status != "optimal":
+        raise BadSpec(f"LP dump status is {status!r}, not 'optimal'")
+    total = math.fsum(x)
+    if abs(dump["objective"] - total) > CHECK_TOL * max(1.0, total):
+        raise BadSpec(f"LP dump objective {dump['objective']!r} is not the sum of its x, {total!r}")
+    sol = LpSolution(status=status, x=x, f={}, objective_value=float(dump["objective"]))
     report = run_solve(config, g=g, sol=sol)
     _write_report(report, args)
     frac = report["aggregate"]["feasible_fraction"]

@@ -50,6 +50,8 @@ class RunConfig:
             raise BadSpec(f"stretch factor must be >= 1, got {self.k}")
         if not self.k <= sys.float_info.max:
             raise BadSpec(f"stretch factor must be <= {sys.float_info.max!r}, the largest double")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {self.seed}")
         if self.trials < 0:
             raise BadSpec(f"trials must be >= 0, got {self.trials}")
         if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:

@@ -1,14 +1,28 @@
 """Test helpers built on package primitives.
 
-Unlike oracles.py, these reuse the package's Dijkstra and cut extraction:
-they restate a claim about the package's own structures in another form,
-so tests can check that both forms agree.
+Unlike oracles.py, these reuse the package's Dijkstra and subgraph
+adjacency: they restate a claim about the package's own structures in
+another form, so tests can check that both forms agree.  This module also
+holds cut_set_of_potentials, a rescan of every edge against a potential
+vector, which restates the cut masks that ClaimContext grows with each tree.
 """
 
 from dirspan import is_k_spanner
-from dirspan.arborescence import cut_set_of_potentials
 from dirspan.graph import _dijkstra
 from dirspan.verify import SpannerCheck, _subset_out_edges
+
+
+def cut_set_of_potentials(g, potentials):
+    """Edges of g whose head potential exceeds tail potential plus length.
+
+    Exact float comparison; infinities follow IEEE rules, so edges leaving
+    the finite region are in, edges between infinite potentials are out.
+    """
+    out = []
+    for e, (tail, head, length) in enumerate(g.edges):
+        if potentials[head] > potentials[tail] + length:
+            out.append(e)
+    return frozenset(out)
 
 
 def shortest_path_tree_cut(g, h_edges, root):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirspan import ClaimContext, ExplosionCap, arborescence, build_graph
 
@@ -7,6 +8,9 @@ from support import shortest_path_tree_cut
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.7, 1.0, 2.0, 3.0)
+# 1e308 makes a tree distance overflow to INF while its vertex is on the tree
+OVERFLOW_LENGTHS = DECIMAL_LENGTHS + (1e308,)
+LP_VALUES = (0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3, 1.0)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -39,6 +43,43 @@ def test_trees_match_parent_vector_oracle():
         root, target = rng.randrange(n), rng.randrange(n)
         ctx = ClaimContext(build_graph(n, edges), root, target)
         assert sorted(ctx.trees) == out_tree_census(n, edges, root, target)
+
+
+@st.composite
+def rooted_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    edges = [(t, h, draw(st.sampled_from(OVERFLOW_LENGTHS))) for t, h in chosen]
+    root, target = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    # inexact decimals, so that another summation order gives another float
+    x = draw(st.lists(st.sampled_from(LP_VALUES), min_size=len(edges), max_size=len(edges)))
+    K = draw(st.sampled_from(OVERFLOW_LENGTHS + (0.3, 1.5, float("inf"))))
+    return n, edges, root, target, x, K
+
+
+def ascending_cut_mass(mask, x):
+    """x summed over the set bits of mask, one bit position at a time from edge 0 up."""
+    total = 0.0
+    for e in range(len(x)):
+        if mask >> e & 1:
+            total += x[e]
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_graphs())
+def test_incremental_masks_match_census(case):
+    # the masks grown edge by edge with the tree equal a full rescan of every finished tree
+    n, edges, root, target, x, K = case
+    ctx = ClaimContext(build_graph(n, edges), root, target)
+    assert sorted(ctx.trees) == out_tree_census(n, edges, root, target)
+    masses = [ascending_cut_mass(mask, x) for dist_v, mask in ctx.trees if dist_v > K]
+    assert ctx.min_long_cut_mass(x, K) == (min(masses) if masses else None)
+    # the minimum rarely has three cut edges, so pin the summation order tree by tree too
+    for tree in list(ctx.trees):
+        ctx.trees = [tree]
+        assert ctx.min_long_cut_mass(x, -1.0) == ascending_cut_mass(tree[1], x)
 
 
 def test_claim_context_tree_census():

@@ -192,6 +192,49 @@ def test_run_claims_cycle():
     assert report["claim2"]["min_cut_mass"] == pytest.approx(1.0, abs=1e-9)
 
 
+# a six-vertex decimal-length graph of the exact-batch family that builds its LP at k=1
+SMALL6_EDGES = [
+    (3, 1, 0.1), (0, 1, 0.1), (0, 5, 0.1), (0, 2, 0.7), (1, 0, 0.1),
+    (1, 5, 0.2), (1, 2, 0.7), (5, 0, 0.1), (5, 2, 0.3),
+]
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        (
+            RunConfig(k=1, input="small6", trials=3, seed=0),
+            {
+                "instance": {"input": "small6", "n": 6, "m": 9, "k": 1},
+                "lp_value": 6.0,
+                "demands_checked": 9,
+                "trees_enumerated": 43,
+                "claim1": {"checks": 27, "disagreements": 0},
+                "claim2": {"long_trees": 20, "violations": 0, "min_cut_mass": 1.0},
+            },
+        ),
+        (
+            RunConfig(k=3, input="gen:er:n=10,p=0.35,max_len=4,seed=5", trials=2, seed=0),
+            {
+                "instance": {"input": "gen:er:n=10,p=0.35,max_len=4,seed=5", "n": 10, "m": 27, "k": 3},
+                "lp_value": 15.0,
+                "demands_checked": 27,
+                "trees_enumerated": 11864,
+                "claim1": {"checks": 54, "disagreements": 0},
+                "claim2": {"long_trees": 3000, "violations": 0, "min_cut_mass": 1.0},
+            },
+        ),
+    ],
+    ids=["small6-k1", "er10-k3"],
+)
+def test_run_claims_reports_are_pinned(config, expected):
+    # every field but timing is pinned, so a change to the tree growth or the cut masses shows here
+    g = build_graph(6, SMALL6_EDGES) if config.input == "small6" else load_input(config.input)
+    report = run_claims(config, g)
+    del report["timing"]
+    assert report == expected
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -287,6 +330,25 @@ def test_cli_round_rejects_bad_dump(tmp_path, capsys, edit):
     assert code == 2
     assert out == ""
     assert "LP dump" in err
+
+
+@pytest.mark.parametrize(
+    "dump, trials, message",
+    [
+        ({"objective": -7.0}, "1", "error: LP dump objective -7.0 is not the sum of its x, 2.0\n"),
+        ({"objective": 2.0 + 1e-6}, "1", "error: LP dump objective 2.000001 is not the sum of its x, 2.0\n"),
+        ({"objective": 2.0, "status": "infeasible"}, "1", "error: LP dump status is 'infeasible', not 'optimal'\n"),
+        ({"objective": 2.0, "status": "infeasible"}, "0", "error: LP dump status is 'infeasible', not 'optimal'\n"),
+    ],
+    ids=["negative-objective", "objective-off-sum", "infeasible", "infeasible-no-trials"],
+)
+def test_cli_round_rejects_untrusted_objective_or_status(tmp_path, capsys, dump, trials, message):
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    bad = tmp_path / "lp.json"
+    bad.write_text(json.dumps({"n": 3, "m": 3, "k": 2, "x": [1, 0, 1], **dump}))
+    code, out, err = _run(capsys, ["round", str(gpath), "-k", "2", "--lp", str(bad), "--trials", trials])
+    assert (code, out, err) == (2, "", message)
 
 
 def test_cli_lp_export_text(tmp_path, capsys):
@@ -509,6 +571,10 @@ def test_cli_non_finite_length_is_exit_2(tmp_path, capsys, command, length):
         ["solve", "gen:er:n=8,p=0.3,seed=1", "-k", "3", "--trials", "-1", "--require-feasible"],
         ["claims", "gen:cycle:n=4", "-k", "3", "--trials", "-3"],
         ["solve", "gen:cycle:n=4", "-k", "0"],
+        # the seed is checked with the configuration, before the graph or the LP dump is read
+        ["solve", "gen:cycle:n=4", "-k", "2", "--seed", "-1"],
+        ["round", "gen:cycle:n=4", "-k", "2", "--seed", "-1", "--lp", "no-such-dump.json"],
+        ["claims", "gen:cycle:n=4", "-k", "2", "--seed", "-1"],
     ],
 )
 def test_cli_negative_trials_or_k_is_exit_2(capsys, argv):
