@@ -1,8 +1,16 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 bad input or configuration, 3 a size cap tripped,
-4 a spanner check failed under --require-feasible, 5 numerical failure or a
-broken internal check.
+Every input subcommand takes one run path through `main`: `_load` resolves
+the configuration and the input graph once, the subcommand's `_cmd_*` handler
+returns its report, summary line and exit code, and `main` writes the report
+to `--out` or stdout and the summary line to stderr.  `gen` writes its graph
+text the same way.  Every file the command reads or writes goes through
+`_read_file` or `_write_file`.
+
+Exit codes: 0 success, 2 bad input or configuration (a file that is missing,
+a directory or unreadable included), 3 a size cap tripped, 4 a spanner check
+failed under --require-feasible, 5 numerical failure or a broken internal
+check.  `FAILURES` maps each failure to its code and message label.
 """
 
 from __future__ import annotations
@@ -13,18 +21,9 @@ import math
 import sys
 from dataclasses import fields
 
-from .errors import (
-    BadSpec,
-    DirspanError,
-    ExplosionCap,
-    GraphError,
-    GraphSyntaxError,
-    NumericalFailure,
-    PathExplosion,
-    TooLarge,
-)
+from .errors import BadSpec, DirspanError, ExplosionCap, NumericalFailure, PathExplosion, TooLarge
 from .generate import generate_instance, parse_gen_spec
-from .io import dumps_report, parse_graph, serialize_graph
+from .io import dumps_report, parse_graph, parse_subgraph, serialize_graph
 from .lp import CHECK_TOL, LpSolution, build_lp, export_lp_text, solve_lp
 from .pipeline import RunConfig, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
@@ -34,6 +33,14 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
+
+# checked top to bottom: the first row whose types match an exception gives its label and exit code
+FAILURES = (
+    ((PathExplosion, TooLarge, ExplosionCap), "cap exceeded", EXIT_CAP),
+    (NumericalFailure, "numerical failure", EXIT_NUMERICAL),
+    (AssertionError, "internal error", EXIT_NUMERICAL),
+    ((DirspanError, OSError, ValueError), "error", EXIT_BAD_INPUT),  # ValueError covers JSONDecodeError
+)
 
 
 # flags several subcommands read; each subcommand declares only the ones it reads
@@ -57,12 +64,21 @@ def _add_subcommand(sub, name, summary, func, *flags):
     return p
 
 
+def _read_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_file(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def load_input(spec_text):
     """Resolve an input: 'gen:family:...' generates, anything else is a path."""
     if spec_text.startswith("gen:"):
         return generate_instance(parse_gen_spec(spec_text[len("gen:"):]))
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_file(spec_text))
 
 
 def _load(args):
@@ -76,40 +92,27 @@ def _load(args):
     return config, g
 
 
-def _write_report(report, args):
-    text = dumps_report(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _rounding_exit(args, frac):
+    """Exit 4 under --require-feasible when some trial's spanner check failed."""
+    return EXIT_INFEASIBLE if args.require_feasible and frac is not None and frac < 1.0 else EXIT_OK
 
 
-def _cmd_solve(args):
-    config, g = _load(args)
+def _cmd_solve(args, config, g):
     opt = None
     if args.oracle:
         opt = run_oracle(config, g=g)["opt"]
     report = run_solve(config, g=g, opt=opt)
-    _write_report(report, args)
     frac = report["aggregate"]["feasible_fraction"]
-    print(
-        f"n={g.n} m={g.m} k={config.k} lp={report['lp']['value']:.6g} "
-        f"alpha={report['alpha']:.6g} trials={config.trials} feasible={frac}",
-        file=sys.stderr,
-    )
-    if args.require_feasible and frac is not None and frac < 1.0:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    summary = (f"n={g.n} m={g.m} k={config.k} lp={report['lp']['value']:.6g} "
+               f"alpha={report['alpha']:.6g} trials={config.trials} feasible={frac}")
+    return report, summary, _rounding_exit(args, frac)
 
 
-def _cmd_lp(args):
-    config, g = _load(args)
+def _cmd_lp(args, config, g):
     model = build_lp(g, config.k)
     sol = solve_lp(model)
     if args.export_lp:
-        with open(args.export_lp, "w", encoding="utf-8") as fh:
-            fh.write(export_lp_text(model))
+        _write_file(args.export_lp, export_lp_text(model))
     report = {
         "n": g.n,
         "m": g.m,
@@ -118,13 +121,12 @@ def _cmd_lp(args):
         "objective": sol.objective_value,
         "x": list(sol.x),
     }
-    _write_report(report, args)
-    print(f"lp objective {sol.objective_value:.10g} ({sol.status})", file=sys.stderr)
-    return EXIT_OK
+    return report, f"lp objective {sol.objective_value:.10g} ({sol.status})", EXIT_OK
 
 
 def _finite(v):
-    return type(v) in (int, float) and math.isfinite(v)
+    """A JSON number a double holds: an integer beyond the double range counts as not finite."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def _dump_x(dump, m):
@@ -138,10 +140,8 @@ def _dump_x(dump, m):
     return tuple(float(v) for v in x)
 
 
-def _cmd_round(args):
-    config, g = _load(args)
-    with open(args.lp, "r", encoding="utf-8") as fh:
-        dump = json.load(fh)
+def _cmd_round(args, config, g):
+    dump = json.loads(_read_file(args.lp))
     if not isinstance(dump, dict):
         raise BadSpec("LP dump must be a JSON object")
     if not _finite(dump.get("objective")):
@@ -153,42 +153,20 @@ def _cmd_round(args):
     status = dump.get("status", "optimal")
     if status != "optimal":
         raise BadSpec(f"LP dump status is {status!r}, not 'optimal'")
-    total = math.fsum(x)
+    try:
+        total = math.fsum(x)
+    except OverflowError:
+        raise BadSpec("LP dump x sums past the largest double") from None
     if abs(dump["objective"] - total) > CHECK_TOL * max(1.0, total):
         raise BadSpec(f"LP dump objective {dump['objective']!r} is not the sum of its x, {total!r}")
     sol = LpSolution(status=status, x=x, f={}, objective_value=float(dump["objective"]))
     report = run_solve(config, g=g, sol=sol)
-    _write_report(report, args)
     frac = report["aggregate"]["feasible_fraction"]
-    print(f"rounded {config.trials} trials, feasible fraction {frac}", file=sys.stderr)
-    if args.require_feasible and frac is not None and frac < 1.0:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return report, f"rounded {config.trials} trials, feasible fraction {frac}", _rounding_exit(args, frac)
 
 
-def _read_subgraph_edges(g, path):
-    chosen = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphSyntaxError(f"subgraph line must be 'tail head', got {line!r}", line=lineno)
-            try:
-                tail, head = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphSyntaxError(f"endpoints must be integers, got {line!r}", line=lineno) from None
-            if (tail, head) not in g.edge_index:
-                raise BadSpec(f"subgraph edge ({tail}, {head}) is not an edge of the graph")
-            chosen.append(g.edge_index[(tail, head)])
-    return frozenset(chosen)
-
-
-def _cmd_verify(args):
-    config, g = _load(args)
-    h_edges = _read_subgraph_edges(g, args.subgraph)
+def _cmd_verify(args, config, g):
+    h_edges = parse_subgraph(g, _read_file(args.subgraph))
     check = is_k_spanner(g, h_edges, config.k)
     violation = None
     if check.violation is not None:
@@ -203,48 +181,23 @@ def _cmd_verify(args):
             "dist_h": dist_h if math.isfinite(dist_h) else None,
         }
     report = {"n": g.n, "m": g.m, "k": config.k, "h_size": len(h_edges), "feasible": check.feasible, "violation": violation}
-    _write_report(report, args)
-    print(f"subgraph of {len(h_edges)} edges: feasible={check.feasible}", file=sys.stderr)
-    if args.require_feasible and not check.feasible:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    code = EXIT_INFEASIBLE if args.require_feasible and not check.feasible else EXIT_OK
+    return report, f"subgraph of {len(h_edges)} edges: feasible={check.feasible}", code
 
 
-def _cmd_oracle(args):
-    config, g = _load(args)
+def _cmd_oracle(args, config, g):
     report = run_oracle(config, g=g)
-    _write_report(report, args)
-    print(f"opt {report['opt']} (witness of {len(report['witness'])} edges)", file=sys.stderr)
-    return EXIT_OK
+    return report, f"opt {report['opt']} (witness of {len(report['witness'])} edges)", EXIT_OK
 
 
-def _cmd_claims(args):
-    config, g = _load(args)
+def _cmd_claims(args, config, g):
     report = run_claims(config, g=g)
-    _write_report(report, args)
     c1 = report["claim1"]
     c2 = report["claim2"]
-    print(
-        f"demands={report['demands_checked']} trees={report['trees_enumerated']} "
-        f"claim1 {c1['disagreements']}/{c1['checks']} disagreements, "
-        f"claim2 {c2['violations']} violations (min mass {c2['min_cut_mass']})",
-        file=sys.stderr,
-    )
-    if c1["disagreements"] or c2["violations"]:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def _cmd_gen(args):
-    g = generate_instance(parse_gen_spec(args.spec))
-    text = serialize_graph(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"generated n={g.n} m={g.m}", file=sys.stderr)
-    return EXIT_OK
+    summary = (f"demands={report['demands_checked']} trees={report['trees_enumerated']} "
+               f"claim1 {c1['disagreements']}/{c1['checks']} disagreements, "
+               f"claim2 {c2['violations']} violations (min mass {c2['min_cut_mass']})")
+    return report, summary, EXIT_INFEASIBLE if c1["disagreements"] or c2["violations"] else EXIT_OK
 
 
 def build_parser():
@@ -266,31 +219,31 @@ def build_parser():
     p = sub.add_parser("gen", help="write a generated instance as graph text")
     p.add_argument("--spec", required=True, help="family:key=value,... e.g. er:n=10,p=0.3,seed=1")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gen)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (GraphSyntaxError, GraphError, BadSpec, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (PathExplosion, TooLarge, ExplosionCap) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DirspanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        if args.command == "gen":
+            g = generate_instance(parse_gen_spec(args.spec))
+            text, summary, code = serialize_graph(g), f"generated n={g.n} m={g.m}", EXIT_OK
+        else:
+            report, summary, code = args.func(args, *_load(args))
+            text = dumps_report(report) + "\n"
+        if args.out:
+            _write_file(args.out, text)
+        else:
+            sys.stdout.write(text)
+    except Exception as exc:
+        for types, label, failure in FAILURES:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return failure
+        raise
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

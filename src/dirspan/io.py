@@ -1,24 +1,37 @@
-"""Graph text format and deterministic report serialization.
+"""Graph and subgraph text formats and deterministic report serialization.
 
 Graph files: a header line "n m" followed by m lines "tail head length",
-whitespace separated.  '#' starts a comment anywhere; blank lines are
-ignored.  Lengths may be integers or decimals.
+whitespace separated.  Subgraph files: lines "tail head", each naming an
+edge of the graph.  In both, '#' starts a comment anywhere and blank lines
+are ignored.  Lengths may be integers or decimals.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
-from .errors import GraphSyntaxError
+from .errors import BadSpec, GraphSyntaxError
 from .graph import build_graph
 
 
-def parse_graph(text):
-    data = []
+def _data_lines(text):
+    """(1-based line number, text) of every line that holds data once its comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            data.append((lineno, line))
+            yield lineno, line
+
+
+def _endpoints(parts, line, lineno):
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphSyntaxError(f"endpoints must be integers, got {line!r}", line=lineno) from None
+
+
+def parse_graph(text):
+    data = list(_data_lines(text))
     if not data:
         raise GraphSyntaxError("no header line", line=1)
     lineno, header = data[0]
@@ -38,16 +51,27 @@ def parse_graph(text):
         parts = line.split()
         if len(parts) != 3:
             raise GraphSyntaxError(f"edge line must be 'tail head length', got {line!r}", line=lineno)
-        try:
-            tail, head = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphSyntaxError(f"endpoints must be integers, got {line!r}", line=lineno) from None
+        tail, head = _endpoints(parts, line, lineno)
         try:
             length = float(parts[2])
         except ValueError:
             raise GraphSyntaxError(f"length must be a number, got {parts[2]!r}", line=lineno) from None
         edges.append((tail, head, length))
     return build_graph(n, edges)
+
+
+def parse_subgraph(g, text):
+    """The edge indices of g that a subgraph file's 'tail head' lines select."""
+    chosen = []
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) < 2:
+            raise GraphSyntaxError(f"subgraph line must be 'tail head', got {line!r}", line=lineno)
+        tail, head = _endpoints(parts, line, lineno)
+        if (tail, head) not in g.edge_index:
+            raise BadSpec(f"subgraph edge ({tail}, {head}) is not an edge of the graph")
+        chosen.append(g.edge_index[(tail, head)])
+    return frozenset(chosen)
 
 
 def _length_text(val):
@@ -108,25 +132,14 @@ def _emit(obj, out):
         raise TypeError(f"report cannot serialize {type(obj).__name__}")
 
 
+# the short escapes, and \u00XX for every other control character
+_ESCAPES = {chr(c): f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES.update({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
 def _escape(s):
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], s) + '"'
 
 
 def dumps_report(obj):

@@ -15,6 +15,7 @@ from dirspan import (
     serialize_graph,
 )
 
+from dirspan.io import parse_subgraph
 from oracles import make_rng, random_edge_list
 
 
@@ -63,6 +64,18 @@ def test_parse_errors_carry_line_numbers(text, line):
         assert exc.value.line == line
 
 
+def test_parse_subgraph_shares_the_graph_line_rules():
+    g = parse_graph("3 3\n0 1 1\n0 2 1\n1 2 1\n")
+    assert parse_subgraph(g, "# H\n\n1 2   # second\n0 1\n1 2\n") == frozenset({0, 2})
+    assert parse_subgraph(g, "") == frozenset()
+    for text, line in (("0 1\n\n# c\n2\n", 4), ("# c\n0 one\n", 2)):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_subgraph(g, text)
+        assert exc.value.line == line
+    with pytest.raises(BadSpec, match=r"subgraph edge \(2, 1\) is not an edge of the graph"):
+        parse_subgraph(g, "0 1\n2 1\n")
+
+
 def test_parse_surfaces_semantic_errors():
     with pytest.raises(DuplicateEdge):
         parse_graph("2 2\n0 1 1\n0 1 2\n")
@@ -84,6 +97,26 @@ def test_dumps_report_is_valid_json():
         "nested": {"empty": [], "blank": {}},
     }
     assert json.loads(dumps_report(obj)) == obj
+
+
+# the escape of every code point below 0x80: the short escapes, \u00XX for other control characters
+CONTROL_ESCAPES = (
+    r"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f"
+    r"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f"
+)
+PRINTABLE_ESCAPES = (
+    ' !\\"#$%&\'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\x7f'
+)
+
+
+def test_dumps_report_escapes_are_pinned():
+    ascii_text = "".join(map(chr, range(0x80)))
+    assert dumps_report(ascii_text) == f'"{CONTROL_ESCAPES}{PRINTABLE_ESCAPES}"'
+    assert dumps_report({ascii_text: 0}) == f'{{"{CONTROL_ESCAPES}{PRINTABLE_ESCAPES}": 0}}'
+    for c in range(0x80):
+        assert json.loads(dumps_report(chr(c))) == chr(c)
+    # a non-ASCII and an astral character pass through unescaped
+    assert dumps_report("é\U0001d11e") == '"é\U0001d11e"'
 
 
 def test_dumps_report_deterministic_bytes():

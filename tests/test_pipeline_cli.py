@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import io
 import json
 import math
@@ -348,6 +349,26 @@ def test_cli_round_rejects_untrusted_objective_or_status(tmp_path, capsys, dump,
     bad = tmp_path / "lp.json"
     bad.write_text(json.dumps({"n": 3, "m": 3, "k": 2, "x": [1, 0, 1], **dump}))
     code, out, err = _run(capsys, ["round", str(gpath), "-k", "2", "--lp", str(bad), "--trials", trials])
+    assert (code, out, err) == (2, "", message)
+
+
+# a JSON integer past the largest double is not a finite number, and neither is a sum of x past it
+@pytest.mark.parametrize(
+    "dump, message",
+    [
+        ({"objective": 10**400, "x": [1, 0, 1]}, f"error: LP dump objective {10**400} is not a finite number\n"),
+        ({"objective": 2, "x": [1, 10**400, 1]},
+         f"error: LP dump x[1] = {10**400} is not a finite nonnegative number\n"),
+        ({"objective": 2, "x": [1e308, 1e308, 0]}, "error: LP dump x sums past the largest double\n"),
+    ],
+    ids=["objective-1e400", "x-1e400", "x-sum-past-double"],
+)
+def test_cli_round_rejects_numbers_past_the_double_range(tmp_path, capsys, dump, message):
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    bad = tmp_path / "lp.json"
+    bad.write_text(json.dumps({"n": 3, "m": 3, "k": 2, **dump}))
+    code, out, err = _run(capsys, ["round", str(gpath), "-k", "2", "--lp", str(bad)])
     assert (code, out, err) == (2, "", message)
 
 
@@ -712,6 +733,28 @@ def test_each_input_subcommand_loads_its_graph_once(tmp_path, capsys, monkeypatc
     assert loads == [str(gpath)]
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [*((command, "input") for command in INPUT_COMMANDS), *((command, "--out") for command in (*INPUT_COMMANDS, "gen")),
+     ("round", "--lp"), ("verify", "--subgraph"), ("lp", "--export-lp")],
+)
+def test_cli_directory_path_is_exit_2(tmp_path, capsys, command, flag):
+    # a directory where the CLI opens a file; unlike chmod, it also stops a run as root
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    (tmp_path / "h.txt").write_text("0 1\n1 2\n")
+    assert _run(capsys, ["lp", str(gpath), "-k", "2", "--out", str(tmp_path / "lp.json")])[0] == 0
+    if command == "gen":
+        argv = ["gen", "--spec", "cycle:n=3"]
+    else:
+        argv = _input_argv(tmp_path, command, tmp_path if flag == "input" else gpath, "2")
+    if flag != "input":
+        argv += [flag, str(tmp_path)]  # argparse keeps the last --lp or --subgraph given
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
+
+
 # 3 * 1e308 overflows to inf, and the empty subgraph then passes as a 3-spanner
 OVERFLOW_TEXT = "2 1\n0 1 1e308\n"
 
@@ -761,14 +804,15 @@ def cli_inputs(draw):
 def test_cli_exit_codes_are_documented(tmp_path_factory, case):
     g, subgraph, k, alpha = case
     d = tmp_path_factory.mktemp("cli")
-    gpath, hpath, out = d / "g.txt", d / "h.txt", d / "out.json"
+    gpath, hpath, out, dump = d / "g.txt", d / "h.txt", d / "out.json", d / "lp.json"
     gpath.write_text(serialize_graph(g))
     hpath.write_text("".join(f"{t} {h}\n" for t, h in subgraph))
     common = [str(gpath), "-k", str(k), "--out", str(out)]
     runs = [
         ["solve", *common],
         ["solve", *common, "--alpha", alpha],
-        ["lp", *common],
+        ["lp", *common[:3], "--out", str(dump)],
+        ["round", *common, "--lp", str(dump), "--alpha", alpha],
         ["oracle", *common],
         ["claims", *common],
         ["verify", *common, "--subgraph", str(hpath)],
@@ -776,6 +820,8 @@ def test_cli_exit_codes_are_documented(tmp_path_factory, case):
     total = sum(length for _, _, length in g.edges)
     out_of_range = not math.isfinite(k * total * 2.5 + 1.0)  # the range rule: some sum a run forms would overflow
     for argv in runs:
+        if argv[0] == "round" and not dump.exists():
+            continue  # lp failed and wrote no dump for round to read
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)  # an exception escaping main fails the test with its traceback
