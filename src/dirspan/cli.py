@@ -141,7 +141,11 @@ def _dump_x(dump, m):
 
 
 def _cmd_round(args, config, g):
-    dump = json.loads(_read_file(args.lp))
+    text = _read_file(args.lp)
+    try:
+        dump = json.loads(text)
+    except RecursionError:
+        raise BadSpec("LP dump is nested too deeply to read") from None
     if not isinstance(dump, dict):
         raise BadSpec("LP dump must be a JSON object")
     if not _finite(dump.get("objective")):

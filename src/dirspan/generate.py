@@ -51,7 +51,7 @@ def generate_instance(spec):
             val = float(val)
         except (TypeError, ValueError):
             raise BadSpec(f"{family}: parameter {name!r} must be a number, got {val!r}") from None
-        if (low is not None and val < low) or (high is not None and val > high):
+        if not ((low is None or val >= low) and (high is None or val <= high)):  # NaN fails both
             raise BadSpec(f"{family}: parameter {name!r} out of range: {val}")
         return val
 
@@ -130,6 +130,8 @@ def parse_gen_spec(text):
                     gen_seed = int(val)
                 except ValueError:
                     raise BadSpec(f"seed must be an integer, got {val!r}") from None
+                if gen_seed < 0:
+                    raise BadSpec(f"seed must be >= 0, got {gen_seed}")
             else:
                 params[key] = val
     return GenSpec(family=family, params=params, gen_seed=gen_seed)

@@ -157,16 +157,48 @@ def _select_parents(g, source, dist, outward):
     return parent
 
 
-def shortest_path_tree(g, root):
+class DistanceTable:
+    """G's full single-source distance rows for one run, each computed on first request.
+
+    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w.
+    A row is kept once computed, so the path sets, the trees and the spanner
+    check of one run share every search; readers never change a row.  A
+    table lives for one run: nothing keeps it on the graph.
+    """
+
+    __slots__ = ("g", "_out", "_in")
+
+    def __init__(self, g):
+        self.g = g
+        self._out = {}
+        self._in = {}
+
+    def outward(self, source):
+        row = self._out.get(source)
+        if row is None:
+            row = self._out[source] = _dijkstra(self.g.n, self.g.out_edges, self.g.edges, source)
+        return row
+
+    def inward(self, target):
+        row = self._in.get(target)
+        if row is None:
+            row = self._in[target] = _dijkstra(self.g.n, self.g.in_edges, self.g.edges, target, far=0)
+        return row
+
+
+def shortest_path_tree(g, root, table=None):
     """Edges of the root's outward and inward shortest-path trees, as one set.
 
     The outward tree reaches every vertex the root reaches and the inward
     tree every vertex that reaches the root; each tree path realizes the exact
-    shortest distance in its direction.
+    shortest distance in its direction.  table, a DistanceTable of g, supplies
+    the root's two rows; without one a fresh table computes them.
     """
     _check_vertex(g, root, "root")
-    outward = _dijkstra(g.n, g.out_edges, g.edges, root)
-    inward = _dijkstra(g.n, g.in_edges, g.edges, root, far=0)
+    if table is None:
+        table = DistanceTable(g)
+    outward = table.outward(root)
+    inward = table.inward(root)
     parents = _select_parents(g, root, outward, True) + _select_parents(g, root, inward, False)
     return frozenset(e for e in parents if e is not None)
 

@@ -54,14 +54,15 @@ def _path_edges(g, path):
     return [g.edge_index[(path[i], path[i + 1])] for i in range(len(path) - 1)]
 
 
-def build_lp(g, k, presolve=True):
+def build_lp(g, k, presolve=True, table=None):
     """Assemble the path formulation for every demand edge of g.
 
     presolve drops demands whose only within-budget path is the demand edge
     itself, fixing that edge's variable to >= 1 instead of carrying its rows.
+    table, a DistanceTable of g, is handed to the path enumeration.
     """
     m = g.m
-    demand_paths = demand_path_sets(g, k)
+    demand_paths = demand_path_sets(g, k, table)
     mandatory = {dp.demand for dp in demand_paths if presolve and dp.mandatory}
 
     # one pass over the demands: each row's flow columns (and capacity edge)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PathExplosion
-from .graph import INF, _dijkstra
+from .graph import INF, DistanceTable
 
 MAX_PATHS = 100_000  # within-budget simple paths one demand may have
 
@@ -30,18 +30,21 @@ class DemandPaths:
         return len(self.paths) == 1 and len(self.paths[0]) == 2
 
 
-def enumerate_demand_paths(g, k, demand):
+def enumerate_demand_paths(g, k, demand, table=None):
     """All simple within-budget paths for one demand edge.
 
-    Exact float pruning against the remaining inward distance; the prune is
-    lossless whenever length sums are exactly representable, which holds for
-    the integer lengths every generator in this package emits.  Exceeding
-    MAX_PATHS raises PathExplosion.
+    Exact float pruning against the remaining inward distance, the head's
+    inward row of table (a DistanceTable of g; a fresh one when not given);
+    the prune is lossless whenever length sums are exactly representable,
+    which holds for the integer lengths every generator in this package
+    emits.  Exceeding MAX_PATHS raises PathExplosion.
     """
     if k < 1:
         raise ValueError(f"stretch factor must be >= 1, got {k}")
+    if table is None:
+        table = DistanceTable(g)
     src, dst, _ = g.edges[demand]
-    to_dst = _dijkstra(g.n, g.in_edges, g.edges, dst, far=0)
+    to_dst = table.inward(dst)
     budget = k * to_dst[src]
 
     paths = []
@@ -76,16 +79,19 @@ def enumerate_demand_paths(g, k, demand):
     return DemandPaths(demand=demand, budget=budget, paths=tuple(paths), covered=covered)
 
 
-def demand_path_sets(g, k):
+def demand_path_sets(g, k, table=None):
     """The complete path set of every demand edge of g, indexed by demand.
 
-    Raises AssertionError when a demand has no path: its shortest path fits
-    the budget in exact arithmetic, so an empty set means float rounding in
-    the prune dropped it.
+    Every demand into the same head reads one inward row of table, a
+    DistanceTable of g (a fresh one when not given).  Raises AssertionError
+    when a demand has no path: its shortest path fits the budget in exact
+    arithmetic, so an empty set means float rounding in the prune dropped it.
     """
+    if table is None:
+        table = DistanceTable(g)
     out = []
     for d in range(g.m):
-        dp = enumerate_demand_paths(g, k, d)
+        dp = enumerate_demand_paths(g, k, d, table)
         if not dp.paths:
             raise AssertionError(f"demand {d} has no path within budget; shortest path must qualify")
         out.append(dp)

@@ -95,6 +95,7 @@ def build_spanner(
     force_tree_roots=None,
     g_dist=None,
     tree_cache=None,
+    table=None,
 ):
     """One full randomized construction plus an exact feasibility check.
 
@@ -107,7 +108,8 @@ def build_spanner(
     tree_cache, like g_dist, lets many trials on one graph share work: a dict
     from root to the edges of its shortest_path_tree, filled on the root's
     first use.  It keeps them as a tuple, which takes about a fifth of the
-    frozenset's memory.
+    frozenset's memory.  table, a DistanceTable of g, gives each new root's
+    two rows to shortest_path_tree.
     """
     if lp_sol.status != "optimal":
         raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
@@ -126,7 +128,7 @@ def build_spanner(
     tree_edges = set()
     for r in sorted(roots):
         if r not in tree_cache:
-            tree_cache[r] = tuple(shortest_path_tree(g, r))
+            tree_cache[r] = tuple(shortest_path_tree(g, r, table))
         tree_edges.update(tree_cache[r])
     e_h = frozenset(rounded | tree_edges)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .graph import _dijkstra
+from .graph import DistanceTable, _dijkstra
 from .paths import demand_path_sets
 
 MAX_FREE_EDGES = 22  # edges the optimum search may branch over
@@ -33,9 +33,15 @@ def _subset_out_edges(g, h_edges):
     return out
 
 
-def demand_distance_rows(g):
-    """dist_G rows for every demand tail, reusable across many H checks."""
-    return {s: _dijkstra(g.n, g.out_edges, g.edges, s) for s in sorted({tail for tail, _, _ in g.edges})}
+def demand_distance_rows(g, table=None):
+    """dist_G rows for every demand tail, reusable across many H checks.
+
+    The rows are table's outward rows (a DistanceTable of g; a fresh one when
+    not given), so a run's trees reuse them.
+    """
+    if table is None:
+        table = DistanceTable(g)
+    return {s: table.outward(s) for s in sorted({tail for tail, _, _ in g.edges})}
 
 
 def is_k_spanner(g, h_edges, k, g_dist=None):

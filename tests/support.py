@@ -4,11 +4,13 @@ Unlike oracles.py, these reuse the package's Dijkstra and subgraph
 adjacency: they restate a claim about the package's own structures in
 another form, so tests can check that both forms agree.  This module also
 holds cut_set_of_potentials, a rescan of every edge against a potential
-vector, which restates the cut masks that ClaimContext grows with each tree.
+vector, which restates the cut masks that ClaimContext grows with each tree,
+and the fresh_* references, which search G anew for every call instead of
+sharing one DistanceTable.
 """
 
-from dirspan import is_k_spanner
-from dirspan.graph import _dijkstra
+from dirspan import enumerate_demand_paths, is_k_spanner
+from dirspan.graph import DistanceTable, _dijkstra, _select_parents
 from dirspan.verify import SpannerCheck, _subset_out_edges
 
 
@@ -66,3 +68,16 @@ def eager_spanner_check(g, h_edges, k):
         if not h_rows[tail][head] <= k * g_rows[tail][head]:
             return SpannerCheck(feasible=False, violation=(d, g_rows[tail][head], h_rows[tail][head]))
     return SpannerCheck(feasible=True, violation=None)
+
+
+def fresh_path_sets(g, k):
+    """Every demand's path set, each enumerated with a table of its own."""
+    return tuple(enumerate_demand_paths(g, k, d, DistanceTable(g)) for d in range(g.m))
+
+
+def fresh_shortest_path_tree(g, root):
+    """The root's tree edges from two rows searched for this call alone."""
+    outward = _dijkstra(g.n, g.out_edges, g.edges, root)
+    inward = _dijkstra(g.n, g.in_edges, g.edges, root, far=0)
+    parents = _select_parents(g, root, outward, True) + _select_parents(g, root, inward, False)
+    return frozenset(e for e in parents if e is not None)

@@ -15,9 +15,12 @@ from dirspan import (
     reverse_graph,
     shortest_path_tree,
 )
-from dirspan.graph import _dijkstra, _select_parents
+from dirspan.graph import DistanceTable, _dijkstra, _select_parents
+from dirspan.paths import demand_path_sets
+from dirspan.verify import demand_distance_rows, is_k_spanner
 
 from oracles import dp_distances, make_rng, random_edge_list
+from support import fresh_path_sets, fresh_shortest_path_tree
 
 
 def outward_dist(g, source):
@@ -201,6 +204,60 @@ def test_tree_realizes_distances(data):
                 assert hops <= n
             assert total == dist[v] or math.isclose(total, dist[v])
     assert shortest_path_tree(g, root) == union
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shared_table_matches_fresh_searches(data):
+    # zero lengths give the tree parent tie-breaks; the readers take turns on one table
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = build_graph(n, [(t, h, float(data.draw(st.integers(min_value=0, max_value=3)))) for t, h in chosen])
+    k = data.draw(st.sampled_from((1, 1.5, 2, 3)))
+    roots = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n))
+    split = data.draw(st.integers(min_value=0, max_value=len(roots)))
+    h = frozenset(data.draw(st.lists(st.integers(min_value=0, max_value=max(g.m - 1, 0)), max_size=g.m)) if g.m else ())
+    table = DistanceTable(g)
+
+    def rows_unchanged():
+        for rows, dist in ((table._out, outward_dist), (table._in, inward_dist)):
+            for v, row in rows.items():
+                assert row == dist(g, v)
+
+    for r in roots[:split]:
+        assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)
+        rows_unchanged()
+    assert demand_path_sets(g, k, table) == fresh_path_sets(g, k)
+    rows_unchanged()
+    g_dist = demand_distance_rows(g, table)
+    rows_unchanged()
+    for subset in (h, frozenset(range(g.m))):
+        assert is_k_spanner(g, subset, k, g_dist=g_dist) == is_k_spanner(g, subset, k)
+        rows_unchanged()
+    for r in roots[split:]:
+        assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)
+        rows_unchanged()
+
+
+def test_distance_table_searches_each_row_once(monkeypatch):
+    import dirspan.graph
+
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.0)])
+    calls = []
+    dijkstra = dirspan.graph._dijkstra
+
+    def counting(n, adj, edges, source, far=1):
+        calls.append((far, source))
+        return dijkstra(n, adj, edges, source, far)
+
+    monkeypatch.setattr(dirspan.graph, "_dijkstra", counting)
+    table = DistanceTable(g)
+    for _ in range(2):
+        assert table.outward(0) == [0.0, 1.0, 3.0]
+        assert table.inward(0) == [0.0, 2.0, 0.0]
+        assert table.outward(0) is table.outward(0)
+    assert calls == [(1, 0), (0, 0)]
 
 
 def test_dijkstra_float_lengths_match_dp():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dirspan
+import dirspan.graph
 
 from dirspan import (
     BadSpec,
@@ -164,9 +165,9 @@ def test_run_claims_enumerates_each_demand_once(monkeypatch):
     seen = []
     enumerate_demand_paths = dirspan.paths.enumerate_demand_paths
 
-    def counting(g, k, demand):
+    def counting(g, k, demand, table=None):
         seen.append(demand)
-        return enumerate_demand_paths(g, k, demand)
+        return enumerate_demand_paths(g, k, demand, table)
 
     monkeypatch.setattr(dirspan.paths, "enumerate_demand_paths", counting)
     config = RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1)
@@ -234,6 +235,108 @@ def test_run_claims_reports_are_pinned(config, expected):
     report = run_claims(config, g)
     del report["timing"]
     assert report == expected
+
+
+# zero-length edges, so the tree parents are picked among tied shortest paths
+ZERO6_EDGES = [
+    (0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0), (2, 3, 1.0), (1, 3, 1.0), (3, 0, 0.0),
+    (3, 4, 2.0), (4, 5, 0.0), (5, 3, 0.0), (2, 4, 2.0), (4, 1, 1.0), (5, 0, 3.0),
+]
+# decimal lengths; at alpha 0.25 few vertices are roots, E_H != E and some trials are infeasible
+DEC8_EDGES = [
+    (0, 4, 0.1), (0, 6, 0.2), (1, 4, 0.7), (2, 5, 0.2), (2, 6, 1.1), (2, 7, 0.7), (3, 0, 0.1),
+    (3, 7, 0.3), (4, 0, 0.1), (4, 2, 0.1), (4, 5, 0.7), (4, 6, 1.1), (4, 7, 1.1), (5, 4, 1.1),
+    (6, 3, 0.7), (6, 5, 0.2), (7, 6, 0.3),
+]
+
+
+def _solve_report(instance, alpha, lp_value, trials, aggregate):
+    """A run_solve report without timing; each trial row is (seed, rounded, roots, tree edges, |E_H|, feasible)."""
+    keys = ("rounded_edges", "tree_roots", "tree_edges", "eh_size", "feasible")
+    return {
+        "instance": instance,
+        "alpha": alpha,
+        "lp": {"status": "optimal", "value": lp_value},
+        "opt": None,
+        "trials": [{"trial": i, "seed": seed, "alpha": alpha, **dict(zip(keys, rest))}
+                   for i, (seed, *rest) in enumerate(trials)],
+        "aggregate": aggregate,
+    }
+
+
+@pytest.mark.parametrize(
+    "edges, config, expected",
+    [
+        (
+            ZERO6_EDGES,
+            RunConfig(k=2, input="zero6", seed=3, trials=4),
+            _solve_report(
+                {"input": "zero6", "n": 6, "m": 12, "k": 2, "mode": "general"}, 8.958797346140274, 6.0,
+                [
+                    (2092789425003139053, 6, 6, 10, 10, True),
+                    (7958955049054603978, 6, 6, 10, 10, True),
+                    (7134611160154358618, 6, 6, 10, 10, True),
+                    (13647215125184110592, 6, 6, 10, 10, True),
+                ],
+                {"trials": 4, "feasible_fraction": 1.0, "mean_eh": 10.0, "max_eh": 10,
+                 "ratio_vs_lp": 1.6666666666666667, "ratio_vs_opt": None},
+            ),
+        ),
+        (
+            DEC8_EDGES,
+            RunConfig(k=2, input="dec8", seed=5, trials=12, alpha_override=0.25),
+            _solve_report(
+                {"input": "dec8", "n": 8, "m": 17, "k": 2, "mode": "general"}, 0.25, 13.0,
+                [
+                    (7134611160154358618, 9, 0, 0, 9, False),
+                    (13647215125184110592, 10, 2, 12, 12, False),
+                    (7191089600892374487, 9, 0, 0, 9, False),
+                    (11409396526365357622, 9, 2, 13, 13, True),
+                    (12587370737594032228, 8, 1, 10, 12, False),
+                    (614480483733483466, 12, 0, 0, 12, False),
+                    (5833679380957638813, 12, 2, 11, 13, True),
+                    (10682531704454680323, 11, 0, 0, 11, False),
+                    (14180207640020093695, 8, 1, 11, 12, False),
+                    (7685909621375755838, 9, 0, 0, 9, False),
+                    (9753551079159975941, 10, 1, 12, 13, True),
+                    (6764836397866521095, 11, 1, 12, 13, True),
+                ],
+                {"trials": 12, "feasible_fraction": 0.3333333333333333, "mean_eh": 11.5, "max_eh": 13,
+                 "ratio_vs_lp": 0.8846153846153846, "ratio_vs_opt": None},
+            ),
+        ),
+    ],
+    ids=["zero6-paper-alpha", "dec8-alpha0.25"],
+)
+def test_run_solve_reports_are_pinned(edges, config, expected):
+    # every byte but timing is pinned, so a change to the shared distance rows, the trees or the check shows here
+    report = run_solve(config, build_graph(max(max(t, h) for t, h, _ in edges) + 1, edges))
+    del report["timing"]
+    assert dumps_report(report) == dumps_report(expected)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [load_input("gen:er:n=12,p=0.25,seed=2"), build_graph(6, ZERO6_EDGES)],
+    ids=["er12", "zero6"],
+)
+def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
+    # at the paper's alpha every vertex is a root, so every vertex's two rows are needed, each once
+    dijkstra = dirspan.graph._dijkstra
+    searched = []
+
+    def recording(n, adj, edges, source, far=1):
+        if adj is g.out_edges or adj is g.in_edges:
+            searched.append(("out" if adj is g.out_edges else "in", source))
+        return dijkstra(n, adj, edges, source, far)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dirspan") and getattr(module, "_dijkstra", None) is dijkstra:
+            monkeypatch.setattr(module, "_dijkstra", recording)
+    report = run_solve(RunConfig(k=3, input="g", trials=3, seed=1), g)
+    assert all(t["tree_roots"] == g.n for t in report["trials"])
+    assert len(searched) == len(set(searched))
+    assert set(searched) == {(side, v) for side in ("out", "in") for v in range(g.n)}
 
 
 def _run(capsys, argv):
@@ -437,6 +540,32 @@ def test_cli_missing_file_is_exit_2(capsys):
 def test_cli_bad_gen_spec_is_exit_2(capsys):
     code, _, _ = _run(capsys, ["gen", "--spec", "er:n=5"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("er:n=5,p=nan,seed=1", "error: er: parameter 'p' out of range: nan\n"),
+        ("er:n=5,p=2,seed=1", "error: er: parameter 'p' out of range: 2.0\n"),
+        ("er:n=5,p=inf,seed=1", "error: er: parameter 'p' out of range: inf\n"),
+        ("layered:layers=2,width=2,p=nan", "error: layered: parameter 'p' out of range: nan\n"),
+        ("er:n=5,p=0.5,seed=-3", "error: seed must be >= 0, got -3\n"),
+    ],
+    ids=["p-nan", "p-2", "p-inf", "layered-p-nan", "seed-negative"],
+)
+def test_cli_generator_range_is_exit_2(capsys, spec, message):
+    # NaN fails every comparison, so it must not pass the range test as in range
+    assert _run(capsys, ["solve", f"gen:{spec}", "-k", "2"]) == (2, "", message)
+    assert _run(capsys, ["gen", "--spec", spec]) == (2, "", message)
+
+
+def test_cli_round_rejects_a_dump_nested_too_deeply(tmp_path, capsys):
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(TRIANGLE_TEXT)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = _run(capsys, ["round", str(gpath), "-k", "2", "--lp", str(deep)])
+    assert (code, out, err) == (2, "", "error: LP dump is nested too deeply to read\n")
 
 
 # every (subcommand, cap) pair that can trip, with a value that trips it on the triangle at k=2
