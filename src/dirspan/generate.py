@@ -59,11 +59,11 @@ def generate_instance(spec):
         n = take_int("n", minimum=2)
         p = take_float("p", low=0.0, high=1.0)
         max_len = take_int("max_len", default=1, minimum=1)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        draws = rng.random(len(pairs))
-        chosen = [pair for pair, d in zip(pairs, draws) if d < p]
-        lens = _lengths(rng, len(chosen), max_len)
-        edges = [(i, j, ln) for (i, j), ln in zip(chosen, lens)]
+        # draw k decides the k-th ordered pair (i, j), i != j, in row-major order
+        chosen = np.flatnonzero(rng.random(n * (n - 1)) < p)
+        tails, heads = np.divmod(chosen, n - 1)
+        heads += heads >= tails
+        edges = list(zip(tails.tolist(), heads.tolist(), _lengths(rng, len(chosen), max_len)))
     elif family == "cycle":
         n = take_int("n", minimum=2)
         max_len = take_int("max_len", default=1, minimum=1)
@@ -75,16 +75,11 @@ def generate_instance(spec):
         p = take_float("p", default=0.5, low=0.0, high=1.0)
         max_len = take_int("max_len", default=1, minimum=1)
         n = layers * width
-        pairs = [
-            (a * width + i, (a + 1) * width + j)
-            for a in range(layers - 1)
-            for i in range(width)
-            for j in range(width)
-        ]
-        draws = rng.random(len(pairs))
-        chosen = [pair for pair, d in zip(pairs, draws) if d < p]
-        lens = _lengths(rng, len(chosen), max_len)
-        edges = [(i, j, ln) for (i, j), ln in zip(chosen, lens)]
+        # draw k = (a * width + i) * width + j decides the pair (a * width + i, (a + 1) * width + j)
+        chosen = np.flatnonzero(rng.random((layers - 1) * width * width) < p)
+        tails = chosen // width
+        heads = (chosen // (width * width) + 1) * width + chosen % width
+        edges = list(zip(tails.tolist(), heads.tolist(), _lengths(rng, len(chosen), max_len)))
     elif family == "grid":
         rows = take_int("rows", minimum=1)
         cols = take_int("cols", minimum=1)

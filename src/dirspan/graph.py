@@ -13,9 +13,13 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .errors import DuplicateEdge, IndexOutOfRange, NegativeLength, SelfLoop
 
 INF = math.inf
+# cells of one float temporary in a block of shortest_path_trees roots (128 KB)
+_BLOCK_CELLS = 1 << 14
 
 
 class DiGraph:
@@ -122,9 +126,11 @@ def _select_parents(g, source, dist, outward):
     Outward, w's parent is an edge entering w from an attached tail; inward,
     an edge leaving w toward an attached head.  Rule: lowest tight edge index
     whose near end is already attached, scanning vertices in (distance, index)
-    order.  With positive lengths one pass attaches everything and the rule
-    reduces to plain lowest-tight-index; the attachment condition only matters
-    for zero-length ties, where it keeps the parent pointers acyclic.
+    order.  When every tight edge climbs strictly in distance, one pass
+    attaches everything and the rule reduces to plain lowest-tight-index; the
+    attachment condition only matters for tight edges between equal distances
+    (a zero length, or a positive one absorbed by rounding, as in
+    1e300 + 1.0 == 1e300), where it keeps the parent pointers acyclic.
     """
     adj, near = (g.in_edges, 0) if outward else (g.out_edges, 1)
     parent = [None] * g.n
@@ -166,12 +172,13 @@ class DistanceTable:
     table lives for one run: nothing keeps it on the graph.
     """
 
-    __slots__ = ("g", "_out", "_in")
+    __slots__ = ("g", "_out", "_in", "_groups")
 
     def __init__(self, g):
         self.g = g
         self._out = {}
         self._in = {}
+        self._groups = None
 
     def outward(self, source):
         row = self._out.get(source)
@@ -185,6 +192,86 @@ class DistanceTable:
             row = self._in[target] = _dijkstra(self.g.n, self.g.in_edges, self.g.edges, target, far=0)
         return row
 
+    def edge_groups(self):
+        """G's edges grouped by the vertex a tree parent edge reaches, built on first request.
+
+        Returns (near, far, length, ids, starts, split) over 2m slots: the m
+        outward slots, each edge grouped under its head, then the m inward
+        ones, each under its tail.  Groups run in ascending vertex order with
+        ascending edge index inside; starts holds the first slot of each
+        non-empty group and split the number of outward groups.  near and far
+        index a row [outward(r) | inward(r)] of 2n distances.
+        """
+        if self._groups is None:
+            g = self.g
+            near, far, length, ids, starts = [], [], [], [], []
+            for shift, adj, near_end in ((0, g.in_edges, 0), (g.n, g.out_edges, 1)):
+                for w, lst in enumerate(adj):
+                    if lst:
+                        starts.append(len(ids))
+                    for e in lst:
+                        edge = g.edges[e]
+                        near.append(edge[near_end] + shift)
+                        far.append(w + shift)
+                        length.append(edge[2])
+                        ids.append(e)
+            self._groups = (
+                np.array(near, dtype=np.intp),
+                np.array(far, dtype=np.intp),
+                np.array(length, dtype=float),
+                np.array(ids, dtype=np.intp),
+                np.array(starts, dtype=np.intp),
+                sum(1 for lst in g.in_edges if lst),
+            )
+        return self._groups
+
+
+def shortest_path_trees(g, roots, table=None):
+    """Boolean edge rows of the roots' shortest-path trees, one row per root.
+
+    Row i marks the edges of roots[i]'s outward and inward trees, exactly
+    the set shortest_path_tree returns.  table, a DistanceTable of g,
+    supplies the rows and the edge grouping; without one a fresh table
+    computes them.  Roots go in blocks of _BLOCK_CELLS cells per temporary,
+    so memory stays flat however many roots are asked for.
+
+    A vertex's parent is its lowest-index tight edge, the edge _select_parents
+    picks whenever every tight edge climbs strictly in distance.  A root and
+    direction with a tight edge between two equal distances (a zero length,
+    or a positive one absorbed by rounding) goes through _select_parents
+    itself.  A tight edge into the root is such an edge, since it needs
+    dist 0 at its near end, so the root's own group needs no mask.
+    """
+    roots = list(roots)
+    for r in roots:
+        _check_vertex(g, r, "root")
+    if table is None:
+        table = DistanceTable(g)
+    # column m collects the groups without a tight edge and is dropped at the end
+    member = np.zeros((len(roots), g.m + 1), dtype=bool)
+    if not g.m:
+        return member[:, : g.m]
+    near, far, length, ids, starts, split = table.edge_groups()
+    step = max(1, _BLOCK_CELLS // (2 * max(g.n, g.m)))
+    with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf, which is never tight
+        for lo in range(0, len(roots), step):
+            block = roots[lo : lo + step]
+            dist = np.array([table.outward(r) + table.inward(r) for r in block], dtype=float)
+            dist[dist == INF] = np.nan  # nan is never tight, at either end
+            d_near = dist[:, near]
+            d_far = dist[:, far]
+            tight = d_near + length == d_far
+            chosen = np.minimum.reduceat(np.where(tight, ids, g.m), starts, axis=1)
+            ties = tight & (d_near == d_far)
+            if ties.any():
+                for i, inward in zip(*ties.reshape(len(block), 2, g.m).any(axis=2).nonzero()):
+                    chosen[i, slice(split, None) if inward else slice(split)] = g.m
+                    r = block[i]
+                    parents = _select_parents(g, r, table.inward(r) if inward else table.outward(r), not inward)
+                    member[lo + i, [e for e in parents if e is not None]] = True
+            member[np.arange(lo, lo + len(block))[:, None], chosen] = True
+    return member[:, : g.m]
+
 
 def shortest_path_tree(g, root, table=None):
     """Edges of the root's outward and inward shortest-path trees, as one set.
@@ -194,13 +281,7 @@ def shortest_path_tree(g, root, table=None):
     shortest distance in its direction.  table, a DistanceTable of g, supplies
     the root's two rows; without one a fresh table computes them.
     """
-    _check_vertex(g, root, "root")
-    if table is None:
-        table = DistanceTable(g)
-    outward = table.outward(root)
-    inward = table.inward(root)
-    parents = _select_parents(g, root, outward, True) + _select_parents(g, root, inward, False)
-    return frozenset(e for e in parents if e is not None)
+    return frozenset(shortest_path_trees(g, (root,), table)[0].nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)

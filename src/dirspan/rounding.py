@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import shortest_path_tree
+from .graph import shortest_path_trees
 from .verify import is_k_spanner
 
 EDGE_STREAM = 0
@@ -106,10 +106,10 @@ def build_spanner(
     single pass over the whole graph equals running each component alone.
 
     tree_cache, like g_dist, lets many trials on one graph share work: a dict
-    from root to the edges of its shortest_path_tree, filled on the root's
-    first use.  It keeps them as a tuple, which takes about a fifth of the
-    frozenset's memory.  table, a DistanceTable of g, gives each new root's
-    two rows to shortest_path_tree.
+    from root to its shortest_path_trees row, a boolean array over g's edges,
+    filled on the root's first use; every new root of a trial is built in
+    one shortest_path_trees call.  table, a DistanceTable of g, gives the new
+    roots' rows and g's edge grouping to that call.
     """
     if lp_sol.status != "optimal":
         raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
@@ -125,18 +125,18 @@ def build_spanner(
 
     if tree_cache is None:
         tree_cache = {}
-    tree_edges = set()
-    for r in sorted(roots):
-        if r not in tree_cache:
-            tree_cache[r] = tuple(shortest_path_tree(g, r, table))
-        tree_edges.update(tree_cache[r])
-    e_h = frozenset(rounded | tree_edges)
+    new = sorted(r for r in roots if r not in tree_cache)
+    if new:
+        tree_cache.update(zip(new, shortest_path_trees(g, new, table)))
+    rows = [tree_cache[r] for r in roots]
+    tree_edges = frozenset(np.logical_or.reduce(rows).nonzero()[0].tolist() if rows else ())
+    e_h = rounded | tree_edges
 
     check = is_k_spanner(g, e_h, params.k, g_dist=g_dist)
     return SpannerResult(
         rounded_edges=rounded,
         tree_roots=roots,
-        tree_edges=frozenset(tree_edges),
+        tree_edges=tree_edges,
         e_h=e_h,
         feasible=check.feasible,
     )

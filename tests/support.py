@@ -6,8 +6,11 @@ another form, so tests can check that both forms agree.  This module also
 holds cut_set_of_potentials, a rescan of every edge against a potential
 vector, which restates the cut masks that ClaimContext grows with each tree,
 and the fresh_* references, which search G anew for every call instead of
-sharing one DistanceTable.
+sharing one DistanceTable.  listed_generator_edges restates the er and
+layered generators with a Python list of every candidate pair.
 """
+
+import numpy as np
 
 from dirspan import enumerate_demand_paths, is_k_spanner
 from dirspan.graph import DistanceTable, _dijkstra, _select_parents
@@ -81,3 +84,30 @@ def fresh_shortest_path_tree(g, root):
     inward = _dijkstra(g.n, g.in_edges, g.edges, root, far=0)
     parents = _select_parents(g, root, outward, True) + _select_parents(g, root, inward, False)
     return frozenset(e for e in parents if e is not None)
+
+
+def listed_generator_edges(family, n_or_layers, p, max_len=1, width=None, seed=0):
+    """Edges of an er or layered spec, drawn over an explicit list of candidate pairs.
+
+    er takes n vertices; layered takes layers and width.  The draws come from
+    the generator's stream in the same order: one uniform per candidate pair,
+    then one length per chosen pair.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+    if family == "er":
+        n = n_or_layers
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    else:
+        pairs = [
+            (a * width + i, (a + 1) * width + j)
+            for a in range(n_or_layers - 1)
+            for i in range(width)
+            for j in range(width)
+        ]
+    draws = rng.random(len(pairs))
+    chosen = [pair for pair, d in zip(pairs, draws) if d < p]
+    if max_len <= 1:
+        lens = [1.0] * len(chosen)
+    else:
+        lens = [float(v) for v in rng.integers(1, max_len + 1, size=len(chosen))]
+    return tuple((i, j, ln) for (i, j), ln in zip(chosen, lens))

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from dirspan import (
     reverse_graph,
     shortest_path_tree,
 )
-from dirspan.graph import DistanceTable, _dijkstra, _select_parents
+import dirspan.graph
+from dirspan.graph import DistanceTable, _dijkstra, _select_parents, shortest_path_trees
 from dirspan.paths import demand_path_sets
 from dirspan.verify import demand_distance_rows, is_k_spanner
 
@@ -307,3 +309,77 @@ def test_inward_walk_matches_reversed_graph(data):
     reference = outward_dist(r, source)
     assert inward == reference
     assert _select_parents(g, source, inward, False) == _select_parents(r, source, reference, True)
+
+
+def tree_rows(g, roots, table):
+    return [frozenset(row.nonzero()[0].tolist()) for row in shortest_path_trees(g, roots, table)]
+
+
+BULK_LENGTHS = (0.0, 0.1, 0.3, 0.7, 1.0, 1.1, 2.0, 1e300, 2e300, 1e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bulk_trees_match_per_root_scan(data):
+    # zero lengths and 1e300 + 1.0 == 1e300 give tight edges between equal
+    # distances, 1e308 sums overflow; a tiny cell budget splits the roots
+    # into blocks of one to three, so most calls take several blocks
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = build_graph(n, [(t, h, data.draw(st.sampled_from(BULK_LENGTHS))) for t, h in chosen])
+    cells = data.draw(st.integers(min_value=1, max_value=6 * max(n, g.m)))
+    table = DistanceTable(g)
+    with mock.patch.object(dirspan.graph, "_BLOCK_CELLS", cells):
+        for _ in range(2):  # the second call reuses the table's rows and edge grouping
+            roots = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n + 3))
+            member = shortest_path_trees(g, roots, table)
+            assert member.dtype == bool and member.shape == (len(roots), g.m)
+            assert tree_rows(g, roots, table) == [fresh_shortest_path_tree(g, r) for r in roots]
+
+
+def lowest_tight_edge(g, dist, w):
+    return min(e for e in g.in_edges[w] if dist[g.edges[e][0]] + g.edges[e][2] == dist[w])
+
+
+@pytest.mark.parametrize(
+    "edges,vertex,lowest,scanned",
+    [
+        # zero length: vertex 1 (dist 1) attaches only through 4 -> 1 of length 0,
+        # and 4 sorts after 1, so the scan skips edge 1 from 1 and takes edge 11
+        (
+            [(0, 2, 1), (1, 3, 2), (1, 4, 1), (2, 0, 2), (2, 1, 2), (2, 4, 0),
+             (3, 1, 1), (3, 4, 1), (4, 0, 2), (4, 1, 0), (4, 2, 1), (4, 3, 2)],
+            3, 1, 11,
+        ),
+        # absorbed length: 1e300 + 1.0 == 1e300 ties vertices 1, 2 and 3, and 3
+        # sorts after 1, so the scan skips edge 7 from 3 and takes edge 9
+        (
+            [(0, 3, 1e300), (0, 4, 1), (1, 0, 1), (1, 2, 1), (2, 3, 2e300), (2, 4, 1e300),
+             (3, 0, 1), (3, 1, 1), (3, 2, 1e300), (4, 1, 1e300), (4, 3, 1e300)],
+            1, 7, 9,
+        ),
+    ],
+    ids=["zero-length", "absorbed-length"],
+)
+def test_bulk_trees_keep_the_scan_where_lowest_tight_edge_differs(edges, vertex, lowest, scanned):
+    # a positive lowest tight edge is not always the scan's pick: the bulk rule
+    # must send these rows through the ordered scan
+    g = build_graph(5, edges)
+    table = DistanceTable(g)
+    dist = table.outward(0)
+    assert lowest_tight_edge(g, dist, vertex) == lowest
+    assert _select_parents(g, 0, dist, True)[vertex] == scanned
+    (tree,) = tree_rows(g, [0], table)
+    assert tree == fresh_shortest_path_tree(g, 0)
+    assert scanned in tree and lowest not in tree
+
+
+def test_bulk_trees_skip_overflowing_sums():
+    # 1e308 + 1e308 is inf: vertex 2 is unreachable from 0, so no edge may
+    # attach it, although the sum equals its infinite distance
+    g = build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    table = DistanceTable(g)
+    assert table.outward(0) == [0.0, 1e308, INF]
+    assert tree_rows(g, [0, 2], table) == [frozenset({0}), frozenset({1})]
+    assert tree_rows(g, [0, 2], table) == [fresh_shortest_path_tree(g, r) for r in (0, 2)]

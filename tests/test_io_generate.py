@@ -17,6 +17,7 @@ from dirspan import (
 
 from dirspan.io import parse_subgraph
 from oracles import make_rng, random_edge_list
+from support import listed_generator_edges
 
 
 def test_parse_basic():
@@ -146,6 +147,26 @@ def test_er_generator_deterministic():
     c = generate_instance(GenSpec("er", {"n": 8, "p": 0.3}, gen_seed=6))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "spec,listed",
+    [
+        ("er:n=2,p=1", ("er", 2, 1.0)),
+        ("er:n=10,p=0.35,max_len=4,seed=4", ("er", 10, 0.35, 4, None, 4)),
+        ("er:n=40,p=0.1,seed=1", ("er", 40, 0.1, 1, None, 1)),
+        ("er:n=200,p=0.01,seed=1", ("er", 200, 0.01, 1, None, 1)),
+        ("er:n=31,p=0.5,max_len=9,seed=12", ("er", 31, 0.5, 9, None, 12)),
+        ("layered:layers=2,width=1,p=1", ("layered", 2, 1.0, 1, 1)),
+        ("layered:layers=4,width=3,seed=2", ("layered", 4, 0.5, 1, 3, 2)),
+        ("layered:layers=5,width=7,p=0.3,max_len=5,seed=8", ("layered", 5, 0.3, 5, 7, 8)),
+        ("layered:layers=3,width=1,p=0.5,seed=3", ("layered", 3, 0.5, 1, 1, 3)),
+    ],
+)
+def test_index_array_generators_match_listed_pairs(spec, listed):
+    # every generated graph, and every digest built on one, is pinned to the
+    # draw-per-listed-pair construction
+    assert generate_instance(parse_gen_spec(spec)).edges == listed_generator_edges(*listed)
 
 
 def test_cycle_generator():

@@ -803,6 +803,23 @@ def test_cli_internal_error_has_no_traceback(tmp_path, command):
     assert proc.stderr == "internal error: demand 5 has no path within budget; shortest path must qualify\n"
 
 
+def test_runtime_never_imports_scipy():
+    # importing scipy.sparse.csgraph alone costs about 0.25 s and 32 MB of
+    # RSS; scipy belongs to the tests' oracles, never to a run
+    code = (
+        "import sys\n"
+        "from dirspan import RunConfig, generate_instance, parse_gen_spec, run_solve\n"
+        "spec = 'er:n=8,p=0.3,seed=1'\n"
+        "report = run_solve(RunConfig(k=2, input='gen:' + spec, trials=3), generate_instance(parse_gen_spec(spec)))\n"
+        "assert report['trials'] and report['aggregate']['feasible_fraction'] is not None\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dirspan.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "round"])
 def test_cli_empty_graph_with_alpha(tmp_path, capsys, command):
     # n = 0 samples no roots instead of dividing by sqrt(0)

@@ -136,8 +136,9 @@ def test_shared_tree_cache_changes_nothing():
         shared = build_spanner(g, sol, params, tree_cache=cache, **forced)
         assert shared == build_spanner(g, sol, params, **forced)
     assert cache and set(cache) <= set(range(n))
-    for root, tree in cache.items():
-        assert frozenset(tree) == shortest_path_tree(g, root)
+    for root, row in cache.items():
+        assert row.dtype == bool and row.shape == (g.m,)
+        assert frozenset(np.flatnonzero(row).tolist()) == shortest_path_tree(g, root)
 
 
 def test_forcing_roots_leaves_edge_stream_alone():
