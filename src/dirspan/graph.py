@@ -164,20 +164,22 @@ def _select_parents(g, source, dist, outward):
 
 
 class DistanceTable:
-    """G's full single-source distance rows for one run, each computed on first request.
+    """One run's cache of G: its distance rows and shortest-path trees, each computed on first request.
 
-    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w.
-    A row is kept once computed, so the path sets, the trees and the spanner
-    check of one run share every search; readers never change a row.  A
-    table lives for one run: nothing keeps it on the graph.
+    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w,
+    and trees(roots) gives each root's tree edges.  Everything is kept once
+    computed, so the path sets, the trees and the spanner check of one run
+    share every search, and no other code searches G; readers never change
+    what they get.  A table lives for one run: nothing keeps it on the graph.
     """
 
-    __slots__ = ("g", "_out", "_in", "_groups")
+    __slots__ = ("g", "_out", "_in", "_trees", "_groups")
 
     def __init__(self, g):
         self.g = g
         self._out = {}
         self._in = {}
+        self._trees = {}
         self._groups = None
 
     def outward(self, source):
@@ -191,6 +193,16 @@ class DistanceTable:
         if row is None:
             row = self._in[target] = _dijkstra(self.g.n, self.g.in_edges, self.g.edges, target, far=0)
         return row
+
+    def trees(self, roots):
+        """Each root's shortest_path_trees row, a boolean array over g's edges, in the order given.
+
+        The roots not kept yet are built in one shortest_path_trees call.
+        """
+        new = sorted(set(roots) - self._trees.keys())
+        if new:
+            self._trees.update(zip(new, shortest_path_trees(self.g, new, self)))
+        return [self._trees[r] for r in roots]
 
     def edge_groups(self):
         """G's edges grouped by the vertex a tree parent edge reaches, built on first request.

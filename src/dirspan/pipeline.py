@@ -19,7 +19,7 @@ from .errors import BadSpec
 from .graph import DistanceTable, induced_subgraph
 from .lp import build_lp, solve_lp
 from .rounding import RoundingParams, build_spanner, select_alpha
-from .verify import brute_force_opt, demand_distance_rows
+from .verify import brute_force_opt
 
 MASK64 = (1 << 64) - 1
 
@@ -64,8 +64,9 @@ def run_solve(config, g, opt=None, sol=None):
     Returns a plain dict ready for dumps_report; the per-trial records are a
     pure function of the config, while timing lives only at the top level.
     A pre-solved LP may be passed in to round without re-solving.  One
-    DistanceTable serves the path sets, the trees and the dist_G rows of
-    the spanner checks, so each row of G is searched at most once per run.
+    DistanceTable is the run's only cache: it serves the path sets, keeps
+    every root's trees and gives the spanner checks their dist_G rows, so
+    each row of G is searched and each root's trees built at most once.
     """
     t0 = time.perf_counter()
     mode = "unit" if g.unit_lengths() else "general"  # the regime of the alpha formula
@@ -78,12 +79,9 @@ def run_solve(config, g, opt=None, sol=None):
         sol = solve_lp(build_lp(g, config.k, table=table))
     t_lp = time.perf_counter()
 
-    g_dist = demand_distance_rows(g, table)
-    tree_cache = {}  # root -> its tree edges, shared by every trial of this run
-
     def one_trial(i):
         params = RoundingParams(alpha=alpha, seed=trial_seed(config.seed, i), k=config.k)
-        result = build_spanner(g, sol, params, g_dist=g_dist, tree_cache=tree_cache, table=table)
+        result = build_spanner(g, sol, params, table=table)
         return {
             "trial": i,
             "seed": params.seed,

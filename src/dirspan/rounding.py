@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import shortest_path_trees
+from .graph import DistanceTable
 from .verify import is_k_spanner
 
 EDGE_STREAM = 0
@@ -74,8 +74,7 @@ def sample_tree_roots(n, alpha, rng):
     if n == 0:
         return frozenset()
     p = min(alpha / math.sqrt(n), 1.0)
-    draws = rng.random(n)
-    return frozenset(v for v in range(n) if draws[v] < p)
+    return frozenset(np.flatnonzero(rng.random(n) < p).tolist())
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,7 @@ class SpannerResult:
     feasible: bool
 
 
-def build_spanner(
-    g,
-    lp_sol,
-    params,
-    force_rounded_edges=None,
-    force_tree_roots=None,
-    g_dist=None,
-    tree_cache=None,
-    table=None,
-):
+def build_spanner(g, lp_sol, params, force_rounded_edges=None, force_tree_roots=None, table=None):
     """One full randomized construction plus an exact feasibility check.
 
     The edge and root phases consume separate labeled streams of the master
@@ -105,11 +95,10 @@ def build_spanner(
     independent and shortest-path trees never leave a weak component, so a
     single pass over the whole graph equals running each component alone.
 
-    tree_cache, like g_dist, lets many trials on one graph share work: a dict
-    from root to its shortest_path_trees row, a boolean array over g's edges,
-    filled on the root's first use; every new root of a trial is built in
-    one shortest_path_trees call.  table, a DistanceTable of g, gives the new
-    roots' rows and g's edge grouping to that call.
+    table, a DistanceTable of g (a fresh one when not given), lets many
+    trials on one graph share work: it keeps each root's tree row and every
+    dist_G row the check reads.  A trial's tree edges are one OR over its
+    roots' rows.
     """
     if lp_sol.status != "optimal":
         raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
@@ -123,16 +112,13 @@ def build_spanner(
     else:
         roots = sample_tree_roots(g.n, params.alpha, _stream(params.seed, ROOT_STREAM))
 
-    if tree_cache is None:
-        tree_cache = {}
-    new = sorted(r for r in roots if r not in tree_cache)
-    if new:
-        tree_cache.update(zip(new, shortest_path_trees(g, new, table)))
-    rows = [tree_cache[r] for r in roots]
+    if table is None:
+        table = DistanceTable(g)
+    rows = table.trees(roots)
     tree_edges = frozenset(np.logical_or.reduce(rows).nonzero()[0].tolist() if rows else ())
     e_h = rounded | tree_edges
 
-    check = is_k_spanner(g, e_h, params.k, g_dist=g_dist)
+    check = is_k_spanner(g, e_h, params.k, table=table)
     return SpannerResult(
         rounded_edges=rounded,
         tree_roots=roots,

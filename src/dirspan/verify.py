@@ -34,37 +34,40 @@ def _subset_out_edges(g, h_edges):
 
 
 def demand_distance_rows(g, table=None):
-    """dist_G rows for every demand tail, reusable across many H checks.
+    """dist_G rows for every demand tail: table's outward rows (a fresh DistanceTable of g when not given).
 
-    The rows are table's outward rows (a DistanceTable of g; a fresh one when
-    not given), so a run's trees reuse them.
+    No runtime path calls it, since is_k_spanner reads each row from its
+    table on first need.  It stays public because the benchmark's tracer
+    binds it by name (benchmarks/tracer.py); tests use it to fill a table.
     """
     if table is None:
         table = DistanceTable(g)
     return {s: table.outward(s) for s in sorted({tail for tail, _, _ in g.edges})}
 
 
-def is_k_spanner(g, h_edges, k, g_dist=None):
+def is_k_spanner(g, h_edges, k, table=None):
     """Exact per-demand stretch check; returns the lowest-index violation if any.
 
     Demands are scanned in index order.  One whose own edge is in H with
     length <= k * dist_G needs no search, since the first relaxation from its
     tail sets dist_H[head] <= 0.0 + length exactly; any other reads its tail's
-    full H row, computed on first need.  g_dist may carry precomputed dist_G
-    rows keyed by source vertex; it is never written.  H = E reuses them.
+    full H row, computed on first need.  dist_G comes only from table's
+    outward rows (a DistanceTable of g; a fresh one when not given), so the
+    check searches G through the run's table alone.  H = E reads its rows
+    from the table too; any other H is searched here.
     """
     h = frozenset(h_edges)
-    g_rows = dict(g_dist or {})
-    h_out, h_rows = (g.out_edges, g_rows) if h == frozenset(range(g.m)) else (_subset_out_edges(g, h), {})
+    if table is None:
+        table = DistanceTable(g)
+    h_out = None if h == frozenset(range(g.m)) else _subset_out_edges(g, h)
+    h_rows = {}
     for d, (tail, head, length) in enumerate(g.edges):
-        if tail not in g_rows:
-            g_rows[tail] = _dijkstra(g.n, g.out_edges, g.edges, tail)
-        dist_g = g_rows[tail][head]
+        dist_g = table.outward(tail)[head]
         allowed = k * dist_g
         if d in h and length <= allowed:
             continue
         if tail not in h_rows:
-            h_rows[tail] = _dijkstra(g.n, h_out, g.edges, tail)
+            h_rows[tail] = table.outward(tail) if h_out is None else _dijkstra(g.n, h_out, g.edges, tail)
         got = h_rows[tail][head]
         if not got <= allowed:
             return SpannerCheck(feasible=False, violation=(d, dist_g, got))

@@ -30,6 +30,7 @@ from dirspan import (
     solve_lp,
 )
 from dirspan.cli import load_input
+from dirspan.graph import DistanceTable
 from dirspan.simplex import solve_simplex
 
 from oracles import layered_lp_unit, make_rng, random_edge_list
@@ -234,12 +235,12 @@ def test_criterion_5_feasibility_at_selected_alpha():
         g = generate_instance(GenSpec(family, params, gen_seed=seed))
         assert 20 <= g.n <= 60 and g.m > 0
         sizes.append(g.n)
-        sol = solve_lp(build_lp(g, 3))
+        table = DistanceTable(g)  # the path sets fill its inward rows
+        sol = solve_lp(build_lp(g, 3, table=table))
         alpha = select_alpha("general", g.n)
-        g_dist = demand_distance_rows(g)
         for t in range(trials_per_instance):
             params_t = RoundingParams(alpha=alpha, seed=seed * 1000 + t, k=3)
-            res = _note_trial(build_spanner(g, sol, params_t, g_dist=g_dist), g.n)
+            res = _note_trial(build_spanner(g, sol, params_t, table=table), g.n)
             total += 1
             if not res.feasible:
                 infeasible += 1
@@ -261,10 +262,11 @@ def test_criterion_6_approximation_accounting(solved_batch):
         mode = "unit" if g.unit_lengths() else "general"
         alpha = select_alpha(mode, g.n, k=k)
         bound = RATIO_CONST * math.sqrt(g.n) * math.log(g.n) * opt
-        g_dist = demand_distance_rows(g)
+        table = DistanceTable(g)
+        demand_distance_rows(g, table)
         for t in range(25):
             params = RoundingParams(alpha=alpha, seed=5000 + idx * 100 + t, k=k)
-            res = _note_trial(build_spanner(g, sol, params, g_dist=g_dist), g.n)
+            res = _note_trial(build_spanner(g, sol, params, table=table), g.n)
             ratio_trials += 1
             if len(res.e_h) > bound:
                 ratio_violations += 1
@@ -284,7 +286,7 @@ def test_criterion_6_approximation_accounting(solved_batch):
             for t in range(200):
                 params = RoundingParams(alpha=alpha, seed=6000 + idx * 1000 + t, k=k)
                 res = _note_trial(
-                    build_spanner(g, sol, params, force_tree_roots=frozenset(), g_dist=None),
+                    build_spanner(g, sol, params, force_tree_roots=frozenset()),
                     g.n,
                 )
                 counts.append(len(res.rounded_edges))
@@ -314,12 +316,12 @@ def test_criterion_7_tree_phase_bound():
     # dedicated run in the regime where the root sample is a proper subset
     rng = make_rng(820)
     g = build_graph(30, random_edge_list(rng, 30, 0.12, max_len=2))
-    sol = solve_lp(build_lp(g, 3))
-    g_dist = demand_distance_rows(g)
+    table = DistanceTable(g)  # the path sets fill its inward rows
+    sol = solve_lp(build_lp(g, 3, table=table))
     root_counts = set()
     for t in range(50):
         params = RoundingParams(alpha=2.0, seed=7000 + t, k=3)
-        res = _note_trial(build_spanner(g, sol, params, g_dist=g_dist), 30)
+        res = _note_trial(build_spanner(g, sol, params, table=table), 30)
         root_counts.add(len(res.tree_roots))
     # proper random subsets, not the degenerate all-or-nothing regimes
     assert any(0 < c < 30 for c in root_counts)

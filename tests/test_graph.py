@@ -19,7 +19,7 @@ from dirspan import (
 import dirspan.graph
 from dirspan.graph import DistanceTable, _dijkstra, _select_parents, shortest_path_trees
 from dirspan.paths import demand_path_sets
-from dirspan.verify import demand_distance_rows, is_k_spanner
+from dirspan.verify import is_k_spanner
 
 from oracles import dp_distances, make_rng, random_edge_list
 from support import fresh_path_sets, fresh_shortest_path_tree
@@ -226,16 +226,20 @@ def test_shared_table_matches_fresh_searches(data):
         for rows, dist in ((table._out, outward_dist), (table._in, inward_dist)):
             for v, row in rows.items():
                 assert row == dist(g, v)
+        for r, row in table._trees.items():
+            assert frozenset(row.nonzero()[0].tolist()) == fresh_shortest_path_tree(g, r)
 
     for r in roots[:split]:
         assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)
         rows_unchanged()
     assert demand_path_sets(g, k, table) == fresh_path_sets(g, k)
     rows_unchanged()
-    g_dist = demand_distance_rows(g, table)
+    assert [frozenset(row.nonzero()[0].tolist()) for row in table.trees(roots[:split])] == [
+        fresh_shortest_path_tree(g, r) for r in roots[:split]
+    ]
     rows_unchanged()
     for subset in (h, frozenset(range(g.m))):
-        assert is_k_spanner(g, subset, k, g_dist=g_dist) == is_k_spanner(g, subset, k)
+        assert is_k_spanner(g, subset, k, table=table) == is_k_spanner(g, subset, k)
         rows_unchanged()
     for r in roots[split:]:
         assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)

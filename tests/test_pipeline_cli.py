@@ -21,6 +21,7 @@ from dirspan import (
     RunConfig,
     build_graph,
     dumps_report,
+    is_k_spanner,
     run_claims,
     run_oracle,
     run_solve,
@@ -29,6 +30,7 @@ from dirspan import (
     trial_seed,
 )
 from dirspan.cli import SHARED_FLAGS, build_parser, load_input, main
+from dirspan.graph import DistanceTable
 from dirspan.pipeline import splitmix64
 
 
@@ -337,6 +339,48 @@ def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
     assert all(t["tree_roots"] == g.n for t in report["trials"])
     assert len(searched) == len(set(searched))
     assert set(searched) == {(side, v) for side in ("out", "in") for v in range(g.n)}
+
+
+def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
+    # every search over G's whole adjacency is a DistanceTable row, and no
+    # call searches one (direction, source) twice; H searches do not count
+    g = build_graph(8, DEC8_EDGES)
+    whole = {1: list(g.out_edges), 0: list(g.in_edges)}
+    table_rows = {DistanceTable.outward.__code__: 1, DistanceTable.inward.__code__: 0}
+    dijkstra = dirspan.graph._dijkstra
+    searched = []
+
+    def recording(n, adj, edges, source, far=1):
+        if edges == g.edges and [tuple(lst) for lst in adj] == whole[far]:
+            searched.append((sys._getframe(1).f_code, far, source))
+        return dijkstra(n, adj, edges, source, far)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dirspan") and getattr(module, "_dijkstra", None) is dijkstra:
+            monkeypatch.setattr(module, "_dijkstra", recording)
+
+    def searches(call):
+        searched.clear()
+        call()
+        assert searched, "the call searched no row of G"
+        for caller, far, source in searched:
+            assert table_rows.get(caller) == far, f"{caller.co_name} searched G from {source}"
+        keys = [(far, source) for _, far, source in searched]
+        assert len(keys) == len(set(keys))
+        return set(keys)
+
+    tails = {(1, tail) for tail, _, _ in g.edges}
+    opt = [0, 1, 2, 3, 5, 6, 7, 8, 9, 13, 14, 15, 16]  # a minimum 2-spanner of DEC8_EDGES
+    (tmp_path / "g.txt").write_text(serialize_graph(g))
+    (tmp_path / "h.txt").write_text("".join(f"{g.edges[e][0]} {g.edges[e][1]}\n" for e in opt))
+    argv = ["verify", str(tmp_path / "g.txt"), "-k", "2", "--subgraph", str(tmp_path / "h.txt")]
+    assert searches(lambda: main(argv)) == tails
+    assert '"feasible": true' in capsys.readouterr().out
+    for h in (opt, range(g.m), ()):
+        searches(lambda: is_k_spanner(g, h, 2))
+    for alpha in (None, 0.25):  # every vertex a root, then few roots with E_H != E
+        config = RunConfig(k=2, input="dec8", seed=5, trials=12, alpha_override=alpha)
+        assert tails <= searches(lambda: run_solve(config, g))
 
 
 def _run(capsys, argv):

@@ -16,6 +16,8 @@ from dirspan import (
     shortest_path_tree,
     solve_lp,
 )
+from dirspan.graph import DistanceTable
+
 from oracles import dp_distances, make_rng, random_edge_list
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
@@ -121,22 +123,22 @@ def test_build_spanner_seed_changes_draws():
     assert len(results) > 1
 
 
-def test_shared_tree_cache_changes_nothing():
-    # one cache across many trials and forced root sets, decimal lengths and
-    # zero-length ties included: every result equals the uncached one
+def test_shared_table_trees_change_nothing():
+    # one table across many trials and forced root sets, decimal lengths and
+    # zero-length ties included: every result equals the one on a fresh table
     rng = make_rng(23)
     n = 9
     edges = [(t, h, rng.choice((0.0, 0.1, 0.3, 0.7, 1.1))) for t, h, _ in random_edge_list(rng, n, 0.4)]
     g = build_graph(n, edges)
     sol = LpSolution(status="optimal", x=tuple(rng.random() for _ in range(g.m)), f={}, objective_value=1.0)
-    cache = {}
+    table = DistanceTable(g)
     for seed in range(24):
         params = RoundingParams(alpha=1.5, seed=seed, k=2)
         forced = {"force_tree_roots": frozenset(rng.sample(range(n), seed % 4))} if seed % 3 == 0 else {}
-        shared = build_spanner(g, sol, params, tree_cache=cache, **forced)
+        shared = build_spanner(g, sol, params, table=table, **forced)
         assert shared == build_spanner(g, sol, params, **forced)
-    assert cache and set(cache) <= set(range(n))
-    for root, row in cache.items():
+    assert table._trees and set(table._trees) <= set(range(n))
+    for root, row in table._trees.items():
         assert row.dtype == bool and row.shape == (g.m,)
         assert frozenset(np.flatnonzero(row).tolist()) == shortest_path_tree(g, root)
 

@@ -3,6 +3,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dirspan.graph
 from dirspan import verify
 from dirspan import (
     TooLarge,
@@ -13,6 +14,7 @@ from dirspan import (
     is_k_spanner,
     solve_lp,
 )
+from dirspan.graph import DistanceTable
 
 from oracles import exhaustive_opt, make_rng, naive_is_spanner, random_edge_list
 from support import all_pairs_spanner_check, eager_spanner_check, edge_check_equals_allpairs_check
@@ -62,24 +64,32 @@ def test_full_edge_set_always_feasible():
         assert is_k_spanner(g, set(range(g.m)), 1).feasible
 
 
+def filled_table(g):
+    """A DistanceTable of g that already holds the outward row of every demand tail."""
+    table = DistanceTable(g)
+    demand_distance_rows(g, table)
+    return table
+
+
 def test_precomputed_rows_give_same_answer():
     g = build_graph(3, TRIANGLE)
-    rows = demand_distance_rows(g)
-    assert is_k_spanner(g, {0, 2}, 2, g_dist=rows).feasible
-    assert not is_k_spanner(g, {0}, 2, g_dist=rows).feasible
+    table = filled_table(g)
+    assert is_k_spanner(g, {0, 2}, 2, table=table).feasible
+    assert not is_k_spanner(g, {0}, 2, table=table).feasible
 
 
 def test_full_edge_set_reuses_g_rows(monkeypatch):
-    # H = E: dist_H is dist_G, so no Dijkstra runs once the G rows are given
+    # H = E: dist_H is dist_G, so no Dijkstra runs once the table holds the G rows
     g = build_graph(3, TRIANGLE)
-    rows = demand_distance_rows(g)
+    table = filled_table(g)
 
     def no_dijkstra(*args, **kwargs):
         raise AssertionError("H = E must reuse the dist_G rows")
 
-    monkeypatch.setattr(verify, "_dijkstra", no_dijkstra)
-    assert is_k_spanner(g, frozenset(range(g.m)), 1, g_dist=rows) == is_k_spanner(g, [2, 1, 0], 1, g_dist=rows)
-    assert is_k_spanner(g, range(g.m), 1, g_dist=rows).feasible
+    for module in (verify, dirspan.graph):
+        monkeypatch.setattr(module, "_dijkstra", no_dijkstra)
+    assert is_k_spanner(g, frozenset(range(g.m)), 1, table=table) == is_k_spanner(g, [2, 1, 0], 1, table=table)
+    assert is_k_spanner(g, range(g.m), 1, table=table).feasible
 
 
 # 0->1, 1->2, 0->2, 2->3, 1->3, all of length 1: tails 0, 1 and 2; at k=2 each
@@ -98,8 +108,9 @@ SEARCH_GRAPH = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)]
     ],
 )
 def test_searches_only_the_tails_that_need_it(monkeypatch, h, given_rows, searches, feasible):
+    # G rows come from the table (dirspan.graph) and H rows from the check (dirspan.verify): both count
     g = build_graph(4, SEARCH_GRAPH)
-    rows = demand_distance_rows(g) if given_rows else None
+    table = filled_table(g) if given_rows else None
     dijkstra = verify._dijkstra
     calls = []
 
@@ -107,8 +118,9 @@ def test_searches_only_the_tails_that_need_it(monkeypatch, h, given_rows, search
         calls.append(args)
         return dijkstra(*args)
 
-    monkeypatch.setattr(verify, "_dijkstra", counting_dijkstra)
-    check = is_k_spanner(g, h, 2, g_dist=rows)
+    for module in (verify, dirspan.graph):
+        monkeypatch.setattr(module, "_dijkstra", counting_dijkstra)
+    check = is_k_spanner(g, h, 2, table=table)
     assert check.feasible == feasible
     assert len(calls) == searches
 
@@ -128,11 +140,11 @@ def test_length_m_list_missing_an_edge_gets_full_check():
     # three entries like E, but edge 1 (0->2) is missing and edge 0 repeats;
     # at k=1 the detour 0->1->2 of length 2 is too long
     g = build_graph(3, TRIANGLE)
-    rows = demand_distance_rows(g)
-    check = is_k_spanner(g, [0, 0, 2], 1, g_dist=rows)
+    table = filled_table(g)
+    check = is_k_spanner(g, [0, 0, 2], 1, table=table)
     assert not check.feasible
     assert check.violation == (1, 1.0, 2.0)
-    assert is_k_spanner(g, [0, 0, 2], 2, g_dist=rows).feasible
+    assert is_k_spanner(g, [0, 0, 2], 2, table=table).feasible
 
 
 def test_matches_naive_spanner_check():
@@ -166,8 +178,8 @@ DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1.1, 3.0)
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_lazy_check_matches_eager_reference(data):
-    # the whole SpannerCheck must match, violation included, and dist_G rows
-    # that the caller passes (all, some or none of them) are never written
+    # the whole SpannerCheck must match, violation included, and the dist_G
+    # rows the caller's table already holds (all, some or none) are never written
     n = data.draw(st.integers(min_value=1, max_value=8))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
@@ -175,13 +187,16 @@ def test_lazy_check_matches_eager_reference(data):
     h = data.draw(st.lists(st.integers(min_value=0, max_value=g.m - 1))) if g.m else []
     k = data.draw(st.sampled_from((1, 1.5, 2, 3)))
     given_rows = data.draw(st.sampled_from(("all", "some", "none")))
-    rows = demand_distance_rows(g)
-    if given_rows == "some":
-        rows = {s: row for s, row in rows.items() if data.draw(st.booleans())}
-    rows = None if given_rows == "none" else rows
-    before = copy.deepcopy(rows)
-    assert is_k_spanner(g, h, k, g_dist=rows) == eager_spanner_check(g, h, k)
-    assert rows == before
+    table = DistanceTable(g)
+    if given_rows == "all":
+        demand_distance_rows(g, table)
+    elif given_rows == "some":
+        for s in sorted({tail for tail, _, _ in g.edges}):
+            if data.draw(st.booleans()):
+                table.outward(s)
+    before = copy.deepcopy(table._out)
+    assert is_k_spanner(g, h, k, table=None if given_rows == "none" else table) == eager_spanner_check(g, h, k)
+    assert {s: table._out[s] for s in before} == before
 
 
 def test_opt_triangle():
