@@ -73,7 +73,8 @@ class ClaimContext:
     (distance-to-target, cut-mask) pair per tree; the distance is INF when
     the tree misses the target.  Both claim checks are methods that loop over
     this list, so checking many subgraphs or LP vectors against the same
-    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees.
+    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees,
+    or when a tree grows deeper than Python's recursion limit.
     """
 
     def __init__(self, g, root, target):
@@ -95,7 +96,10 @@ class ClaimContext:
         mask = 0  # every length is finite, so the root alone is cut by exactly its out-edges
         for e in g.out_edges[root]:
             mask |= 1 << e
-        _grow(g, on_tree, pot, mask, list(g.out_edges[root]), 0, leaf)
+        try:
+            _grow(g, on_tree, pot, mask, list(g.out_edges[root]), 0, leaf)
+        except RecursionError:  # _grow nests one call per tree vertex
+            raise ExplosionCap(f"an out-tree of {g.n} vertices is deeper than the recursion limit") from None
         self.trees = trees
 
     def tree_count(self):

@@ -8,9 +8,9 @@ text the same way.  Every file the command reads or writes goes through
 `_read_file` or `_write_file`.
 
 Exit codes: 0 success, 2 bad input or configuration (a file that is missing,
-a directory or unreadable included), 3 a size cap tripped, 4 a spanner check
-failed under --require-feasible, 5 numerical failure or a broken internal
-check.  `FAILURES` maps each failure to its code and message label.
+a directory or unreadable included), 3 a size cap tripped or memory ran out,
+4 a spanner check failed under --require-feasible, 5 numerical failure or a
+broken internal check.  `FAILURES` maps each failure to its code and message label.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_NUMERICAL = 5
 # checked top to bottom: the first row whose types match an exception gives its label and exit code
 FAILURES = (
     ((PathExplosion, TooLarge, ExplosionCap), "cap exceeded", EXIT_CAP),
+    (MemoryError, "out of memory", EXIT_CAP),
     (NumericalFailure, "numerical failure", EXIT_NUMERICAL),
     (AssertionError, "internal error", EXIT_NUMERICAL),
     ((DirspanError, OSError, ValueError), "error", EXIT_BAD_INPUT),  # ValueError covers JSONDecodeError

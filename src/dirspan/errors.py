@@ -34,11 +34,7 @@ class GraphSyntaxError(DirspanError):
 
 
 class PathExplosion(DirspanError):
-    """Path enumeration exceeded its cap; carries the demand edge index."""
-
-    def __init__(self, message, demand=None):
-        super().__init__(message)
-        self.demand = demand
+    """Path enumeration exceeded its cap."""
 
 
 class NumericalFailure(DirspanError):

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DuplicateEdge, IndexOutOfRange, NegativeLength, SelfLoop
 
 INF = math.inf
-# cells of one float temporary in a block of shortest_path_trees roots (128 KB)
+# cells of one float temporary in a block of DistanceTable.trees roots (128 KB)
 _BLOCK_CELLS = 1 << 14
 
 
@@ -163,6 +163,37 @@ def _select_parents(g, source, dist, outward):
     return parent
 
 
+def _edge_groups(g):
+    """G's edges grouped by the vertex a tree parent edge reaches.
+
+    Returns (near, far, length, ids, starts, split) over 2m slots: the m
+    outward slots, each edge grouped under its head, then the m inward ones,
+    each under its tail.  Groups run in ascending vertex order with ascending
+    edge index inside; starts holds the first slot of each non-empty group
+    and split the number of outward groups.  near and far index a row
+    [outward(r) | inward(r)] of 2n distances.
+    """
+    near, far, length, ids, starts = [], [], [], [], []
+    for shift, adj, near_end in ((0, g.in_edges, 0), (g.n, g.out_edges, 1)):
+        for w, lst in enumerate(adj):
+            if lst:
+                starts.append(len(ids))
+            for e in lst:
+                edge = g.edges[e]
+                near.append(edge[near_end] + shift)
+                far.append(w + shift)
+                length.append(edge[2])
+                ids.append(e)
+    return (
+        np.array(near, dtype=np.intp),
+        np.array(far, dtype=np.intp),
+        np.array(length, dtype=float),
+        np.array(ids, dtype=np.intp),
+        np.array(starts, dtype=np.intp),
+        sum(1 for lst in g.in_edges if lst),
+    )
+
+
 class DistanceTable:
     """One run's cache of G: its distance rows and shortest-path trees, each computed on first request.
 
@@ -180,7 +211,7 @@ class DistanceTable:
         self._out = {}
         self._in = {}
         self._trees = {}
-        self._groups = None
+        self._groups = None  # _edge_groups(g), built with the first tree
 
     def outward(self, source):
         row = self._out.get(source)
@@ -195,105 +226,61 @@ class DistanceTable:
         return row
 
     def trees(self, roots):
-        """Each root's shortest_path_trees row, a boolean array over g's edges, in the order given.
+        """Each root's tree edges, a boolean row over g's edges, in the order given.
 
-        The roots not kept yet are built in one shortest_path_trees call.
+        A root's row marks the edges of its outward and inward shortest-path
+        trees: the outward tree reaches every vertex the root reaches and the
+        inward tree every vertex that reaches the root, and each tree path
+        realizes the exact shortest distance in its direction.  Every row is
+        kept; the roots not kept yet are built together, in blocks of
+        _BLOCK_CELLS cells per temporary, so memory stays flat however many
+        roots are asked for.
+
+        A vertex's parent is its lowest-index tight edge, the edge _select_parents
+        picks whenever every tight edge climbs strictly in distance.  A root and
+        direction with a tight edge between two equal distances (a zero length,
+        or a positive one absorbed by rounding) goes through _select_parents
+        itself.  A tight edge into the root is such an edge, since it needs
+        dist 0 at its near end, so the root's own group needs no mask.
         """
+        g = self.g
         new = sorted(set(roots) - self._trees.keys())
-        if new:
-            self._trees.update(zip(new, shortest_path_trees(self.g, new, self)))
+        for r in new:
+            _check_vertex(g, r, "root")
+        # column m collects the groups without a tight edge and is dropped at the end
+        member = np.zeros((len(new), g.m + 1), dtype=bool)
+        if new and g.m:
+            if self._groups is None:
+                self._groups = _edge_groups(g)
+            near, far, length, ids, starts, split = self._groups
+            step = max(1, _BLOCK_CELLS // (2 * max(g.n, g.m)))
+            with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf, which is never tight
+                for lo in range(0, len(new), step):
+                    block = new[lo : lo + step]
+                    dist = np.array([self.outward(r) + self.inward(r) for r in block], dtype=float)
+                    dist[dist == INF] = np.nan  # nan is never tight, at either end
+                    d_near = dist[:, near]
+                    d_far = dist[:, far]
+                    tight = d_near + length == d_far
+                    chosen = np.minimum.reduceat(np.where(tight, ids, g.m), starts, axis=1)
+                    ties = tight & (d_near == d_far)
+                    if ties.any():
+                        for i, inward in zip(*ties.reshape(len(block), 2, g.m).any(axis=2).nonzero()):
+                            chosen[i, slice(split, None) if inward else slice(split)] = g.m
+                            r = block[i]
+                            parents = _select_parents(g, r, self.inward(r) if inward else self.outward(r), not inward)
+                            member[lo + i, [e for e in parents if e is not None]] = True
+                    member[np.arange(lo, lo + len(block))[:, None], chosen] = True
+        self._trees.update(zip(new, member[:, : g.m]))
         return [self._trees[r] for r in roots]
-
-    def edge_groups(self):
-        """G's edges grouped by the vertex a tree parent edge reaches, built on first request.
-
-        Returns (near, far, length, ids, starts, split) over 2m slots: the m
-        outward slots, each edge grouped under its head, then the m inward
-        ones, each under its tail.  Groups run in ascending vertex order with
-        ascending edge index inside; starts holds the first slot of each
-        non-empty group and split the number of outward groups.  near and far
-        index a row [outward(r) | inward(r)] of 2n distances.
-        """
-        if self._groups is None:
-            g = self.g
-            near, far, length, ids, starts = [], [], [], [], []
-            for shift, adj, near_end in ((0, g.in_edges, 0), (g.n, g.out_edges, 1)):
-                for w, lst in enumerate(adj):
-                    if lst:
-                        starts.append(len(ids))
-                    for e in lst:
-                        edge = g.edges[e]
-                        near.append(edge[near_end] + shift)
-                        far.append(w + shift)
-                        length.append(edge[2])
-                        ids.append(e)
-            self._groups = (
-                np.array(near, dtype=np.intp),
-                np.array(far, dtype=np.intp),
-                np.array(length, dtype=float),
-                np.array(ids, dtype=np.intp),
-                np.array(starts, dtype=np.intp),
-                sum(1 for lst in g.in_edges if lst),
-            )
-        return self._groups
-
-
-def shortest_path_trees(g, roots, table=None):
-    """Boolean edge rows of the roots' shortest-path trees, one row per root.
-
-    Row i marks the edges of roots[i]'s outward and inward trees, exactly
-    the set shortest_path_tree returns.  table, a DistanceTable of g,
-    supplies the rows and the edge grouping; without one a fresh table
-    computes them.  Roots go in blocks of _BLOCK_CELLS cells per temporary,
-    so memory stays flat however many roots are asked for.
-
-    A vertex's parent is its lowest-index tight edge, the edge _select_parents
-    picks whenever every tight edge climbs strictly in distance.  A root and
-    direction with a tight edge between two equal distances (a zero length,
-    or a positive one absorbed by rounding) goes through _select_parents
-    itself.  A tight edge into the root is such an edge, since it needs
-    dist 0 at its near end, so the root's own group needs no mask.
-    """
-    roots = list(roots)
-    for r in roots:
-        _check_vertex(g, r, "root")
-    if table is None:
-        table = DistanceTable(g)
-    # column m collects the groups without a tight edge and is dropped at the end
-    member = np.zeros((len(roots), g.m + 1), dtype=bool)
-    if not g.m:
-        return member[:, : g.m]
-    near, far, length, ids, starts, split = table.edge_groups()
-    step = max(1, _BLOCK_CELLS // (2 * max(g.n, g.m)))
-    with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf, which is never tight
-        for lo in range(0, len(roots), step):
-            block = roots[lo : lo + step]
-            dist = np.array([table.outward(r) + table.inward(r) for r in block], dtype=float)
-            dist[dist == INF] = np.nan  # nan is never tight, at either end
-            d_near = dist[:, near]
-            d_far = dist[:, far]
-            tight = d_near + length == d_far
-            chosen = np.minimum.reduceat(np.where(tight, ids, g.m), starts, axis=1)
-            ties = tight & (d_near == d_far)
-            if ties.any():
-                for i, inward in zip(*ties.reshape(len(block), 2, g.m).any(axis=2).nonzero()):
-                    chosen[i, slice(split, None) if inward else slice(split)] = g.m
-                    r = block[i]
-                    parents = _select_parents(g, r, table.inward(r) if inward else table.outward(r), not inward)
-                    member[lo + i, [e for e in parents if e is not None]] = True
-            member[np.arange(lo, lo + len(block))[:, None], chosen] = True
-    return member[:, : g.m]
 
 
 def shortest_path_tree(g, root, table=None):
-    """Edges of the root's outward and inward shortest-path trees, as one set.
+    """The root's outward and inward tree edges as one set: its row of table.trees.
 
-    The outward tree reaches every vertex the root reaches and the inward
-    tree every vertex that reaches the root; each tree path realizes the exact
-    shortest distance in its direction.  table, a DistanceTable of g, supplies
-    the root's two rows; without one a fresh table computes them.
+    table is a DistanceTable of g; without one a fresh table builds the row.
     """
-    return frozenset(shortest_path_trees(g, (root,), table)[0].nonzero()[0].tolist())
+    return frozenset((table or DistanceTable(g)).trees((root,))[0].nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,14 @@ class Program:
 
 @dataclass
 class LpModel:
+    """The path LP of (graph, k): column e < m is x_e, column m + j the flow on path_cols[j].
+
+    Row ("capacity", d, e) caps the flow on demand d's paths through edge e by x_e.
+    """
+
     graph: object
     k: float
-    path_cols: tuple  # (demand, path) per flow column
+    path_cols: tuple  # (demand, path) per flow column; a path is a tuple of edge indices
     demand_paths: tuple  # DemandPaths per demand, indexed by demand
     mandatory: frozenset  # edge indices presolved to x_e >= 1
     row_labels: tuple
@@ -45,13 +50,9 @@ class LpModel:
 class LpSolution:
     status: str  # 'optimal' from solve_lp; round keeps the status its dump states
     x: tuple
-    f: dict  # (demand, path) -> value
+    f: dict  # (demand, path) -> value; a presolved demand d has (d, (d,)) -> 1.0
     objective_value: float
     iterations: int = 0
-
-
-def _path_edges(g, path):
-    return [g.edge_index[(path[i], path[i + 1])] for i in range(len(path) - 1)]
 
 
 def build_lp(g, k, presolve=True, table=None):
@@ -83,7 +84,7 @@ def build_lp(g, k, presolve=True, table=None):
         labels.append(("demand", d))
         by_edge = {}
         for j, p in zip(cols, paths):
-            for e in _path_edges(g, p):
+            for e in p:
                 by_edge.setdefault(e, []).append(j)
         for e in sorted(by_edge):
             row_cells.append((by_edge[e], e))
@@ -127,8 +128,7 @@ def solve_lp(model):
     for j, (d, pth) in enumerate(model.path_cols):
         f[(d, pth)] = float(res.z[m + j])
     for d in model.mandatory:
-        tail, head, _ = model.graph.edges[d]
-        f[(d, (tail, head))] = 1.0
+        f[(d, (d,))] = 1.0
     sol = LpSolution(
         status="optimal",
         x=x,

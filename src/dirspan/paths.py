@@ -2,9 +2,10 @@
 
 Every edge (u, v) of the input graph is a demand: the spanner must connect u to
 v within k times their shortest distance.  The demand's path set is the simple
-u->v paths whose length stays within that budget; their vertex union is the
-demand's covered set.  The LP and the exact optimum search both read one
-complete path set per demand, so neither may drop a within-budget path.
+u->v paths whose length stays within that budget, each a tuple of edge
+indices; the vertices they visit form the demand's covered set.  The LP and
+the exact optimum search both read one complete path set per demand, so
+neither may drop a within-budget path.
 """
 
 from __future__ import annotations
@@ -21,18 +22,20 @@ MAX_PATHS = 100_000  # within-budget simple paths one demand may have
 class DemandPaths:
     demand: int  # edge index in the host graph
     budget: float
-    paths: tuple  # tuple of vertex tuples, DFS discovery order
-    covered: frozenset  # union of path vertices
+    paths: tuple  # tuple of edge-index tuples, tail to head, DFS discovery order
+    covered: frozenset  # union of the paths' edge endpoints
 
     @property
     def mandatory(self):
         """True when the demand edge is its own only within-budget path, so every spanner keeps it."""
-        return len(self.paths) == 1 and len(self.paths[0]) == 2
+        return self.paths == ((self.demand,),)
 
 
 def enumerate_demand_paths(g, k, demand, table=None):
-    """All simple within-budget paths for one demand edge.
+    """All simple within-budget paths for one demand edge, each a tuple of edge indices.
 
+    A depth-first search on an explicit stack, so a path may be as long as
+    the graph; each vertex's out-edges are tried in ascending index order.
     Exact float pruning against the remaining inward distance, the head's
     inward row of table (a DistanceTable of g; a fresh one when not given);
     the prune is lossless whenever length sums are exactly representable,
@@ -48,12 +51,13 @@ def enumerate_demand_paths(g, k, demand, table=None):
     budget = k * to_dst[src]
 
     paths = []
-    path = [src]
+    path = []  # edges from src to the vertex on top of the stack
     on_path = [False] * g.n
     on_path[src] = True
-
-    def extend(vertex, length):
-        for e in g.out_edges[vertex]:
+    stack = [(iter(g.out_edges[src]), 0.0)]  # per path vertex: its untried out-edges, its path length
+    while stack:
+        untried, length = stack[-1]
+        for e in untried:
             _, head, elen = g.edges[e]
             if on_path[head]:
                 continue
@@ -62,20 +66,18 @@ def enumerate_demand_paths(g, k, demand, table=None):
                 continue
             if head == dst:
                 if len(paths) >= MAX_PATHS:
-                    raise PathExplosion(
-                        f"demand {demand}: more than {MAX_PATHS} paths within budget",
-                        demand=demand,
-                    )
-                paths.append(tuple(path) + (dst,))
+                    raise PathExplosion(f"demand {demand}: more than {MAX_PATHS} paths within budget")
+                paths.append(tuple(path) + (e,))
                 continue
-            path.append(head)
+            path.append(e)
             on_path[head] = True
-            extend(head, new_len)
-            path.pop()
-            on_path[head] = False
-
-    extend(src, 0.0)
-    covered = frozenset(v for p in paths for v in p)
+            stack.append((iter(g.out_edges[head]), new_len))
+            break
+        else:
+            stack.pop()
+            if path:
+                on_path[g.edges[path.pop()][1]] = False
+    covered = frozenset(v for p in paths for e in p for v in g.edges[e][:2])
     return DemandPaths(demand=demand, budget=budget, paths=tuple(paths), covered=covered)
 
 

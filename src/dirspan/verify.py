@@ -100,8 +100,8 @@ def brute_force_opt(g, k):
         masks = []
         for p in dp.paths:
             pm = 0
-            for i in range(len(p) - 1):
-                pm |= 1 << g.edge_index[(p[i], p[i + 1])]
+            for e in p:
+                pm |= 1 << e
             masks.append(pm)
         if dp.mandatory:
             forced |= 1 << dp.demand

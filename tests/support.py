@@ -7,7 +7,9 @@ holds cut_set_of_potentials, a rescan of every edge against a potential
 vector, which restates the cut masks that ClaimContext grows with each tree,
 and the fresh_* references, which search G anew for every call instead of
 sharing one DistanceTable.  listed_generator_edges restates the er and
-layered generators with a Python list of every candidate pair.
+layered generators with a Python list of every candidate pair, and
+path_vertices turns an edge-index path into the vertex tuple that the
+oracles speak in.
 """
 
 import numpy as np
@@ -71,6 +73,19 @@ def eager_spanner_check(g, h_edges, k):
         if not h_rows[tail][head] <= k * g_rows[tail][head]:
             return SpannerCheck(feasible=False, violation=(d, g_rows[tail][head], h_rows[tail][head]))
     return SpannerCheck(feasible=True, violation=None)
+
+
+def path_vertices(g, path):
+    """The vertex tuple of an edge-index path, so it compares with the vertex-based oracles.
+
+    Raises AssertionError when an edge does not start where the one before it ends.
+    """
+    verts = [g.edges[path[0]][0]]
+    for e in path:
+        tail, head, _ = g.edges[e]
+        assert tail == verts[-1], f"edge {e} does not continue the path at vertex {verts[-1]}"
+        verts.append(head)
+    return tuple(verts)
 
 
 def fresh_path_sets(g, k):

@@ -17,7 +17,7 @@ from dirspan import (
     shortest_path_tree,
 )
 import dirspan.graph
-from dirspan.graph import DistanceTable, _dijkstra, _select_parents, shortest_path_trees
+from dirspan.graph import DistanceTable, _dijkstra, _select_parents
 from dirspan.paths import demand_path_sets
 from dirspan.verify import is_k_spanner
 
@@ -315,8 +315,8 @@ def test_inward_walk_matches_reversed_graph(data):
     assert _select_parents(g, source, inward, False) == _select_parents(r, source, reference, True)
 
 
-def tree_rows(g, roots, table):
-    return [frozenset(row.nonzero()[0].tolist()) for row in shortest_path_trees(g, roots, table)]
+def tree_rows(table, roots):
+    return [frozenset(row.nonzero()[0].tolist()) for row in table.trees(roots)]
 
 
 BULK_LENGTHS = (0.0, 0.1, 0.3, 0.7, 1.0, 1.1, 2.0, 1e300, 2e300, 1e308)
@@ -333,13 +333,15 @@ def test_bulk_trees_match_per_root_scan(data):
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     g = build_graph(n, [(t, h, data.draw(st.sampled_from(BULK_LENGTHS))) for t, h in chosen])
     cells = data.draw(st.integers(min_value=1, max_value=6 * max(n, g.m)))
-    table = DistanceTable(g)
+    shared = DistanceTable(g)
     with mock.patch.object(dirspan.graph, "_BLOCK_CELLS", cells):
-        for _ in range(2):  # the second call reuses the table's rows and edge grouping
+        for _ in range(2):  # the shared table's second call reuses its rows, trees and edge grouping
             roots = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n + 3))
-            member = shortest_path_trees(g, roots, table)
-            assert member.dtype == bool and member.shape == (len(roots), g.m)
-            assert tree_rows(g, roots, table) == [fresh_shortest_path_tree(g, r) for r in roots]
+            expect = [fresh_shortest_path_tree(g, r) for r in roots]
+            fresh = DistanceTable(g)  # builds every root in this one call
+            assert all(row.dtype == bool and row.shape == (g.m,) for row in fresh.trees(roots))
+            assert tree_rows(fresh, roots) == expect
+            assert tree_rows(shared, roots) == expect
 
 
 def lowest_tight_edge(g, dist, w):
@@ -374,7 +376,7 @@ def test_bulk_trees_keep_the_scan_where_lowest_tight_edge_differs(edges, vertex,
     dist = table.outward(0)
     assert lowest_tight_edge(g, dist, vertex) == lowest
     assert _select_parents(g, 0, dist, True)[vertex] == scanned
-    (tree,) = tree_rows(g, [0], table)
+    (tree,) = tree_rows(table, [0])
     assert tree == fresh_shortest_path_tree(g, 0)
     assert scanned in tree and lowest not in tree
 
@@ -385,5 +387,5 @@ def test_bulk_trees_skip_overflowing_sums():
     g = build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
     table = DistanceTable(g)
     assert table.outward(0) == [0.0, 1e308, INF]
-    assert tree_rows(g, [0, 2], table) == [frozenset({0}), frozenset({1})]
-    assert tree_rows(g, [0, 2], table) == [fresh_shortest_path_tree(g, r) for r in (0, 2)]
+    assert tree_rows(table, [0, 2]) == [frozenset({0}), frozenset({1})]
+    assert tree_rows(table, [0, 2]) == [fresh_shortest_path_tree(g, r) for r in (0, 2)]

@@ -16,6 +16,7 @@ from dirspan.lp import LpSolution
 from dirspan.simplex import GREATER, LESS, solve_simplex
 
 from oracles import check_solution, layered_lp_unit, lp_lower_bound_check, make_rng, random_edge_list
+from support import path_vertices
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
@@ -27,7 +28,7 @@ def cycle(n, length=1.0):
 def test_single_edge_shape_without_presolve():
     g = build_graph(2, [(0, 1, 1.0)])
     model = build_lp(g, 3, presolve=False)
-    assert model.path_cols == ((0, (0, 1)),)
+    assert model.path_cols == ((0, (0,)),)
     assert len(model.program.c) == 2
     labels = [lab[0] for lab in model.row_labels]
     assert labels.count("demand") == 1
@@ -45,7 +46,7 @@ def test_single_edge_presolve_drops_rows():
     assert model.program.lower[0] == 1.0
     sol = solve_lp(model)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
-    assert sol.f[(0, (0, 1))] == 1.0
+    assert sol.f[(0, (0,))] == 1.0
 
 
 def test_triangle_lp_value_and_point():
@@ -62,7 +63,7 @@ def test_triangle_lp_value_and_point():
 def test_triangle_flow_routes_middle_demand():
     g = build_graph(3, TRIANGLE)
     sol = solve_lp(build_lp(g, 2))
-    assert sol.f[(1, (0, 1, 2))] == pytest.approx(1.0, abs=1e-9)
+    assert sol.f[(1, (0, 2))] == pytest.approx(1.0, abs=1e-9)  # 0->1->2
 
 
 def test_cycle_forces_every_edge():
@@ -227,12 +228,14 @@ def test_build_lp_rows_follow_labels_and_path_columns():
             m = g.m
             a = model.program.a
             assert a.shape == (len(model.row_labels), m + len(model.path_cols))
+            for d, path in model.path_cols:  # each column's path runs from its demand's tail to its head
+                verts = path_vertices(g, path)
+                assert (verts[0], verts[-1]) == g.edges[d][:2]
             for row, label in zip(a, model.row_labels):
                 d = label[1]
                 expected = {}
                 for j, (dd, path) in enumerate(model.path_cols):
-                    used = {g.edge_index[(path[i], path[i + 1])] for i in range(len(path) - 1)}
-                    if dd == d and (label[0] == "demand" or label[2] in used):
+                    if dd == d and (label[0] == "demand" or label[2] in path):
                         expected[m + j] = 1.0
                 if label[0] == "capacity":
                     expected[label[2]] = -1.0

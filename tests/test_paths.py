@@ -8,6 +8,7 @@ from dirspan import (
 )
 
 from oracles import all_simple_paths_within, make_rng, random_edge_list
+from support import path_vertices
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
@@ -28,20 +29,20 @@ def test_triangle_paths():
     dp = enumerate_demand_paths(g, 2, 1)
     assert dp.demand == 1
     assert dp.budget == 2.0
-    assert set(dp.paths) == {(0, 2), (0, 1, 2)}
+    assert set(dp.paths) == {(1,), (0, 2)}  # 0->2 direct, and 0->1->2
     assert dp.covered == frozenset({0, 1, 2})
 
 
 def test_direct_only_when_budget_tight():
     g = build_graph(3, TRIANGLE)
     dp = enumerate_demand_paths(g, 1, 1)
-    assert dp.paths == ((0, 2),)
+    assert dp.paths == ((1,),)
     assert dp.covered == frozenset({0, 2})
     assert dp.mandatory
     assert not enumerate_demand_paths(g, 2, 1).mandatory
     # one path, but a detour: the demand edge itself is over budget
     detour = enumerate_demand_paths(build_graph(3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)]), 1, 0)
-    assert detour.paths == ((0, 2, 1),)
+    assert detour.paths == ((1, 2),)  # 0->2->1
     assert not detour.mandatory
 
 
@@ -59,7 +60,7 @@ def test_zero_length_budget_zero():
     g = build_graph(3, [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)])
     dp = enumerate_demand_paths(g, 3, 2)
     assert dp.budget == 0.0
-    assert set(dp.paths) == {(0, 2), (0, 1, 2)}
+    assert set(dp.paths) == {(2,), (0, 1)}  # 0->2 direct, and 0->1->2
 
 
 def test_paths_are_simple_and_within_budget():
@@ -75,10 +76,11 @@ def test_paths_are_simple_and_within_budget():
         dp = enumerate_demand_paths(g, k, d)
         tail, head, _ = g.edges[d]
         for path in dp.paths:
-            assert path[0] == tail
-            assert path[-1] == head
-            assert len(set(path)) == len(path)
-            total = sum(g.edges[g.edge_index[(path[i], path[i + 1])]][2] for i in range(len(path) - 1))
+            verts = path_vertices(g, path)
+            assert verts[0] == tail
+            assert verts[-1] == head
+            assert len(set(verts)) == len(verts)
+            total = sum(g.edges[e][2] for e in path)
             assert total <= dp.budget
 
 
@@ -93,7 +95,7 @@ def test_enumeration_matches_unpruned_oracle(seed):
         dp = enumerate_demand_paths(g, k, d)
         tail, head, _ = g.edges[d]
         expect = all_simple_paths_within(n, edges, tail, head, dp.budget)
-        assert sorted(dp.paths) == expect
+        assert sorted(path_vertices(g, p) for p in dp.paths) == expect
         assert dp.covered == frozenset(v for p in expect for v in p)
 
 
@@ -101,4 +103,4 @@ def test_float_lengths_enumerate_exactly():
     # dyadic lengths: float sums along paths are exact, so is the budget test
     g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.25), (0, 2, 0.75)])
     dp = enumerate_demand_paths(g, 1, 2)
-    assert set(dp.paths) == {(0, 2), (0, 1, 2)}
+    assert set(dp.paths) == {(2,), (0, 1)}  # 0->2 direct, and 0->1->2

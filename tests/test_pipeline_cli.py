@@ -640,6 +640,44 @@ def test_cli_cap_is_exit_3(tmp_path, capsys, monkeypatch, argv, constant, value)
     assert err.startswith("cap exceeded: ")
 
 
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    # the unit path 0 -> 1 -> ... -> 999 and the shortcut 0 -> 999 of length 999:
+    # at k=1 the shortcut's demand has a 999-edge path, longer than the recursion limit
+    edges = [(i, i + 1, 1) for i in range(999)] + [(0, 999, 999)]
+    gpath = tmp_path_factory.mktemp("chain") / "chain.txt"
+    gpath.write_text(serialize_graph(build_graph(1000, edges)))
+    return str(gpath)
+
+
+@pytest.mark.parametrize(
+    "command, code, summary",
+    [
+        ("lp", 0, "lp objective 999 (optimal)\n"),
+        ("solve", 0, "n=1000 m=1000 k=1 lp=999 alpha=34.5388 trials=1 feasible=1.0\n"),
+        ("oracle", 0, "opt 999 (witness of 999 edges)\n"),
+        # growing the out-trees still recurses once per tree vertex
+        ("claims", 3, "cap exceeded: an out-tree of 1000 vertices is deeper than the recursion limit\n"),
+    ],
+    ids=["lp", "solve", "oracle", "claims"],
+)
+def test_cli_path_as_long_as_the_graph(capsys, long_chain, command, code, summary):
+    got, out, err = _run(capsys, [command, long_chain, "-k", "1"])
+    assert (got, err) == (code, summary)
+    assert (out != "") == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--spec", "er:n=268435456,p=0.5"], ["solve", "gen:er:n=268435456,p=0.5", "-k", "3"]], ids=["gen", "solve"]
+)
+def test_cli_out_of_memory_is_exit_3(capsys, argv):
+    # one draw per candidate pair is n * (n - 1) doubles, 512 PiB: past every
+    # 64-bit address space, so the allocation fails at once
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
 # every option each subcommand declares; each one changes what the subcommand runs
 CLI_FLAGS = {
     "solve": {"input", "-k", "--alpha", "--seed", "--trials", "--out", "--require-feasible", "--oracle"},
