@@ -28,44 +28,6 @@ from .verify import _subset_out_edges
 MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
 
-def _grow(g, on_tree, pot, mask, frontier, start, leaf):
-    """Decide frontier[start:] in order, calling leaf(pot, mask) once per finished tree.
-
-    The frontier lists the edges leaving the tree in discovery order.  An edge
-    whose head is already on the tree is passed over; any other edge is either
-    taken (its head joins, its out-edges join the frontier, and the rest is
-    decided recursively) or skipped for good, which is the loop moving on.
-    Every rooted out-tree comes from exactly one sequence of decisions, and the
-    recursion is only as deep as the tree is large.
-
-    mask is the cut set of the current tree as a bit per edge.  Only the
-    potential of the joining vertex changes, so only its out- and in-edges
-    can change cut status: each of those is re-tested, and its bit set or
-    cleared, in the child's copy of the mask.
-    """
-    edges = g.edges
-    for i in range(start, len(frontier)):
-        tail, head, length = edges[frontier[i]]
-        if on_tree[head]:
-            continue
-        on_tree[head] = True
-        pot[head] = pot[tail] + length
-        child = mask
-        for e in g.out_edges[head] + g.in_edges[head]:
-            t, w, le = edges[e]
-            if pot[w] > pot[t] + le:
-                child |= 1 << e
-            else:
-                child &= ~(1 << e)
-        mark = len(frontier)
-        frontier.extend(g.out_edges[head])
-        _grow(g, on_tree, pot, child, frontier, i + 1, leaf)
-        del frontier[mark:]
-        on_tree[head] = False
-        pot[head] = INF
-    leaf(pot, mask)
-
-
 class ClaimContext:
     """Every rooted out-tree of one small graph, materialized for reuse.
 
@@ -73,33 +35,63 @@ class ClaimContext:
     (distance-to-target, cut-mask) pair per tree; the distance is INF when
     the tree misses the target.  Both claim checks are methods that loop over
     this list, so checking many subgraphs or LP vectors against the same
-    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees,
-    or when a tree grows deeper than Python's recursion limit.
+    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees.
+
+    The trees grow on an explicit stack with one frame per tree vertex, so a
+    tree may be as deep as the graph.  The frontier lists the edges leaving
+    the tree in discovery order.  A frame passes over an edge whose head is
+    on the tree; any other edge it either takes (the head joins in a child
+    frame, with its out-edges appended to the frontier) or, once that child
+    is done, skips for good.  So every rooted out-tree comes from exactly one
+    take/skip sequence, and a frame's tree is finished after its children's.
+    Only the joining vertex's potential changes, so only its out- and
+    in-edges can change cut status: the child's mask re-tests just those.
     """
 
     def __init__(self, g, root, target):
         self.graph = g
         self.root = root
         self.target = target
-        trees = []
-
-        def leaf(pot, mask):
-            if len(trees) == MAX_TREES:
-                raise ExplosionCap(f"more than {MAX_TREES} rooted out-trees")
-            trees.append((pot[target], mask))
-
+        edges, out_edges, in_edges = g.edges, g.out_edges, g.in_edges
         # membership is kept apart from pot: a tree distance can overflow to INF
         on_tree = [False] * g.n
         on_tree[root] = True
         pot = [INF] * g.n
         pot[root] = 0.0
         mask = 0  # every length is finite, so the root alone is cut by exactly its out-edges
-        for e in g.out_edges[root]:
+        for e in out_edges[root]:
             mask |= 1 << e
-        try:
-            _grow(g, on_tree, pot, mask, list(g.out_edges[root]), 0, leaf)
-        except RecursionError:  # _grow nests one call per tree vertex
-            raise ExplosionCap(f"an out-tree of {g.n} vertices is deeper than the recursion limit") from None
+        frontier = list(out_edges[root])
+        trees = []
+        # a frame: [next frontier slot, cut mask, vertex, frontier length before it joined]
+        stack = [[0, mask, root, 0]]
+        while stack:
+            frame = stack[-1]
+            i, end = frame[0], len(frontier)
+            while i < end and on_tree[edges[frontier[i]][1]]:
+                i += 1
+            if i == end:  # every slot decided: the frame's tree is finished
+                if len(trees) == MAX_TREES:
+                    raise ExplosionCap(f"more than {MAX_TREES} rooted out-trees")
+                trees.append((pot[target], frame[1]))
+                _, _, vertex, mark = stack.pop()
+                del frontier[mark:]
+                on_tree[vertex] = False
+                pot[vertex] = INF
+                continue
+            frame[0] = i + 1
+            tail, head, length = edges[frontier[i]]
+            on_tree[head] = True
+            pot[head] = pot[tail] + length
+            child = frame[1]
+            for e in out_edges[head] + in_edges[head]:
+                t, w, le = edges[e]
+                if pot[w] > pot[t] + le:
+                    child |= 1 << e
+                else:
+                    child &= ~(1 << e)
+            stack.append([i + 1, child, head, end])
+            frontier.extend(out_edges[head])
         self.trees = trees
 
     def tree_count(self):

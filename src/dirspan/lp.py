@@ -38,7 +38,6 @@ class LpModel:
     """
 
     graph: object
-    k: float
     path_cols: tuple  # (demand, path) per flow column; a path is a tuple of edge indices
     demand_paths: tuple  # DemandPaths per demand, indexed by demand
     mandatory: frozenset  # edge indices presolved to x_e >= 1
@@ -106,7 +105,6 @@ def build_lp(g, k, presolve=True, table=None):
     program = Program(c=c, a=a, b=np.array(rhs), senses=senses, lower=lower)
     return LpModel(
         graph=g,
-        k=k,
         path_cols=tuple(path_cols),
         demand_paths=demand_paths,
         mandatory=frozenset(mandatory),

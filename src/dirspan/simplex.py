@@ -2,7 +2,7 @@
 
 Solves
     minimize    c @ z
-    subject to  A z  (<= | >= | =)  b,   z >= lower,   lower >= 0
+    subject to  A z  (<= | >=)  b,   z >= lower,   lower >= 0
 
 The tableau is a dense array, but a pivot updates only the rows where the
 pivot column is non-zero crossed with the columns where the pivot row is
@@ -30,7 +30,6 @@ MAX_ITER = 10**6
 
 LESS = "<="
 GREATER = ">="
-EQUAL = "="
 
 
 @dataclass
@@ -54,6 +53,9 @@ def solve_simplex(c, a, b, senses, lower=None):
         raise ValueError(
             f"constraint matrix {a.shape} and {len(senses)} senses do not fit {nrows} rows x {nvars} variables"
         )
+    for s in senses:
+        if s not in (LESS, GREATER):
+            raise ValueError(f"row sense must be {LESS!r} or {GREATER!r}, got {s!r}")
     if lower is None:
         lower = np.zeros(nvars)
     else:
@@ -76,13 +78,12 @@ def solve_simplex(c, a, b, senses, lower=None):
     flipped = np.flatnonzero(rhs < 0)
     rhs[flipped] = -rhs[flipped]
     for i in flipped:
-        senses[i] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[senses[i]]
+        senses[i] = {LESS: GREATER, GREATER: LESS}[senses[i]]
 
     n_slack = sum(1 for s in senses if s == LESS)
-    n_surplus = sum(1 for s in senses if s == GREATER)
-    n_art = sum(1 for s in senses if s in (GREATER, EQUAL))
-    ncols = nvars + n_slack + n_surplus + n_art
+    n_surplus = sum(1 for s in senses if s == GREATER)  # each >= row also gets an artificial column
     art_start = nvars + n_slack + n_surplus
+    ncols = art_start + n_surplus
 
     T = np.zeros((nrows + 2, ncols + 1))
     T[:nrows, :nvars] = a
@@ -98,15 +99,11 @@ def solve_simplex(c, a, b, senses, lower=None):
             T[i, slack_at] = 1.0
             basis[i] = slack_at
             slack_at += 1
-        elif s == GREATER:
+        else:
             T[i, surplus_at] = -1.0
             T[i, art_at] = 1.0
             basis[i] = art_at
             surplus_at += 1
-            art_at += 1
-        else:
-            T[i, art_at] = 1.0
-            basis[i] = art_at
             art_at += 1
 
     OBJ = nrows  # reduced real costs
@@ -166,7 +163,7 @@ def solve_simplex(c, a, b, senses, lower=None):
                 state["streak"] = 0
 
     allowed_all = np.ones(ncols, dtype=bool)
-    if n_art:
+    if n_surplus:
         status = run_phase(P1, allowed_all)
         if status == "unbounded":
             raise NumericalFailure("phase-1 objective unbounded; inconsistent tableau")

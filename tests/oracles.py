@@ -10,6 +10,7 @@ import math
 import random
 
 import numpy as np
+from scipy.optimize import linprog
 
 INF = math.inf
 
@@ -205,6 +206,30 @@ def layered_lp_unit(n, edges, k):
     c[:m] = 1.0
     a = np.array(rows) if rows else np.zeros((0, ncols))
     return c, a, np.array(b), senses
+
+
+def highs_solve(c, a, b, senses, lower=None):
+    """scipy's HiGHS on min c @ z subject to A z (<=, >= or =) b row by row, z >= lower."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    le, ge, eq = ([i for i, s in enumerate(senses) if s == sense] for sense in ("<=", ">=", "="))
+    return linprog(
+        c,
+        A_ub=np.vstack([a[le], -a[ge]]) if le or ge else None,
+        b_ub=np.concatenate([b[le], -b[ge]]) if le or ge else None,
+        A_eq=a[eq] if eq else None,
+        b_eq=b[eq] if eq else None,
+        bounds=(0, None) if lower is None else [(lo, None) for lo in lower],
+        method="highs",
+    )
+
+
+def layered_lp_value(n, edges, k):
+    """The layered LP's optimum by HiGHS, a solver that shares no code with the package."""
+    res = highs_solve(*layered_lp_unit(n, edges, k))
+    if res.status != 0:
+        raise AssertionError(f"HiGHS found no optimum of the layered LP: {res.message}")
+    return res.fun
 
 
 def check_solution(model, sol, tol=1e-8):

@@ -31,9 +31,8 @@ from dirspan import (
 )
 from dirspan.cli import load_input
 from dirspan.graph import DistanceTable
-from dirspan.simplex import solve_simplex
 
-from oracles import layered_lp_unit, make_rng, random_edge_list
+from oracles import layered_lp_value, make_rng, random_edge_list
 from support import edge_check_equals_allpairs_check
 
 TOL_LP_VS_OPT = 1e-7
@@ -132,7 +131,7 @@ def test_criterion_2_formulation_equivalence():
             continue
         k = (3, 4, 5)[i % 3]
         pv = solve_lp(build_lp(g, k)).objective_value
-        lv = solve_simplex(*layered_lp_unit(g.n, g.edges, k)).objective
+        lv = layered_lp_value(g.n, g.edges, k)  # HiGHS, not the package's simplex
         worst = max(worst, abs(pv - lv))
         checked += 1
     ok = checked >= 100 and worst <= TOL_FORMULATIONS

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirspan import ClaimContext, ExplosionCap, arborescence, build_graph
+from dirspan.graph import INF
 
 from oracles import make_rng, out_tree_census, random_edge_list
 from support import shortest_path_tree_cut
@@ -43,6 +44,16 @@ def test_trees_match_parent_vector_oracle():
         root, target = rng.randrange(n), rng.randrange(n)
         ctx = ClaimContext(build_graph(n, edges), root, target)
         assert sorted(ctx.trees) == out_tree_census(n, edges, root, target)
+
+
+def test_trees_as_deep_as_a_long_path():
+    # the unit path 0 -> 1 -> ... -> 1999 has one rooted out-tree per prefix, each
+    # cut by the edge leaving it, and only the whole path reaches the target;
+    # the longest prefix finishes first, the root alone last
+    n = 2000
+    ctx = ClaimContext(build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)]), 0, n - 1)
+    assert ctx.tree_count() == n
+    assert ctx.trees == [(n - 1.0, 0)] + [(INF, 1 << e) for e in range(n - 2, -1, -1)]
 
 
 @st.composite

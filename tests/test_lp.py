@@ -15,7 +15,7 @@ from dirspan import (
 from dirspan.lp import LpSolution
 from dirspan.simplex import GREATER, LESS, solve_simplex
 
-from oracles import check_solution, layered_lp_unit, lp_lower_bound_check, make_rng, random_edge_list
+from oracles import check_solution, layered_lp_unit, layered_lp_value, lp_lower_bound_check, make_rng, random_edge_list
 from support import path_vertices
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
@@ -97,7 +97,7 @@ def test_presolve_value_matches_on_random_instances():
 
 
 def layered_value(g, k):
-    return solve_simplex(*layered_lp_unit(g.n, g.edges, k)).objective
+    return layered_lp_value(g.n, g.edges, k)
 
 
 def test_layered_requires_unit_lengths():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from dirspan.simplex import EQUAL, GREATER, LESS, SimplexResult, solve_simplex
+from dirspan.simplex import GREATER, LESS, SimplexResult, solve_simplex
 
-from oracles import make_rng
+from oracles import highs_solve, make_rng
 
 
 def test_single_covering_row():
@@ -15,8 +14,8 @@ def test_single_covering_row():
 
 
 def test_equality_row():
-    res = solve_simplex([2.0, 3.0], [[1.0, 1.0], [1.0, 0.0]], [4.0, 1.0], [EQUAL, GREATER])
-    # x >= 1, x + y = 4: cheapest is x = 4, y = 0
+    # x >= 1, and x + y = 4 as a <= row and a >= row: cheapest is x = 4, y = 0
+    res = solve_simplex([2.0, 3.0], [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]], [4.0, 4.0, 1.0], [LESS, GREATER, GREATER])
     assert res.objective == pytest.approx(8.0, abs=1e-9)
 
 
@@ -55,9 +54,9 @@ def test_no_vars():
     assert res.status == "optimal"
     assert res.objective == 0.0
     assert solve_simplex([], [], [], []).objective == 0.0
-    # rows without variables read 0 against b: 0 >= 1 cannot hold, 0 <= 1 and 0 = 0 do
+    # rows without variables read 0 against b: 0 >= 1 cannot hold, 0 <= 1 and 0 >= 0 do
     assert solve_simplex([], np.zeros((1, 0)), [1.0], [GREATER]).status == "infeasible"
-    assert solve_simplex([], np.zeros((2, 0)), [1.0, 0.0], [LESS, EQUAL]).status == "optimal"
+    assert solve_simplex([], np.zeros((2, 0)), [1.0, 0.0], [LESS, GREATER]).status == "optimal"
 
 
 def test_negative_rhs_normalized():
@@ -75,20 +74,6 @@ def test_degenerate_problem_terminates():
     assert res.objective == pytest.approx(1.0, abs=1e-9)
 
 
-def _scipy_solve(c, a, b, senses, lower):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ub_rows = [i for i, s in enumerate(senses) if s == LESS]
-    ge_rows = [i for i, s in enumerate(senses) if s == GREATER]
-    eq_rows = [i for i, s in enumerate(senses) if s == EQUAL]
-    a_ub = np.vstack([a[ub_rows], -a[ge_rows]]) if ub_rows or ge_rows else None
-    b_ub = np.concatenate([b[ub_rows], -b[ge_rows]]) if ub_rows or ge_rows else None
-    a_eq = a[eq_rows] if eq_rows else None
-    b_eq = b[eq_rows] if eq_rows else None
-    bounds = [(lo, None) for lo in lower]
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_matches_scipy_on_random_programs(seed):
     rng = make_rng(500 + seed)
@@ -98,11 +83,11 @@ def test_matches_scipy_on_random_programs(seed):
     c = [rng.randint(0, 5) * 1.0 for _ in range(nvars)]
     a = [[rng.randint(-3, 4) * 1.0 for _ in range(nvars)] for _ in range(nrows)]
     b = [rng.randint(-4, 8) * 1.0 for _ in range(nrows)]
-    senses = [rng.choice([LESS, GREATER, EQUAL]) for _ in range(nrows)]
+    senses = [rng.choice([LESS, GREATER]) for _ in range(nrows)]
     lower = [rng.choice([0.0, 0.0, 1.0]) for _ in range(nvars)]
 
     ours = solve_simplex(c, a, b, senses, lower=lower)
-    ref = _scipy_solve(c, a, b, senses, lower)
+    ref = highs_solve(c, a, b, senses, lower)
 
     if ref.status == 2:
         assert ours.status == "infeasible"
@@ -118,10 +103,8 @@ def test_matches_scipy_on_random_programs(seed):
         val = float(np.dot(row, z))
         if sense == LESS:
             assert val <= rhs + 1e-7
-        elif sense == GREATER:
-            assert val >= rhs - 1e-7
         else:
-            assert val == pytest.approx(rhs, abs=1e-7)
+            assert val >= rhs - 1e-7
 
 
 def test_result_type():
@@ -138,3 +121,13 @@ def test_misshaped_inputs_rejected():
         solve_simplex([1.0, 1.0], [[1.0, 1.0]], [1.0], [GREATER, GREATER])
     with pytest.raises(ValueError):
         solve_simplex([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0], [GREATER])
+
+
+def test_unknown_sense_rejected():
+    # an unknown sense would get an artificial column that the phase-1 count misses,
+    # and [">=", "ge"] would come back optimal at z = [3, 1]
+    for senses in ([GREATER, "ge"], ["=", LESS], ["==", GREATER]):
+        with pytest.raises(ValueError):
+            solve_simplex([1, 1], [[1, 0], [0, 1]], [3, 2], senses)
+    with pytest.raises(ValueError):
+        solve_simplex([], np.zeros((1, 0)), [0.0], ["="])  # no variables: checked all the same
