@@ -28,8 +28,6 @@ from .graph import (
     InducedSubgraph,
     build_graph,
     induced_subgraph,
-    reverse_graph,
-    shortest_path_tree,
 )
 from .io import dumps_report, parse_graph, serialize_graph
 from .lp import (
@@ -55,7 +53,6 @@ from .verify import (
     OptResult,
     SpannerCheck,
     brute_force_opt,
-    demand_distance_rows,
     is_k_spanner,
 )
 
@@ -91,7 +88,6 @@ __all__ = [
     "build_graph",
     "build_lp",
     "build_spanner",
-    "demand_distance_rows",
     "dumps_report",
     "edge_inclusion_probs",
     "enumerate_demand_paths",
@@ -101,7 +97,6 @@ __all__ = [
     "is_k_spanner",
     "parse_gen_spec",
     "parse_graph",
-    "reverse_graph",
     "round_edges",
     "run_claims",
     "run_oracle",
@@ -109,7 +104,6 @@ __all__ = [
     "sample_tree_roots",
     "select_alpha",
     "serialize_graph",
-    "shortest_path_tree",
     "solve_lp",
     "trial_seed",
     "violated_rows",

@@ -25,7 +25,7 @@ from .errors import BadSpec, DirspanError, ExplosionCap, NumericalFailure, PathE
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, parse_graph, parse_subgraph, serialize_graph
 from .lp import CHECK_TOL, LpSolution, build_lp, export_lp_text, solve_lp
-from .pipeline import RunConfig, run_claims, run_oracle, run_solve
+from .pipeline import RunConfig, claim_cap, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
 EXIT_OK = 0
@@ -87,8 +87,8 @@ def _load(args):
     given = vars(args)
     config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     g = load_input(config.input)
-    total = sum(length for _, _, length in g.edges)  # no sum a run forms exceeds the claims cap below
-    if not math.isfinite(config.k * total * 2.5 + 1.0):
+    total = sum(length for _, _, length in g.edges)  # no sum a run forms exceeds the claims cap of k * total
+    if not math.isfinite(claim_cap(config.k * total)):
         raise BadSpec(f"lengths sum to {total!r}, so 2.5 * k * sum + 1.0 overflows a double at k={config.k}")
     return config, g
 

@@ -188,8 +188,7 @@ def export_lp_text(model):
     lines.append("Subject To")
     for idx, (row, sense, b, label) in enumerate(zip(p.a, p.senses, p.b, model.row_labels)):
         name = "_".join(str(t) for t in label)
-        op = {LESS: "<=", GREATER: ">="}[sense]
-        lines.append(f" r{idx}_{name}: {terms(row)} {op} {b:.17g}")
+        lines.append(f" r{idx}_{name}: {terms(row)} {sense} {b:.17g}")  # LESS and GREATER are LP-format operators
     bounds = [f" {vname(j)} >= {p.lower[j]:.17g}" for j in np.nonzero(p.lower)[0]]
     if bounds:
         lines.append("Bounds")

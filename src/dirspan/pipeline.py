@@ -18,7 +18,7 @@ from .arborescence import ClaimContext
 from .errors import BadSpec
 from .graph import DistanceTable, induced_subgraph
 from .lp import build_lp, solve_lp
-from .rounding import RoundingParams, build_spanner, select_alpha
+from .rounding import CLAIMS_STREAM, RoundingParams, _stream, build_spanner, select_alpha
 from .verify import brute_force_opt
 
 MASK64 = (1 << 64) - 1
@@ -98,7 +98,7 @@ def run_solve(config, g, opt=None, sol=None):
 
     feasible_count = sum(1 for r in records if r["feasible"])
     eh_sizes = [r["eh_size"] for r in records]
-    report = {
+    return {
         "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k, "mode": mode},
         "alpha": alpha,
         "lp": {"status": sol.status, "value": sol.objective_value},
@@ -124,7 +124,6 @@ def run_solve(config, g, opt=None, sol=None):
             "total_seconds": t_end - t0,
         },
     }
-    return report
 
 
 def run_oracle(config, g):
@@ -138,6 +137,11 @@ def run_oracle(config, g):
     }
 
 
+def claim_cap(threshold):
+    """Upper end of claim 1's random thresholds; cli._load's range rule keeps it finite at k * (sum of lengths)."""
+    return threshold * 2.5 + 1.0
+
+
 def run_claims(config, g):
     """Check both claims on every demand of graph g.
 
@@ -149,10 +153,8 @@ def run_claims(config, g):
     model = build_lp(g, config.k)
     sol = solve_lp(model)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(2,))))
-    demands_checked = 0
+    rng = _stream(config.seed, CLAIMS_STREAM)
     trees_total = 0
-    claim1_checks = 0
     claim1_disagreements = 0
     claim2_long_trees = 0
     claim2_violations = 0
@@ -162,7 +164,6 @@ def run_claims(config, g):
         u, v, length = g.edges[d]
         su, sv = sub.vertices.index(u), sub.vertices.index(v)
         ctx = ClaimContext(sub.graph, su, sv)
-        demands_checked += 1
         trees_total += ctx.tree_count()
 
         x_sub = [sol.x[orig] for orig in sub.edge_map]
@@ -175,24 +176,19 @@ def run_claims(config, g):
             if worst < 1.0 - 1e-9:
                 claim2_violations += 1
 
+        cap = claim_cap(threshold)
         for _ in range(config.trials):
-            keep = rng.random(sub.graph.m) < 0.5
-            h_edges = frozenset(e for e in range(sub.graph.m) if keep[e])
-            quantile = float(rng.random())
-            cap = threshold * 2.5 + 1.0
-            k_rand = quantile * cap
-            left = ctx.path_within(h_edges, k_rand)
-            right = ctx.all_long_trees_cut(h_edges, k_rand)
-            claim1_checks += 1
-            if left != right:
+            h_edges = frozenset(np.flatnonzero(rng.random(sub.graph.m) < 0.5).tolist())
+            k_rand = float(rng.random()) * cap
+            if ctx.path_within(h_edges, k_rand) != ctx.all_long_trees_cut(h_edges, k_rand):
                 claim1_disagreements += 1
 
     return {
         "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k},
         "lp_value": sol.objective_value,
-        "demands_checked": demands_checked,
+        "demands_checked": g.m,
         "trees_enumerated": trees_total,
-        "claim1": {"checks": claim1_checks, "disagreements": claim1_disagreements},
+        "claim1": {"checks": g.m * config.trials, "disagreements": claim1_disagreements},
         "claim2": {
             "long_trees": claim2_long_trees,
             "violations": claim2_violations,

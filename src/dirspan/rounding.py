@@ -21,6 +21,7 @@ from .verify import is_k_spanner
 
 EDGE_STREAM = 0
 ROOT_STREAM = 1
+CLAIMS_STREAM = 2
 
 
 def _stream(seed, label):
@@ -60,7 +61,8 @@ class RoundingParams:
 
 def edge_inclusion_probs(x, alpha, n):
     """Exact per-edge keep probabilities min(alpha * x_e * sqrt(n), 1)."""
-    return np.minimum(alpha * np.asarray(x, dtype=float) * math.sqrt(n), 1.0).tolist()
+    with np.errstate(over="ignore"):  # a product past the largest double is inf, which clips to 1
+        return np.minimum(alpha * np.asarray(x, dtype=float) * math.sqrt(n), 1.0).tolist()
 
 
 def round_edges(g, x, alpha, rng):
@@ -100,9 +102,6 @@ def build_spanner(g, lp_sol, params, force_rounded_edges=None, force_tree_roots=
     dist_G row the check reads.  A trial's tree edges are one OR over its
     roots' rows.
     """
-    if lp_sol.status != "optimal":
-        raise ValueError(f"need an optimal LP solution, got status {lp_sol.status!r}")
-
     if force_rounded_edges is not None:
         rounded = frozenset(force_rounded_edges)
     else:

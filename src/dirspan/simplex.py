@@ -114,7 +114,8 @@ def solve_simplex(c, a, b, senses, lower=None):
         if basis[i] >= art_start:
             T[P1] -= T[i]
 
-    state = {"iters": 0, "bland": False, "streak": 0}
+    iters = 0
+    bland = False  # once set, Bland's rule holds through both phases
 
     def pivot(row, col):
         T[row] /= T[row, col]
@@ -127,20 +128,21 @@ def solve_simplex(c, a, b, senses, lower=None):
         T[row, col] = 1.0
         basis[row] = col
 
-    def run_phase(cost_row, allowed):
+    def run_phase(cost_row, limit):  # enters only columns below limit
+        nonlocal iters, bland
+        streak = 0
         while True:
-            if state["iters"] >= MAX_ITER:
+            if iters >= MAX_ITER:
                 raise NumericalFailure(f"simplex exceeded {MAX_ITER} iterations")
-            reduced = T[cost_row, :ncols]
-            if state["bland"]:
-                candidates = np.nonzero(allowed & (reduced < -FEAS_TOL))[0]
+            reduced = T[cost_row, :limit]
+            if bland:
+                candidates = np.flatnonzero(reduced < -FEAS_TOL)
                 if candidates.size == 0:
                     return "optimal"
                 col = int(candidates[0])
             else:
-                masked = np.where(allowed, reduced, 0.0)
-                col = int(np.argmin(masked))
-                if masked[col] >= -FEAS_TOL:
+                col = int(np.argmin(reduced))
+                if reduced[col] >= -FEAS_TOL:
                     return "optimal"
             entries = T[:nrows, col]
             ratios = np.full(nrows, np.inf)
@@ -154,45 +156,39 @@ def solve_simplex(c, a, b, senses, lower=None):
             row = int(tied[np.argmin(basis[tied])])
             before = T[cost_row, -1]
             pivot(row, col)
-            state["iters"] += 1
+            iters += 1
             if abs(T[cost_row, -1] - before) <= 1e-13:
-                state["streak"] += 1
-                if state["streak"] >= DEGENERATE_STREAK:
-                    state["bland"] = True
+                streak += 1
+                bland = bland or streak >= DEGENERATE_STREAK
             else:
-                state["streak"] = 0
+                streak = 0
 
-    allowed_all = np.ones(ncols, dtype=bool)
     if n_surplus:
-        status = run_phase(P1, allowed_all)
+        status = run_phase(P1, ncols)
         if status == "unbounded":
             raise NumericalFailure("phase-1 objective unbounded; inconsistent tableau")
         # -T[P1, -1] is the artificial mass left over
         if -T[P1, -1] > FEAS_TOL:
-            return SimplexResult(status="infeasible", z=None, objective=None, iterations=state["iters"])
+            return SimplexResult(status="infeasible", z=None, objective=None, iterations=iters)
         # drive leftover artificials out of the basis
         for i in range(nrows):
             if basis[i] >= art_start:
                 options = np.nonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)[0]
                 if options.size:
                     pivot(i, int(options[0]))
-                    state["iters"] += 1
+                    iters += 1
                 # else: redundant row, harmless to keep with its artificial at zero
 
-    allowed_real = np.ones(ncols, dtype=bool)
-    allowed_real[art_start:] = False
-    state["streak"] = 0
-    status = run_phase(OBJ, allowed_real)
+    status = run_phase(OBJ, art_start)  # the artificial columns come last, so phase 2 never enters one
     if status == "unbounded":
         raise NumericalFailure("objective unbounded below")
 
     y = np.zeros(ncols)
-    for i in range(nrows):
-        y[basis[i]] = T[i, -1]
+    y[basis] = T[:nrows, -1]
     z = lower + y[:nvars]
     return SimplexResult(
         status="optimal",
         z=z,
         objective=float(c @ z),
-        iterations=state["iters"],
+        iterations=iters,
     )

@@ -19,7 +19,6 @@ from dirspan import (
     build_lp,
     build_spanner,
     brute_force_opt,
-    demand_distance_rows,
     dumps_report,
     edge_inclusion_probs,
     enumerate_demand_paths,
@@ -31,6 +30,7 @@ from dirspan import (
 )
 from dirspan.cli import load_input
 from dirspan.graph import DistanceTable
+from dirspan.verify import demand_distance_rows
 
 from oracles import layered_lp_value, make_rng, random_edge_list
 from support import edge_check_equals_allpairs_check

@@ -13,11 +13,9 @@ from dirspan import (
     SelfLoop,
     build_graph,
     induced_subgraph,
-    reverse_graph,
-    shortest_path_tree,
 )
 import dirspan.graph
-from dirspan.graph import DistanceTable, _dijkstra, _select_parents
+from dirspan.graph import DistanceTable, _dijkstra, _select_parents, reverse_graph, shortest_path_tree
 from dirspan.paths import demand_path_sets
 from dirspan.verify import is_k_spanner
 

@@ -13,6 +13,7 @@ from dirspan import (
     violated_rows,
 )
 from dirspan.lp import LpSolution
+from dirspan import simplex
 from dirspan.simplex import GREATER, LESS, solve_simplex
 
 from oracles import check_solution, layered_lp_unit, layered_lp_value, lp_lower_bound_check, make_rng, random_edge_list
@@ -252,6 +253,16 @@ PIVOT_PATH = [
 ]
 
 
+# the same at k=3 with a streak of 16 degenerate pivots switching to Bland's rule, which
+# then fires in phase 1 on the first and last LP: a Bland's rule reset before phase 2
+# moves the first and last, and a streak carried from phase 1 into phase 2 the second
+BLAND_PIVOT_PATH = [
+    ("er:n=40,p=0.1,seed=1", 1242, 90.75, "9ea0e1e1cad5c2272b313d3a87f01837b9560fc527f8375c33bd2f3f8552535d"),
+    ("er:n=60,p=0.05,seed=1", 283, 143.5, "4ad7656560c805f616cc40cd22ad1be2df9639a3ba068f90a30c4997e388a998"),
+    ("er:n=12,p=0.3,seed=21", 486, 17.550000000000004, "2b326f734c65abc60fd5b3db4978f781c398c55e23fbc357463ac85031826601"),
+]
+
+
 @pytest.mark.parametrize("spec,iterations,objective,z_sha256", PIVOT_PATH)
 def test_ladder_pivot_path_is_pinned(spec, iterations, objective, z_sha256):
     p = build_lp(generate_instance(parse_gen_spec(spec)), 3).program
@@ -259,3 +270,9 @@ def test_ladder_pivot_path_is_pinned(spec, iterations, objective, z_sha256):
     assert res.iterations == iterations
     assert res.objective == objective
     assert hashlib.sha256(res.z.tobytes()).hexdigest() == z_sha256
+
+
+@pytest.mark.parametrize("spec,iterations,objective,z_sha256", BLAND_PIVOT_PATH)
+def test_bland_pivot_path_is_pinned(monkeypatch, spec, iterations, objective, z_sha256):
+    monkeypatch.setattr(simplex, "DEGENERATE_STREAK", 16)
+    test_ladder_pivot_path_is_pinned(spec, iterations, objective, z_sha256)

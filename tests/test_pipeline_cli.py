@@ -62,10 +62,10 @@ PUBLIC_NAMES = {
     "NegativeLength", "NumericalFailure", "OptResult", "PathExplosion",
     "RoundingParams", "RunConfig", "SelfLoop", "SpannerCheck", "SpannerResult", "TooLarge",
     "brute_force_opt", "build_graph", "build_lp", "build_spanner",
-    "demand_distance_rows", "dumps_report", "edge_inclusion_probs", "enumerate_demand_paths",
+    "dumps_report", "edge_inclusion_probs", "enumerate_demand_paths",
     "export_lp_text", "generate_instance", "induced_subgraph", "is_k_spanner", "parse_gen_spec",
-    "parse_graph", "reverse_graph", "round_edges", "run_claims", "run_oracle", "run_solve",
-    "sample_tree_roots", "select_alpha", "serialize_graph", "shortest_path_tree",
+    "parse_graph", "round_edges", "run_claims", "run_oracle", "run_solve",
+    "sample_tree_roots", "select_alpha", "serialize_graph",
     "solve_lp", "trial_seed", "violated_rows",
 }
 
@@ -109,18 +109,23 @@ def test_pipeline_imports_no_input_module():
     assert not imported & {".io", ".generate", "dirspan.io", "dirspan.generate"}
 
 
-def _self_calling_functions(tree, prefix):
-    """Qualified names of the functions under tree that call their own name."""
+def _functions_where(tree, prefix, test):
+    """Qualified names of the functions under tree for which test(function node) holds."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = f"{prefix}.{node.name}"
-            if isinstance(node, ast.FunctionDef) and any(
-                isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == node.name for c in ast.walk(node)
-            ):
+            if isinstance(node, ast.FunctionDef) and test(node):
                 found.append(name)
-            found += _self_calling_functions(node, name)
+            found += _functions_where(node, name, test)
     return found
+
+
+def _package_functions_where(test):
+    found = []
+    for path in sorted(Path(dirspan.__file__).parent.glob("*.py")):
+        found += _functions_where(ast.parse(path.read_text(encoding="utf-8")), path.stem, test)
+    return sorted(found)
 
 
 def test_only_bounded_functions_recurse():
@@ -130,10 +135,21 @@ def test_only_bounded_functions_recurse():
         "io._emit",  # the report's fixed nesting, at most four levels
         "verify.brute_force_opt.rec",  # at most MAX_FREE_EDGES + 1 levels, one per free edge
     ]
-    found = []
-    for path in sorted(Path(dirspan.__file__).parent.glob("*.py")):
-        found += _self_calling_functions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert sorted(found) == allowed
+    assert _package_functions_where(lambda fn: any(
+        isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == fn.name for c in ast.walk(fn)
+    )) == allowed
+
+
+def test_only_the_stream_helper_seeds_a_run():
+    # every labelled stream of a run seed comes from rounding._stream, so a reused label
+    # shows in one place; the generator draws from its spec's own seed, not from a run seed
+    assert _package_functions_where(lambda fn: any(
+        isinstance(c, ast.Call) and "SeedSequence" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+        for c in ast.walk(fn)
+    )) == [
+        "generate.generate_instance",
+        "rounding._stream",
+    ]
 
 
 def test_mode_auto_detects_unit():
@@ -544,6 +560,23 @@ def test_cli_round_rejects_numbers_past_the_double_range(tmp_path, capsys, dump,
     bad.write_text(json.dumps({"n": 3, "m": 3, "k": 2, **dump}))
     code, out, err = _run(capsys, ["round", str(gpath), "-k", "2", "--lp", str(bad)])
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("form", ["solve-alpha-1e308", "round-x-1e308"])
+def test_cli_keep_probability_past_the_double_range_clips_quietly(tmp_path, capsys, form):
+    # alpha * x_e * sqrt(n) overflows to inf, which clips to probability 1 with no warning
+    if form == "solve-alpha-1e308":
+        argv = ["solve", "gen:er:n=10,p=0.3,seed=1", "-k", "3", "--alpha", "1e308"]
+        summary = "n=10 m=26 k=3 lp=14.5 alpha=1e+308 trials=1 feasible=1.0\n"
+    else:
+        gpath, dump = tmp_path / "t.txt", tmp_path / "lp.json"
+        gpath.write_text(TRIANGLE_TEXT)
+        dump.write_text(json.dumps({"n": 3, "m": 3, "k": 2, "status": "optimal", "objective": 1e308, "x": [1e308, 0, 0]}))
+        argv = ["round", str(gpath), "-k", "2", "--lp", str(dump)]
+        summary = "rounded 1 trials, feasible fraction 1.0\n"
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, summary)
+    assert json.loads(out)["aggregate"]["feasible_fraction"] == 1.0
 
 
 def test_cli_lp_export_text(tmp_path, capsys):

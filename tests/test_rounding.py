@@ -13,10 +13,9 @@ from dirspan import (
     round_edges,
     sample_tree_roots,
     select_alpha,
-    shortest_path_tree,
     solve_lp,
 )
-from dirspan.graph import DistanceTable
+from dirspan.graph import DistanceTable, shortest_path_tree
 
 from oracles import dp_distances, make_rng, random_edge_list
 

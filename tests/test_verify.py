@@ -10,11 +10,11 @@ from dirspan import (
     build_graph,
     build_lp,
     brute_force_opt,
-    demand_distance_rows,
     is_k_spanner,
     solve_lp,
 )
 from dirspan.graph import DistanceTable
+from dirspan.verify import demand_distance_rows
 
 from oracles import exhaustive_opt, make_rng, naive_is_spanner, random_edge_list
 from support import all_pairs_spanner_check, eager_spanner_check, edge_check_equals_allpairs_check
