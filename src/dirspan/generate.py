@@ -106,7 +106,7 @@ def generate_instance(spec):
 
 
 def parse_gen_spec(text):
-    """Parse 'family:key=value,key=value' with an optional seed key."""
+    """Parse 'family:key=value,key=value' with an optional seed key; each key may appear once."""
     head, _, rest = text.partition(":")
     family = head.strip()
     if not family:
@@ -114,12 +114,16 @@ def parse_gen_spec(text):
     params = {}
     gen_seed = 0
     if rest.strip():
+        seen = set()
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             key = key.strip()
             val = val.strip()
             if not eq or not key or not val:
                 raise BadSpec(f"malformed generator parameter {item!r}")
+            if key in seen:
+                raise BadSpec(f"repeated generator parameter {key!r}")
+            seen.add(key)
             if key == "seed":
                 try:
                     gen_seed = int(val)

@@ -65,7 +65,7 @@ def parse_subgraph(g, text):
     chosen = []
     for lineno, line in _data_lines(text):
         parts = line.split()
-        if len(parts) < 2:
+        if len(parts) != 2:
             raise GraphSyntaxError(f"subgraph line must be 'tail head', got {line!r}", line=lineno)
         tail, head = _endpoints(parts, line, lineno)
         if (tail, head) not in g.edge_index:

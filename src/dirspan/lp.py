@@ -51,19 +51,18 @@ class LpSolution:
     x: tuple
     f: dict  # (demand, path) -> value; a presolved demand d has (d, (d,)) -> 1.0
     objective_value: float
-    iterations: int = 0
 
 
-def build_lp(g, k, presolve=True, table=None):
+def build_lp(g, k, table=None):
     """Assemble the path formulation for every demand edge of g.
 
-    presolve drops demands whose only within-budget path is the demand edge
-    itself, fixing that edge's variable to >= 1 instead of carrying its rows.
-    table, a DistanceTable of g, is handed to the path enumeration.
+    A presolve drops each demand whose only within-budget path is the demand
+    edge itself, fixing that edge's variable to >= 1 instead of carrying its
+    rows.  table, a DistanceTable of g, is handed to the path enumeration.
     """
     m = g.m
     demand_paths = demand_path_sets(g, k, table)
-    mandatory = {dp.demand for dp in demand_paths if presolve and dp.mandatory}
+    mandatory = {dp.demand for dp in demand_paths if dp.mandatory}
 
     # one pass over the demands: each row's flow columns (and capacity edge)
     path_cols = []
@@ -127,13 +126,7 @@ def solve_lp(model):
         f[(d, pth)] = float(res.z[m + j])
     for d in model.mandatory:
         f[(d, (d,))] = 1.0
-    sol = LpSolution(
-        status="optimal",
-        x=x,
-        f=f,
-        objective_value=float(res.objective),
-        iterations=res.iterations,
-    )
+    sol = LpSolution(status="optimal", x=x, f=f, objective_value=float(res.objective))
     fails = violated_rows(model, res.z)
     if fails:
         raise NumericalFailure(f"solver returned an infeasible point: {fails[0]}")

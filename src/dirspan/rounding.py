@@ -88,12 +88,12 @@ class SpannerResult:
     feasible: bool
 
 
-def build_spanner(g, lp_sol, params, force_rounded_edges=None, force_tree_roots=None, table=None):
+def build_spanner(g, lp_sol, params, table=None):
     """One full randomized construction plus an exact feasibility check.
 
     The edge and root phases consume separate labeled streams of the master
-    seed, so forcing one phase through the override hooks leaves the other
-    phase's draws untouched.  Every random choice is per-edge or per-vertex
+    seed, so each phase's draws are those of round_edges or sample_tree_roots
+    alone on its stream.  Every random choice is per-edge or per-vertex
     independent and shortest-path trees never leave a weak component, so a
     single pass over the whole graph equals running each component alone.
 
@@ -102,14 +102,8 @@ def build_spanner(g, lp_sol, params, force_rounded_edges=None, force_tree_roots=
     dist_G row the check reads.  A trial's tree edges are one OR over its
     roots' rows.
     """
-    if force_rounded_edges is not None:
-        rounded = frozenset(force_rounded_edges)
-    else:
-        rounded = round_edges(g, lp_sol.x, params.alpha, _stream(params.seed, EDGE_STREAM))
-    if force_tree_roots is not None:
-        roots = frozenset(force_tree_roots)
-    else:
-        roots = sample_tree_roots(g.n, params.alpha, _stream(params.seed, ROOT_STREAM))
+    rounded = round_edges(g, lp_sol.x, params.alpha, _stream(params.seed, EDGE_STREAM))
+    roots = sample_tree_roots(g.n, params.alpha, _stream(params.seed, ROOT_STREAM))
 
     if table is None:
         table = DistanceTable(g)

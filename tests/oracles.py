@@ -232,6 +232,45 @@ def layered_lp_value(n, edges, k):
     return res.fun
 
 
+def path_lp_value(n, edges, k):
+    """The path LP's optimum by HiGHS, over every demand's unpruned all_simple_paths_within set.
+
+    No demand is presolved away: each one keeps its demand row and one
+    capacity row per edge its paths use, with budget k * dist_G(u, v).
+    """
+    m = len(edges)
+    if m == 0:
+        return 0.0
+    index = {(tail, head): e for e, (tail, head, _) in enumerate(edges)}
+    cols = []  # (demand, edges of the path)
+    for d, (u, v, _) in enumerate(edges):
+        budget = k * dp_distances(n, edges, u)[v]
+        for path in all_simple_paths_within(n, edges, u, v, budget):
+            cols.append((d, {index[pair] for pair in zip(path, path[1:])}))
+    ncols = m + len(cols)
+    rows, b, senses = [], [], []
+    for d in range(m):
+        mine = [(m + j, used) for j, (dd, used) in enumerate(cols) if dd == d]
+        row = np.zeros(ncols)
+        row[[j for j, _ in mine]] = 1.0
+        rows.append(row)
+        b.append(1.0)
+        senses.append(">=")
+        for e in sorted(set().union(*(used for _, used in mine))):
+            row = np.zeros(ncols)
+            row[[j for j, used in mine if e in used]] = 1.0
+            row[e] = -1.0
+            rows.append(row)
+            b.append(0.0)
+            senses.append("<=")
+    c = np.zeros(ncols)
+    c[:m] = 1.0
+    res = highs_solve(c, np.array(rows), np.array(b), senses)
+    if res.status != 0:
+        raise AssertionError(f"HiGHS found no optimum of the path LP: {res.message}")
+    return res.fun
+
+
 def check_solution(model, sol, tol=1e-8):
     """Rows of a path LP model that an LpSolution violates (empty means feasible).
 

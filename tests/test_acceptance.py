@@ -24,12 +24,14 @@ from dirspan import (
     enumerate_demand_paths,
     generate_instance,
     induced_subgraph,
+    round_edges,
     run_solve,
     select_alpha,
     solve_lp,
 )
 from dirspan.cli import load_input
 from dirspan.graph import DistanceTable
+from dirspan.rounding import EDGE_STREAM, _stream
 from dirspan.verify import demand_distance_rows
 
 from oracles import layered_lp_value, make_rng, random_edge_list
@@ -281,14 +283,10 @@ def test_criterion_6_approximation_accounting(solved_batch):
             probs = edge_inclusion_probs(sol.x, alpha, g.n)
             mu = sum(probs)
             sigma = math.sqrt(sum(p * (1 - p) for p in probs))
-            counts = []
-            for t in range(200):
-                params = RoundingParams(alpha=alpha, seed=6000 + idx * 1000 + t, k=k)
-                res = _note_trial(
-                    build_spanner(g, sol, params, force_tree_roots=frozenset()),
-                    g.n,
-                )
-                counts.append(len(res.rounded_edges))
+            # the edge phase of build_spanner at each seed: round_edges on the seed's edge stream
+            counts = [
+                len(round_edges(g, sol.x, alpha, _stream(6000 + idx * 1000 + t, EDGE_STREAM))) for t in range(200)
+            ]
             mean = sum(counts) / len(counts)
             mean_checks += 1
             if sigma == 0.0:

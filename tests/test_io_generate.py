@@ -69,7 +69,8 @@ def test_parse_subgraph_shares_the_graph_line_rules():
     g = parse_graph("3 3\n0 1 1\n0 2 1\n1 2 1\n")
     assert parse_subgraph(g, "# H\n\n1 2   # second\n0 1\n1 2\n") == frozenset({0, 2})
     assert parse_subgraph(g, "") == frozenset()
-    for text, line in (("0 1\n\n# c\n2\n", 4), ("# c\n0 one\n", 2)):
+    # a line holds exactly the two tokens 'tail head'
+    for text, line in (("0 1\n\n# c\n2\n", 4), ("# c\n0 one\n", 2), ("0 1 junk words\n", 1), ("0 1\n1 2 1\n", 2)):
         with pytest.raises(GraphSyntaxError) as exc:
             parse_subgraph(g, text)
         assert exc.value.line == line

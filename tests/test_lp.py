@@ -16,7 +16,15 @@ from dirspan.lp import LpSolution
 from dirspan import simplex
 from dirspan.simplex import GREATER, LESS, solve_simplex
 
-from oracles import check_solution, layered_lp_unit, layered_lp_value, lp_lower_bound_check, make_rng, random_edge_list
+from oracles import (
+    check_solution,
+    layered_lp_unit,
+    layered_lp_value,
+    lp_lower_bound_check,
+    make_rng,
+    path_lp_value,
+    random_edge_list,
+)
 from support import path_vertices
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
@@ -26,17 +34,15 @@ def cycle(n, length=1.0):
     return build_graph(n, [(i, (i + 1) % n, length) for i in range(n)])
 
 
-def test_single_edge_shape_without_presolve():
-    g = build_graph(2, [(0, 1, 1.0)])
-    model = build_lp(g, 3, presolve=False)
-    assert model.path_cols == ((0, (0,)),)
-    assert len(model.program.c) == 2
-    labels = [lab[0] for lab in model.row_labels]
-    assert labels.count("demand") == 1
-    assert labels.count("capacity") == 1
-    sol = solve_lp(model)
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
-    assert sol.x == (1.0,)
+def test_triangle_shape_keeps_only_the_two_path_demand():
+    # demands 0 and 2 have one path each and are presolved; demand 1 keeps 0->1->2 and 0->2,
+    # in the path search's discovery order
+    model = build_lp(build_graph(3, TRIANGLE), 2)
+    assert model.mandatory == frozenset({0, 2})
+    assert model.path_cols == ((1, (0, 2)), (1, (1,)))
+    assert len(model.program.c) == 5
+    assert model.row_labels == (("demand", 1), ("capacity", 1, 0), ("capacity", 1, 1), ("capacity", 1, 2))
+    assert list(model.program.lower) == [1.0, 0.0, 1.0, 0.0, 0.0]
 
 
 def test_single_edge_presolve_drops_rows():
@@ -47,18 +53,20 @@ def test_single_edge_presolve_drops_rows():
     assert model.program.lower[0] == 1.0
     sol = solve_lp(model)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+    assert sol.objective_value == pytest.approx(path_lp_value(g.n, g.edges, 3), abs=1e-9)
+    assert sol.x == (1.0,)
     assert sol.f[(0, (0,))] == 1.0
 
 
 def test_triangle_lp_value_and_point():
     g = build_graph(3, TRIANGLE)
-    for presolve in (False, True):
-        sol = solve_lp(build_lp(g, 2, presolve=presolve))
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
-        assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
-        assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
-        assert sol.x[2] == pytest.approx(1.0, abs=1e-9)
+    sol = solve_lp(build_lp(g, 2))
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+    assert path_lp_value(g.n, g.edges, 2) == pytest.approx(2.0, abs=1e-9)
+    assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
+    assert sol.x[2] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_triangle_flow_routes_middle_demand():
@@ -69,9 +77,8 @@ def test_triangle_flow_routes_middle_demand():
 
 def test_cycle_forces_every_edge():
     g = cycle(6)
-    model = build_lp(g, 3, presolve=False)
-    assert len(model.path_cols) == 6
-    sol = solve_lp(model)
+    assert path_lp_value(g.n, g.edges, 3) == pytest.approx(6.0, abs=1e-9)
+    sol = solve_lp(build_lp(g, 3))
     assert sol.objective_value == pytest.approx(6.0, abs=1e-9)
     assert all(v == pytest.approx(1.0, abs=1e-9) for v in sol.x)
 
@@ -79,10 +86,12 @@ def test_cycle_forces_every_edge():
 def test_cycle_presolve_finds_all_mandatory():
     model = build_lp(cycle(6), 3)
     assert model.mandatory == frozenset(range(6))
+    assert model.path_cols == () and model.row_labels == ()
     assert solve_lp(model).objective_value == pytest.approx(6.0, abs=1e-9)
 
 
 def test_presolve_value_matches_on_random_instances():
+    # the unpresolved value comes from the path-LP oracle, which shares no code with the package
     rng = make_rng(17)
     done = 0
     while done < 20:
@@ -91,9 +100,8 @@ def test_presolve_value_matches_on_random_instances():
         if g.m == 0:
             continue
         k = rng.choice([2, 3, 4])
-        a = solve_lp(build_lp(g, k, presolve=True))
-        b = solve_lp(build_lp(g, k, presolve=False))
-        assert a.objective_value == pytest.approx(b.objective_value, abs=1e-7)
+        value = solve_lp(build_lp(g, k)).objective_value
+        assert value == pytest.approx(path_lp_value(g.n, g.edges, k), abs=1e-7)
         done += 1
 
 
@@ -147,33 +155,27 @@ def test_lp_lower_bound_check():
 
 def test_violated_rows_catches_corruption():
     g = build_graph(3, TRIANGLE)
-    model = build_lp(g, 2, presolve=False)
+    model = build_lp(g, 2)
     z = np.zeros(len(model.program.c))
     bad = violated_rows(model, z)
-    assert bad
     assert any("demand" in msg for msg in bad)
+    assert any("presolved edge 0 below 1" in msg for msg in bad)
 
 
 def test_check_solution_roundtrip_and_detection():
     g = build_graph(3, TRIANGLE)
-    model = build_lp(g, 2, presolve=False)
+    model = build_lp(g, 2)
     sol = solve_lp(model)
     assert check_solution(model, sol) == []
-    broken = LpSolution(
-        status=sol.status,
-        x=sol.x,
-        f={key: 0.0 for key in sol.f},
-        objective_value=sol.objective_value,
-        iterations=sol.iterations,
-    )
+    broken = LpSolution(status=sol.status, x=sol.x, f={key: 0.0 for key in sol.f}, objective_value=sol.objective_value)
     assert check_solution(model, broken)
 
 
 def test_demand_count_grows_with_edges():
     g = build_graph(3, TRIANGLE[:2])
     h = build_graph(3, TRIANGLE)
-    assert len(build_lp(g, 2, presolve=False).demand_paths) == 2
-    assert len(build_lp(h, 2, presolve=False).demand_paths) == 3
+    assert len(build_lp(g, 2).demand_paths) == 2
+    assert len(build_lp(h, 2).demand_paths) == 3
 
 
 def test_extra_columns_never_raise_the_optimum():
@@ -185,9 +187,9 @@ def test_extra_columns_never_raise_the_optimum():
         g = build_graph(n, random_edge_list(rng, n, 0.5, max_len=1))
         if g.m < 2:
             continue
-        base = build_lp(g, 2, presolve=False)
+        base = build_lp(g, 2)
         base_val = solve_lp(base).objective_value
-        wide = build_lp(g, 3, presolve=False)
+        wide = build_lp(g, 3)
         # same demands, strictly larger budgets, so path sets only grow
         for d in range(g.m):
             assert set(base.demand_paths[d].paths) <= set(wide.demand_paths[d].paths)
@@ -198,7 +200,7 @@ def test_extra_columns_never_raise_the_optimum():
 
 def test_export_lp_text_mentions_all_variables():
     g = build_graph(3, TRIANGLE)
-    text = export_lp_text(build_lp(g, 2, presolve=False))
+    text = export_lp_text(build_lp(g, 2))
     assert "Minimize" in text
     assert "x0" in text and "x2" in text
     assert "Subject To" in text
@@ -206,7 +208,8 @@ def test_export_lp_text_mentions_all_variables():
 
 def test_row_senses_by_label():
     g = build_graph(3, TRIANGLE)
-    model = build_lp(g, 2, presolve=False)
+    model = build_lp(g, 2)
+    assert model.row_labels
     for label, sense in zip(model.row_labels, model.program.senses):
         if label[0] == "demand":
             assert sense == GREATER
@@ -224,24 +227,28 @@ def test_build_lp_rows_follow_labels_and_path_columns():
         if g.m:
             graphs.append(g)
     for g in graphs:
-        for presolve in (True, False):
-            model = build_lp(g, 3, presolve=presolve)
-            m = g.m
-            a = model.program.a
-            assert a.shape == (len(model.row_labels), m + len(model.path_cols))
-            for d, path in model.path_cols:  # each column's path runs from its demand's tail to its head
-                verts = path_vertices(g, path)
-                assert (verts[0], verts[-1]) == g.edges[d][:2]
-            for row, label in zip(a, model.row_labels):
-                d = label[1]
-                expected = {}
-                for j, (dd, path) in enumerate(model.path_cols):
-                    if dd == d and (label[0] == "demand" or label[2] in path):
-                        expected[m + j] = 1.0
-                if label[0] == "capacity":
-                    expected[label[2]] = -1.0
-                got = {int(j): row[j] for j in np.flatnonzero(row)}
-                assert got == expected, label
+        model = build_lp(g, 3)
+        m = g.m
+        a = model.program.a
+        assert a.shape == (len(model.row_labels), m + len(model.path_cols))
+        for d, path in model.path_cols:  # each column's path runs from its demand's tail to its head
+            verts = path_vertices(g, path)
+            assert (verts[0], verts[-1]) == g.edges[d][:2]
+        # a demand has rows exactly when it is not presolved, and its columns are its path set
+        assert {label[1] for label in model.row_labels} == set(range(m)) - model.mandatory
+        for d, dp in enumerate(model.demand_paths):
+            assert (d in model.mandatory) == (dp.paths == ((d,),))
+            assert [p for dd, p in model.path_cols if dd == d] == ([] if d in model.mandatory else list(dp.paths))
+        for row, label in zip(a, model.row_labels):
+            d = label[1]
+            expected = {}
+            for j, (dd, path) in enumerate(model.path_cols):
+                if dd == d and (label[0] == "demand" or label[2] in path):
+                    expected[m + j] = 1.0
+            if label[0] == "capacity":
+                expected[label[2]] = -1.0
+            got = {int(j): row[j] for j in np.flatnonzero(row)}
+            assert got == expected, label
 
 
 # iterations, objective and sha256 of z.tobytes() for the k=3 ladder; any change

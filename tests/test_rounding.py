@@ -10,12 +10,14 @@ from dirspan import (
     build_lp,
     build_spanner,
     edge_inclusion_probs,
+    is_k_spanner,
     round_edges,
     sample_tree_roots,
     select_alpha,
     solve_lp,
 )
 from dirspan.graph import DistanceTable, shortest_path_tree
+from dirspan.rounding import EDGE_STREAM, ROOT_STREAM, _stream
 
 from oracles import dp_distances, make_rng, random_edge_list
 
@@ -123,7 +125,7 @@ def test_build_spanner_seed_changes_draws():
 
 
 def test_shared_table_trees_change_nothing():
-    # one table across many trials and forced root sets, decimal lengths and
+    # one table across many trials and chosen root sets, decimal lengths and
     # zero-length ties included: every result equals the one on a fresh table
     rng = make_rng(23)
     n = 9
@@ -133,43 +135,48 @@ def test_shared_table_trees_change_nothing():
     table = DistanceTable(g)
     for seed in range(24):
         params = RoundingParams(alpha=1.5, seed=seed, k=2)
-        forced = {"force_tree_roots": frozenset(rng.sample(range(n), seed % 4))} if seed % 3 == 0 else {}
-        shared = build_spanner(g, sol, params, table=table, **forced)
-        assert shared == build_spanner(g, sol, params, **forced)
+        assert build_spanner(g, sol, params, table=table) == build_spanner(g, sol, params)
+        if seed % 3 == 0:
+            roots = rng.sample(range(n), seed % 4)
+            assert all(np.array_equal(a, b) for a, b in zip(table.trees(roots), DistanceTable(g).trees(roots)))
     assert table._trees and set(table._trees) <= set(range(n))
     for root, row in table._trees.items():
         assert row.dtype == bool and row.shape == (g.m,)
         assert frozenset(np.flatnonzero(row).tolist()) == shortest_path_tree(g, root)
 
 
-def test_forcing_roots_leaves_edge_stream_alone():
+def test_rounded_edges_are_the_edge_stream_draws():
+    # the root phase draws from a stream of its own, so the edge phase is round_edges alone;
+    # keep probabilities from 0.13 to 0.76 leave every edge to its draw
     g = cycle(8)
-    sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.9, seed=7, k=3)
-    free = build_spanner(g, sol, params)
-    forced = build_spanner(g, sol, params, force_tree_roots=frozenset())
-    assert forced.rounded_edges == free.rounded_edges
-    assert forced.tree_roots == frozenset()
-    assert forced.tree_edges == frozenset()
+    sol = LpSolution(status="optimal", x=(0.05, 0.1, 0.2, 0.3) * 2, f={}, objective_value=1.3)
+    kept = set()
+    for seed in range(8):
+        res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3))
+        assert res.rounded_edges == round_edges(g, sol.x, 0.9, _stream(seed, EDGE_STREAM))
+        kept.add(res.rounded_edges)
+    assert len(kept) > 1
 
 
-def test_forcing_edges_leaves_root_stream_alone():
+def test_tree_roots_are_the_root_stream_draws():
+    # and the root phase is sample_tree_roots alone, whatever the LP point
     g = cycle(8)
-    sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.9, seed=7, k=3)
-    free = build_spanner(g, sol, params)
-    forced = build_spanner(g, sol, params, force_rounded_edges=frozenset())
-    assert forced.tree_roots == free.tree_roots
+    for x in ((0.0,) * 8, (1.0,) * 8):
+        sol = LpSolution(status="optimal", x=x, f={}, objective_value=sum(x))
+        for seed in range(8):
+            res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3))
+            assert res.tree_roots == sample_tree_roots(8, 0.9, _stream(seed, ROOT_STREAM))
 
 
 def test_triangle_saturated_probabilities():
     # x = (1, 0, 1) and alpha sqrt(3) > 1: edges 0 and 2 always kept, 1 never
     g = build_graph(3, TRIANGLE)
     sol = solve_lp(build_lp(g, 2))
-    params = RoundingParams(alpha=10.0, seed=123, k=2)
-    res = build_spanner(g, sol, params, force_tree_roots=frozenset())
+    for seed in range(5):
+        assert round_edges(g, sol.x, 10.0, _stream(seed, EDGE_STREAM)) == frozenset({0, 2})
+    assert is_k_spanner(g, {0, 2}, 2).feasible
+    res = build_spanner(g, sol, RoundingParams(alpha=10.0, seed=123, k=2))
     assert res.rounded_edges == frozenset({0, 2})
-    assert res.e_h == frozenset({0, 2})
     assert res.feasible
 
 
@@ -195,19 +202,17 @@ def test_tree_edge_budget_holds():
 
 def test_trees_realize_exact_distances():
     rng = make_rng(13)
-    for trial in range(10):
+    for _ in range(10):
         n = rng.randint(3, 8)
         g = build_graph(n, random_edge_list(rng, n, 0.6, max_len=3))
         if g.m == 0:
             continue
-        sol = LpSolution(status="optimal", x=(0.0,) * g.m, f={}, objective_value=0.0)
         root = rng.randrange(n)
-        params = RoundingParams(alpha=1.0, seed=trial, k=3)
-        res = build_spanner(g, sol, params, force_rounded_edges=frozenset(), force_tree_roots={root})
+        tree_edges = frozenset(np.flatnonzero(DistanceTable(g).trees([root])[0]).tolist())
         edges = list(g.edges)
         into = dp_distances(n, edges, root)
-        tree_into = dp_distances(n, edges, root, allowed=res.tree_edges)
+        tree_into = dp_distances(n, edges, root, allowed=tree_edges)
         assert tree_into == into
         # inward side: distances toward the root, via the reversed graph
         rev = [(h, t, l) for t, h, l in edges]
-        assert dp_distances(n, rev, root, allowed=res.tree_edges) == dp_distances(n, rev, root)
+        assert dp_distances(n, rev, root, allowed=tree_edges) == dp_distances(n, rev, root)
