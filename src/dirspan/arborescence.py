@@ -22,8 +22,7 @@ out-tree of the host graph, each exactly once.
 from __future__ import annotations
 
 from .errors import ExplosionCap
-from .graph import INF, _dijkstra
-from .verify import _subset_out_edges
+from .graph import INF, PausedSearch, edge_mask
 
 MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
@@ -99,7 +98,7 @@ class ClaimContext:
 
     def path_within(self, h_edges, K):
         g = self.graph
-        return _dijkstra(g.n, _subset_out_edges(g, h_edges), g.edges, self.root)[self.target] <= K
+        return PausedSearch(g, edge_mask(g, h_edges), self.root).reach(self.target, K) <= K
 
     def all_long_trees_cut(self, h_edges, K):
         h_mask = 0

@@ -120,6 +120,67 @@ def _dijkstra(n, adj, edges, source, far=1):
     return dist
 
 
+def edge_mask(g, edges):
+    """A bytearray over g's edges, 1 at each index in edges.
+
+    Raises IndexOutOfRange for an index outside 0..m-1, which a bytearray
+    would otherwise read from its end (-1) or reject with a bare IndexError.
+    """
+    m = g.m
+    mask = bytearray(m)
+    for e in edges:
+        if not 0 <= e < m:
+            raise IndexOutOfRange(f"edge index {e} outside 0..{m - 1}")
+        mask[e] = 1
+    return mask
+
+
+class PausedSearch:
+    """Dijkstra from source over the edges of g that mask marks, run only as far as each query needs.
+
+    dist, done and heap persist between queries, so each reach resumes where
+    the last one paused.  Out-edges are walked in ascending index order, so
+    the pops are always a prefix of a full run's pop order and the pushes
+    those of the same prefix.
+    """
+
+    __slots__ = ("edges", "out_edges", "mask", "dist", "done", "heap")
+
+    def __init__(self, g, mask, source):
+        self.edges = g.edges
+        self.out_edges = g.out_edges
+        self.mask = mask
+        self.dist = [INF] * g.n
+        self.dist[source] = 0.0
+        self.done = [False] * g.n
+        self.heap = [(0.0, source)]
+
+    def reach(self, target, bound):
+        """The source's distance to target once it is settled or at most bound.
+
+        Pops until target is settled, its tentative distance is <= bound, or
+        the heap is empty.  A tentative distance is the float sum of a real
+        path and only falls, so a result <= bound is >= the exact distance,
+        which is <= bound too; any other result is the exact distance, INF
+        when target is unreachable.  A bound of -1 always settles target.
+        """
+        dist, done, heap = self.dist, self.done, self.heap
+        edges, out_edges, mask = self.edges, self.out_edges, self.mask
+        while heap and not done[target] and not dist[target] <= bound:
+            d, v = heappop(heap)
+            if done[v]:
+                continue
+            done[v] = True
+            for e in out_edges[v]:
+                if mask[e]:
+                    _, w, length = edges[e]
+                    nd = d + length
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        heappush(heap, (nd, w))
+        return dist[target]
+
+
 def _select_parents(g, source, dist, outward):
     """Pick one tight edge per reachable vertex, toward the source's side.
 

@@ -47,7 +47,6 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # 'optimal' from solve_lp; round keeps the status its dump states
     x: tuple
     f: dict  # (demand, path) -> value; a presolved demand d has (d, (d,)) -> 1.0
     objective_value: float
@@ -126,7 +125,7 @@ def solve_lp(model):
         f[(d, pth)] = float(res.z[m + j])
     for d in model.mandatory:
         f[(d, (d,))] = 1.0
-    sol = LpSolution(status="optimal", x=x, f=f, objective_value=float(res.objective))
+    sol = LpSolution(x=x, f=f, objective_value=float(res.objective))
     fails = violated_rows(model, res.z)
     if fails:
         raise NumericalFailure(f"solver returned an infeasible point: {fails[0]}")

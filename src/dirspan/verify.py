@@ -3,7 +3,8 @@
 A subgraph H of G is a k-spanner when dist_H(u, v) <= k * dist_G(u, v) for
 every pair; checking only the demand pairs (the edges of G) is equivalent,
 because shortest paths of G decompose into edges.  The check searches H
-only from the tails that some demand needs, up to the first violation.  The
+only from the tails that some demand needs, only as far as each demand's
+head needs, and only up to the first violation.  The
 optimum search fixes the edges no alternative route can replace, then
 branches over the rest with bitmask path covers.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .graph import DistanceTable, _dijkstra
+from .graph import DistanceTable, PausedSearch, edge_mask
 from .paths import demand_path_sets
 
 MAX_FREE_EDGES = 22  # edges the optimum search may branch over
@@ -23,14 +24,6 @@ MAX_FREE_EDGES = 22  # edges the optimum search may branch over
 class SpannerCheck:
     feasible: bool
     violation: tuple | None  # (demand edge index, dist_g, dist_h)
-
-
-def _subset_out_edges(g, h_edges):
-    out = [[] for _ in range(g.n)]
-    for e in sorted(h_edges):
-        tail = g.edges[e][0]
-        out[tail].append(e)
-    return out
 
 
 def demand_distance_rows(g, table=None):
@@ -50,25 +43,32 @@ def is_k_spanner(g, h_edges, k, table=None):
 
     Demands are scanned in index order.  One whose own edge is in H with
     length <= k * dist_G needs no search, since the first relaxation from its
-    tail sets dist_H[head] <= 0.0 + length exactly; any other reads its tail's
-    full H row, computed on first need.  dist_G comes only from table's
-    outward rows (a DistanceTable of g; a fresh one when not given), so the
-    check searches G through the run's table alone.  H = E reads its rows
-    from the table too; any other H is searched here.
+    tail sets dist_H[head] <= 0.0 + length exactly.  Any other resumes its
+    tail's PausedSearch over H, started on first need, only until the head
+    is settled or within budget; on a violation the head is settled, so
+    dist_h is the exact H distance.  dist_G comes only from table's outward
+    rows (a DistanceTable of g; a fresh one when not given), so the check
+    searches G through the run's table alone.  H = E reads its rows from
+    the table too.  Raises IndexOutOfRange for an H index outside 0..m-1.
     """
-    h = frozenset(h_edges)
+    h = edge_mask(g, h_edges)
     if table is None:
         table = DistanceTable(g)
-    h_out = None if h == frozenset(range(g.m)) else _subset_out_edges(g, h)
-    h_rows = {}
+    full = 0 not in h
+    outward = table.outward
+    searches = {}
     for d, (tail, head, length) in enumerate(g.edges):
-        dist_g = table.outward(tail)[head]
+        dist_g = outward(tail)[head]
         allowed = k * dist_g
-        if d in h and length <= allowed:
+        if h[d] and length <= allowed:
             continue
-        if tail not in h_rows:
-            h_rows[tail] = table.outward(tail) if h_out is None else _dijkstra(g.n, h_out, g.edges, tail)
-        got = h_rows[tail][head]
+        if full:
+            got = dist_g
+        else:
+            search = searches.get(tail)
+            if search is None:
+                search = searches[tail] = PausedSearch(g, h, tail)
+            got = search.reach(head, allowed)
         if not got <= allowed:
             return SpannerCheck(feasible=False, violation=(d, dist_g, got))
     return SpannerCheck(feasible=True, violation=None)

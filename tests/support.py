@@ -1,8 +1,10 @@
 """Test helpers built on package primitives.
 
-Unlike oracles.py, these reuse the package's Dijkstra and subgraph
-adjacency: they restate a claim about the package's own structures in
-another form, so tests can check that both forms agree.  This module also
+Unlike oracles.py, these reuse the package's full-row Dijkstra: they
+restate a claim about the package's own structures in another form, so
+tests can check that both forms agree.  H's rows come from that Dijkstra
+over an adjacency built here (h_out_edges), not from the package's paused
+search over an edge mask, so the reference shares none of that code.  This module also
 holds cut_set_of_potentials, a rescan of every edge against a potential
 vector, which restates the cut masks that ClaimContext grows with each tree,
 and the fresh_* references, which search G anew for every call instead of
@@ -16,7 +18,15 @@ import numpy as np
 
 from dirspan import enumerate_demand_paths, is_k_spanner
 from dirspan.graph import DistanceTable, _dijkstra, _select_parents
-from dirspan.verify import SpannerCheck, _subset_out_edges
+from dirspan.verify import SpannerCheck
+
+
+def h_out_edges(g, h_edges):
+    """The out-edge lists of the subgraph H, each in ascending edge-index order."""
+    out = [[] for _ in range(g.n)]
+    for e in sorted(h_edges):
+        out[g.edges[e][0]].append(e)
+    return out
 
 
 def cut_set_of_potentials(g, potentials):
@@ -39,12 +49,12 @@ def shortest_path_tree_cut(g, h_edges, root):
     so this cut is always disjoint from H itself: a within-H edge can never
     shorten an exact H-distance.
     """
-    return cut_set_of_potentials(g, _dijkstra(g.n, _subset_out_edges(g, h_edges), g.edges, root))
+    return cut_set_of_potentials(g, _dijkstra(g.n, h_out_edges(g, h_edges), g.edges, root))
 
 
 def all_pairs_spanner_check(g, h_edges, k):
     """The quantifier-over-all-pairs variant of the stretch condition."""
-    h_out = _subset_out_edges(g, h_edges)
+    h_out = h_out_edges(g, h_edges)
     for s in range(g.n):
         grow = _dijkstra(g.n, g.out_edges, g.edges, s)
         hrow = _dijkstra(g.n, h_out, g.edges, s)
@@ -66,7 +76,7 @@ def eager_spanner_check(g, h_edges, k):
     is_k_spanner must, so the two results compare whole.
     """
     tails = sorted({tail for tail, _, _ in g.edges})
-    h_out = _subset_out_edges(g, h_edges)
+    h_out = h_out_edges(g, h_edges)
     g_rows = {s: _dijkstra(g.n, g.out_edges, g.edges, s) for s in tails}
     h_rows = {s: _dijkstra(g.n, h_out, g.edges, s) for s in tails}
     for d, (tail, head, _) in enumerate(g.edges):

@@ -2,6 +2,8 @@
 
 Lengths come from {0, 1, 2, 3}, so every sum a run forms is exact in floats and
 the package and the oracles must agree to the last bit on every comparison.
+The CLI's -k is an integer, so k = 1.5, a fractional budget, is judged on
+run_solve and is_k_spanner called directly.
 """
 
 import contextlib
@@ -11,7 +13,18 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dirspan import LpSolution, RoundingParams, build_graph, build_spanner, serialize_graph
+from dirspan import (
+    LpSolution,
+    RoundingParams,
+    RunConfig,
+    build_graph,
+    build_lp,
+    build_spanner,
+    is_k_spanner,
+    run_solve,
+    serialize_graph,
+    solve_lp,
+)
 from dirspan.cli import main
 
 from oracles import exhaustive_opt, naive_is_spanner, path_lp_value
@@ -20,16 +33,24 @@ TOL = 1e-7
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, ks=(1, 2, 3)):
     n = draw(st.integers(min_value=0, max_value=5))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
     edges = [(t, h, float(draw(st.integers(min_value=0, max_value=3)))) for t, h in chosen]
     subgraph = draw(st.sets(st.sampled_from(range(len(edges))))) if edges else set()
-    k = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.sampled_from(ks))
     alpha = draw(st.sampled_from(("0.25", "1", "7.5")))
     seed = draw(st.integers(min_value=0, max_value=2**32))
     return n, edges, subgraph, k, alpha, seed
+
+
+def assert_trials_agree(g, sol, solve, k):
+    """Each trial's E_H, rebuilt from its seed, has the record's size and naive_is_spanner's verdict."""
+    for record in solve["trials"]:
+        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k))
+        assert len(res.e_h) == record["eh_size"]
+        assert naive_is_spanner(g.n, g.edges, res.e_h, k) == record["feasible"]
 
 
 def _report(argv):
@@ -63,11 +84,8 @@ def test_every_report_agrees_with_the_oracles(tmp_path_factory, case):
     solve = _report(["solve", *common, "--oracle", "--alpha", alpha, "--trials", "3", "--seed", str(seed)])
     assert solve["lp"]["value"] == lp["objective"]
     assert solve["opt"] == opt and solve["lp"]["value"] <= opt + TOL
-    sol = LpSolution(status="optimal", x=tuple(lp["x"]), f={}, objective_value=lp["objective"])
-    for record in solve["trials"]:
-        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k))
-        assert len(res.e_h) == record["eh_size"]
-        assert naive_is_spanner(n, edges, res.e_h, k) == record["feasible"]
+    sol = LpSolution(x=tuple(lp["x"]), f={}, objective_value=lp["objective"])
+    assert_trials_agree(g, sol, solve, k)
 
     verify = _report(["verify", *common, "--subgraph", str(hpath)])
     assert verify["feasible"] == naive_is_spanner(n, edges, subgraph, k)
@@ -76,3 +94,16 @@ def test_every_report_agrees_with_the_oracles(tmp_path_factory, case):
     assert claims["claim1"]["disagreements"] == 0
     assert claims["claim2"]["violations"] == 0
     assert claims["lp_value"] == lp["objective"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_instances(ks=(1.5,)))
+def test_fractional_k_agrees_with_the_oracles(case):
+    # k * dist_G is a half-integer budget here, so got <= allowed is tested off the integers
+    n, edges, subgraph, k, alpha, seed = case
+    g = build_graph(n, edges)
+    assert is_k_spanner(g, subgraph, k).feasible == naive_is_spanner(n, edges, subgraph, k)
+    config = RunConfig(k=k, input="g", alpha_override=float(alpha), seed=seed, trials=3)
+    solve = run_solve(config, g)
+    assert solve["lp"]["value"] == pytest.approx(path_lp_value(n, edges, k), abs=TOL)
+    assert_trials_agree(g, solve_lp(build_lp(g, k)), solve, k)

@@ -15,12 +15,20 @@ from dirspan import (
     induced_subgraph,
 )
 import dirspan.graph
-from dirspan.graph import DistanceTable, _dijkstra, _select_parents, reverse_graph, shortest_path_tree
+from dirspan.graph import (
+    DistanceTable,
+    PausedSearch,
+    _dijkstra,
+    _select_parents,
+    edge_mask,
+    reverse_graph,
+    shortest_path_tree,
+)
 from dirspan.paths import demand_path_sets
 from dirspan.verify import is_k_spanner
 
 from oracles import dp_distances, make_rng, random_edge_list
-from support import fresh_path_sets, fresh_shortest_path_tree
+from support import fresh_path_sets, fresh_shortest_path_tree, h_out_edges
 
 
 def outward_dist(g, source):
@@ -242,6 +250,45 @@ def test_shared_table_matches_fresh_searches(data):
     for r in roots[split:]:
         assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)
         rows_unchanged()
+
+
+SEARCH_LENGTHS = (0.0, 0.1, 0.3, 1.1, 1e300, 1e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_paused_search_matches_full_h_row(data):
+    # any sequence of (target, bound) queries on one search: a result above
+    # its bound is the full H row's value exactly (inf included), a result
+    # within it is a path length no shorter than that value, and -1 settles
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = build_graph(n, [(t, h, data.draw(st.sampled_from(SEARCH_LENGTHS))) for t, h in chosen])
+    h = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1))) if g.m else set()
+    source = data.draw(st.integers(min_value=0, max_value=n - 1))
+    row = _dijkstra(n, h_out_edges(g, h), g.edges, source)
+    search = PausedSearch(g, edge_mask(g, h), source)
+    bounds = st.sampled_from((-1.0, 0.0, 0.1, 0.4, 1.1, 2.2, 1e300, 2e300, 1e308, INF)) | st.floats(min_value=0)
+    queries = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1), bounds), max_size=12))
+    for target, bound in queries:
+        got = search.reach(target, bound)
+        if got > bound:
+            assert got == row[target]
+        else:
+            assert got >= row[target]
+        if bound == -1:
+            assert search.done[target] or got == INF
+    for target in range(n):
+        assert search.reach(target, -1) == row[target]
+
+
+def test_edge_mask_rejects_out_of_range_indices():
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    assert edge_mask(g, [2, 0]) == bytearray([1, 0, 1])
+    for bad in ([-1], [0, 1, 7], [3]):
+        with pytest.raises(IndexOutOfRange):
+            edge_mask(g, bad)
 
 
 def test_distance_table_searches_each_row_once(monkeypatch):

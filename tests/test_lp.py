@@ -61,7 +61,6 @@ def test_single_edge_presolve_drops_rows():
 def test_triangle_lp_value_and_point():
     g = build_graph(3, TRIANGLE)
     sol = solve_lp(build_lp(g, 2))
-    assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
     assert path_lp_value(g.n, g.edges, 2) == pytest.approx(2.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
@@ -167,7 +166,7 @@ def test_check_solution_roundtrip_and_detection():
     model = build_lp(g, 2)
     sol = solve_lp(model)
     assert check_solution(model, sol) == []
-    broken = LpSolution(status=sol.status, x=sol.x, f={key: 0.0 for key in sol.f}, objective_value=sol.objective_value)
+    broken = LpSolution(x=sol.x, f={key: 0.0 for key in sol.f}, objective_value=sol.objective_value)
     assert check_solution(model, broken)
 
 

@@ -435,11 +435,13 @@ def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
 
 def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
     # every search over G's whole adjacency is a DistanceTable row, and no
-    # call searches one (direction, source) twice; H searches do not count
+    # call searches one (direction, source) twice; H searches do not count,
+    # but a PausedSearch whose mask holds every edge of G searches G and does
     g = build_graph(8, DEC8_EDGES)
     whole = {1: list(g.out_edges), 0: list(g.in_edges)}
     table_rows = {DistanceTable.outward.__code__: 1, DistanceTable.inward.__code__: 0}
     dijkstra = dirspan.graph._dijkstra
+    paused = dirspan.graph.PausedSearch
     searched = []
 
     def recording(n, adj, edges, source, far=1):
@@ -447,9 +449,17 @@ def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
             searched.append((sys._getframe(1).f_code, far, source))
         return dijkstra(n, adj, edges, source, far)
 
+    class RecordingSearch(paused):
+        def __init__(self, graph, mask, source):
+            if graph == g and all(mask):
+                searched.append((sys._getframe(1).f_code, 1, source))
+            super().__init__(graph, mask, source)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("dirspan") and getattr(module, "_dijkstra", None) is dijkstra:
             monkeypatch.setattr(module, "_dijkstra", recording)
+        if name.startswith("dirspan") and getattr(module, "PausedSearch", None) is paused:
+            monkeypatch.setattr(module, "PausedSearch", RecordingSearch)
 
     def searches(call):
         searched.clear()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import dirspan.graph
 from dirspan import verify
 from dirspan import (
+    IndexOutOfRange,
     TooLarge,
     build_graph,
     build_lp,
@@ -79,15 +80,15 @@ def test_precomputed_rows_give_same_answer():
 
 
 def test_full_edge_set_reuses_g_rows(monkeypatch):
-    # H = E: dist_H is dist_G, so no Dijkstra runs once the table holds the G rows
+    # H = E: dist_H is dist_G, so neither a G row nor an H search runs once the table holds the G rows
     g = build_graph(3, TRIANGLE)
     table = filled_table(g)
 
-    def no_dijkstra(*args, **kwargs):
+    def no_search(*args, **kwargs):
         raise AssertionError("H = E must reuse the dist_G rows")
 
-    for module in (verify, dirspan.graph):
-        monkeypatch.setattr(module, "_dijkstra", no_dijkstra)
+    monkeypatch.setattr(dirspan.graph, "_dijkstra", no_search)
+    monkeypatch.setattr(verify, "PausedSearch", no_search)
     assert is_k_spanner(g, frozenset(range(g.m)), 1, table=table) == is_k_spanner(g, [2, 1, 0], 1, table=table)
     assert is_k_spanner(g, range(g.m), 1, table=table).feasible
 
@@ -108,21 +109,35 @@ SEARCH_GRAPH = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)]
     ],
 )
 def test_searches_only_the_tails_that_need_it(monkeypatch, h, given_rows, searches, feasible):
-    # G rows come from the table (dirspan.graph) and H rows from the check (dirspan.verify): both count
+    # G rows come from the table (dirspan.graph._dijkstra) and H searches are the
+    # check's PausedSearch constructions (dirspan.verify): both count
     g = build_graph(4, SEARCH_GRAPH)
     table = filled_table(g) if given_rows else None
-    dijkstra = verify._dijkstra
+    dijkstra = dirspan.graph._dijkstra
     calls = []
 
     def counting_dijkstra(*args):
         calls.append(args)
         return dijkstra(*args)
 
-    for module in (verify, dirspan.graph):
-        monkeypatch.setattr(module, "_dijkstra", counting_dijkstra)
+    class CountingSearch(dirspan.graph.PausedSearch):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dirspan.graph, "_dijkstra", counting_dijkstra)
+    monkeypatch.setattr(verify, "PausedSearch", CountingSearch)
     check = is_k_spanner(g, h, 2, table=table)
     assert check.feasible == feasible
     assert len(calls) == searches
+
+
+@pytest.mark.parametrize("h", [{-1}, {0, 1, 7}], ids=["negative", "past-m"])
+def test_h_index_out_of_range_is_rejected(h):
+    # -1 once read as the last edge and 7 raised a bare IndexError
+    g = build_graph(3, TRIANGLE)
+    with pytest.raises(IndexOutOfRange, match="outside 0..2"):
+        is_k_spanner(g, h, 1)
 
 
 def test_own_edge_over_budget_is_still_searched():
