@@ -4,9 +4,9 @@ A subgraph H of G is a k-spanner when dist_H(u, v) <= k * dist_G(u, v) for
 every pair; checking only the demand pairs (the edges of G) is equivalent,
 because shortest paths of G decompose into edges.  The check searches H
 only from the tails that some demand needs, only as far as each demand's
-head needs, and only up to the first violation.  The
-optimum search fixes the edges no alternative route can replace, then
-branches over the rest with bitmask path covers.
+head needs, and only up to the first violation.  The optimum search fixes
+the edges no alternative route can replace, then branches over the rest
+with bitmask path covers.
 """
 
 from __future__ import annotations

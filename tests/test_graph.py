@@ -283,14 +283,6 @@ def test_paused_search_matches_full_h_row(data):
         assert search.reach(target, -1) == row[target]
 
 
-def test_edge_mask_rejects_out_of_range_indices():
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    assert edge_mask(g, [2, 0]) == bytearray([1, 0, 1])
-    for bad in ([-1], [0, 1, 7], [3]):
-        with pytest.raises(IndexOutOfRange):
-            edge_mask(g, bad)
-
-
 def test_distance_table_searches_each_row_once(monkeypatch):
     import dirspan.graph
 
