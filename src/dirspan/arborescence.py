@@ -22,7 +22,7 @@ out-tree of the host graph, each exactly once.
 from __future__ import annotations
 
 from .errors import ExplosionCap
-from .graph import INF, PausedSearch, edge_mask
+from .graph import INF, PausedSearch, _check_vertex, edge_mask
 
 MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
@@ -34,7 +34,8 @@ class ClaimContext:
     (distance-to-target, cut-mask) pair per tree; the distance is INF when
     the tree misses the target.  Both claim checks are methods that loop over
     this list, so checking many subgraphs or LP vectors against the same
-    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees.
+    demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees
+    and IndexOutOfRange for a root or target outside 0..n-1.
 
     The trees grow on an explicit stack with one frame per tree vertex, so a
     tree may be as deep as the graph.  The frontier lists the edges leaving
@@ -48,6 +49,8 @@ class ClaimContext:
     """
 
     def __init__(self, g, root, target):
+        _check_vertex(g, root, "root")
+        _check_vertex(g, target, "target")
         self.graph = g
         self.root = root
         self.target = target

@@ -94,32 +94,6 @@ def _check_vertex(g, v, what):
         raise IndexOutOfRange(f"{what} {v} outside 0..{g.n - 1}")
 
 
-def _dijkstra(n, adj, edges, source, far=1):
-    """Textbook heap Dijkstra; returns the distance list.
-
-    adj[v] lists the edges leaving v in the walk's direction and far picks
-    the endpoint each one reaches: 1 (head) walks out_edges forward, 0 (tail)
-    walks in_edges backward.
-    """
-    dist = [INF] * n
-    dist[source] = 0.0
-    done = [False] * n
-    heap = [(0.0, source)]
-    while heap:
-        d, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for e in adj[v]:
-            edge = edges[e]
-            w = edge[far]
-            nd = d + edge[2]
-            if nd < dist[w]:
-                dist[w] = nd
-                heappush(heap, (nd, w))
-    return dist
-
-
 def edge_mask(g, edges):
     """A bytearray over g's edges, 1 at each index in edges.
 
@@ -138,43 +112,47 @@ def edge_mask(g, edges):
 class PausedSearch:
     """Dijkstra from source over the edges of g that mask marks, run only as far as each query needs.
 
-    dist, done and heap persist between queries, so each reach resumes where
-    the last one paused.  Out-edges are walked in ascending index order, so
-    the pops are always a prefix of a full run's pop order and the pushes
-    those of the same prefix.
+    Outward it walks out_edges to their heads, giving dist(source, w);
+    inward it walks in_edges to their tails, giving dist(w, source).  dist
+    and heap persist between queries, so each reach resumes where the last
+    one paused.  Edges are walked in ascending index order and each push
+    strictly lowers its vertex's entry, so the pops are always a prefix of a
+    full run's pop order.  DistanceTable runs it over an all-ones mask to
+    the end for G's rows.  Raises IndexOutOfRange for a source outside
+    0..n-1.
     """
 
-    __slots__ = ("edges", "out_edges", "mask", "dist", "done", "heap")
+    __slots__ = ("edges", "adj", "far", "mask", "dist", "heap")
 
-    def __init__(self, g, mask, source):
+    def __init__(self, g, mask, source, inward=False):
+        _check_vertex(g, source, "source")
         self.edges = g.edges
-        self.out_edges = g.out_edges
+        self.adj, self.far = (g.in_edges, 0) if inward else (g.out_edges, 1)
         self.mask = mask
         self.dist = [INF] * g.n
         self.dist[source] = 0.0
-        self.done = [False] * g.n
         self.heap = [(0.0, source)]
 
     def reach(self, target, bound):
-        """The source's distance to target once it is settled or at most bound.
+        """The source's distance to target once it is at most bound or exact.
 
-        Pops until target is settled, its tentative distance is <= bound, or
-        the heap is empty.  A tentative distance is the float sum of a real
-        path and only falls, so a result <= bound is >= the exact distance,
-        which is <= bound too; any other result is the exact distance, INF
-        when target is unreachable.  A bound of -1 always settles target.
+        Pops until target's tentative distance is <= bound or the heap is
+        empty.  A tentative distance is the float sum of a real path and
+        only falls, so a result <= bound is >= the exact distance, which is
+        <= bound too; any other result is the exact distance, INF when
+        target is unreachable.  A bound of -1 runs the search to the end.
         """
-        dist, done, heap = self.dist, self.done, self.heap
-        edges, out_edges, mask = self.edges, self.out_edges, self.mask
-        while heap and not done[target] and not dist[target] <= bound:
+        dist, heap = self.dist, self.heap
+        edges, adj, far, mask = self.edges, self.adj, self.far, self.mask
+        while heap and not dist[target] <= bound:
             d, v = heappop(heap)
-            if done[v]:
-                continue
-            done[v] = True
-            for e in out_edges[v]:
+            if d > dist[v]:
+                continue  # a stale entry: v was pushed again with a lower distance
+            for e in adj[v]:
                 if mask[e]:
-                    _, w, length = edges[e]
-                    nd = d + length
+                    edge = edges[e]
+                    w = edge[far]
+                    nd = d + edge[2]
                     if nd < dist[w]:
                         dist[w] = nd
                         heappush(heap, (nd, w))
@@ -259,16 +237,18 @@ class DistanceTable:
     """One run's cache of G: its distance rows and shortest-path trees, each computed on first request.
 
     outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w,
-    and trees(roots) gives each root's tree edges.  Everything is kept once
+    each a PausedSearch over every edge of G run to the end, and
+    trees(roots) gives each root's tree edges.  Everything is kept once
     computed, so the path sets, the trees and the spanner check of one run
     share every search, and no other code searches G; readers never change
     what they get.  A table lives for one run: nothing keeps it on the graph.
     """
 
-    __slots__ = ("g", "_out", "_in", "_trees", "_groups")
+    __slots__ = ("g", "_every", "_out", "_in", "_trees", "_groups")
 
     def __init__(self, g):
         self.g = g
+        self._every = bytearray([1]) * g.m  # the mask of G itself
         self._out = {}
         self._in = {}
         self._trees = {}
@@ -277,14 +257,19 @@ class DistanceTable:
     def outward(self, source):
         row = self._out.get(source)
         if row is None:
-            row = self._out[source] = _dijkstra(self.g.n, self.g.out_edges, self.g.edges, source)
+            row = self._out[source] = self._row(source, False)
         return row
 
     def inward(self, target):
         row = self._in.get(target)
         if row is None:
-            row = self._in[target] = _dijkstra(self.g.n, self.g.in_edges, self.g.edges, target, far=0)
+            row = self._in[target] = self._row(target, True)
         return row
+
+    def _row(self, v, inward):
+        search = PausedSearch(self.g, self._every, v, inward)
+        search.reach(v, -1)  # 0 <= -1 never holds, so the search runs until its heap is empty
+        return search.dist
 
     def trees(self, roots):
         """Each root's tree edges, a boolean row over g's edges, in the order given.

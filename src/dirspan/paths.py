@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PathExplosion
+from .errors import IndexOutOfRange, PathExplosion
 from .graph import INF, DistanceTable
 
 MAX_PATHS = 100_000  # within-budget simple paths one demand may have
@@ -40,10 +40,13 @@ def enumerate_demand_paths(g, k, demand, table=None):
     inward row of table (a DistanceTable of g; a fresh one when not given);
     the prune is lossless whenever length sums are exactly representable,
     which holds for the integer lengths every generator in this package
-    emits.  Exceeding MAX_PATHS raises PathExplosion.
+    emits.  Exceeding MAX_PATHS raises PathExplosion, and a demand outside
+    0..m-1 raises IndexOutOfRange.
     """
     if k < 1:
         raise ValueError(f"stretch factor must be >= 1, got {k}")
+    if not 0 <= demand < g.m:
+        raise IndexOutOfRange(f"demand {demand} outside 0..{g.m - 1}")
     if table is None:
         table = DistanceTable(g)
     src, dst, _ = g.edges[demand]

@@ -2,11 +2,11 @@
 
 A subgraph H of G is a k-spanner when dist_H(u, v) <= k * dist_G(u, v) for
 every pair; checking only the demand pairs (the edges of G) is equivalent,
-because shortest paths of G decompose into edges.  The check searches H
-only from the tails that some demand needs, only as far as each demand's
-head needs, and only up to the first violation.  The optimum search fixes
-the edges no alternative route can replace, then branches over the rest
-with bitmask path covers.
+because shortest paths of G decompose into edges.  H = E needs no search
+at k >= 1; otherwise the check searches H only from the tails that some
+demand needs, only as far as each demand's head needs, and only up to the
+first violation.  The optimum search fixes the edges no alternative route
+can replace, then branches over the rest with bitmask path covers.
 """
 
 from __future__ import annotations
@@ -41,20 +41,22 @@ def demand_distance_rows(g, table=None):
 def is_k_spanner(g, h_edges, k, table=None):
     """Exact per-demand stretch check; returns the lowest-index violation if any.
 
-    Demands are scanned in index order.  One whose own edge is in H with
-    length <= k * dist_G needs no search, since the first relaxation from its
-    tail sets dist_H[head] <= 0.0 + length exactly.  Any other resumes its
-    tail's PausedSearch over H, started on first need, only until the head
-    is settled or within budget; on a violation the head is settled, so
-    dist_h is the exact H distance.  dist_G comes only from table's outward
-    rows (a DistanceTable of g; a fresh one when not given), so the check
-    searches G through the run's table alone.  H = E reads its rows from
-    the table too.  Raises IndexOutOfRange for an H index outside 0..m-1.
+    H = E at k >= 1 returns feasible without a search, since dist_H = dist_G
+    <= k * dist_G.  Otherwise demands are scanned in index order.  One whose
+    own edge is in H with length <= k * dist_G needs no search, since the
+    first relaxation from its tail sets dist_H[head] <= 0.0 + length
+    exactly.  Any other resumes its tail's PausedSearch over H, started on
+    first need, only until the head is within budget; on a violation the
+    search has run to the end, so dist_h is the exact H distance.  dist_G
+    comes only from table's outward rows (a DistanceTable of g; a fresh one
+    when not given), so the check searches G through the run's table alone.
+    Raises IndexOutOfRange for an H index outside 0..m-1.
     """
     h = edge_mask(g, h_edges)
+    if k >= 1 and 0 not in h:
+        return SpannerCheck(feasible=True, violation=None)
     if table is None:
         table = DistanceTable(g)
-    full = 0 not in h
     outward = table.outward
     searches = {}
     for d, (tail, head, length) in enumerate(g.edges):
@@ -62,13 +64,10 @@ def is_k_spanner(g, h_edges, k, table=None):
         allowed = k * dist_g
         if h[d] and length <= allowed:
             continue
-        if full:
-            got = dist_g
-        else:
-            search = searches.get(tail)
-            if search is None:
-                search = searches[tail] = PausedSearch(g, h, tail)
-            got = search.reach(head, allowed)
+        search = searches.get(tail)
+        if search is None:
+            search = searches[tail] = PausedSearch(g, h, tail)
+        got = search.reach(head, allowed)
         if not got <= allowed:
             return SpannerCheck(feasible=False, violation=(d, dist_g, got))
     return SpannerCheck(feasible=True, violation=None)

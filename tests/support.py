@@ -1,10 +1,11 @@
 """Test helpers built on package primitives.
 
-Unlike oracles.py, these reuse the package's full-row Dijkstra: they
-restate a claim about the package's own structures in another form, so
-tests can check that both forms agree.  H's rows come from that Dijkstra
-over an adjacency built here (h_out_edges), not from the package's paused
-search over an edge mask, so the reference shares none of that code.  This module also
+These restate a claim about the package's own structures in another form,
+so tests can check that both forms agree.  The rows they search
+themselves come from _dijkstra, a textbook heap Dijkstra kept apart from
+the package's paused search, which it judges: G's rows walk G's
+adjacency, and H's rows walk an adjacency built here (h_out_edges), not an
+edge mask.  This module also
 holds cut_set_of_potentials, a rescan of every edge against a potential
 vector, which restates the cut masks that ClaimContext grows with each tree,
 and the fresh_* references, which search G anew for every call instead of
@@ -14,11 +15,39 @@ path_vertices turns an edge-index path into the vertex tuple that the
 oracles speak in.
 """
 
+from heapq import heappop, heappush
+
 import numpy as np
 
-from dirspan import enumerate_demand_paths, is_k_spanner
-from dirspan.graph import DistanceTable, _dijkstra, _select_parents
+from dirspan import INF, enumerate_demand_paths, is_k_spanner
+from dirspan.graph import DistanceTable, _select_parents
 from dirspan.verify import SpannerCheck
+
+
+def _dijkstra(n, adj, edges, source, far=1):
+    """Textbook heap Dijkstra; returns the distance list.
+
+    adj[v] lists the edges leaving v in the walk's direction and far picks
+    the endpoint each one reaches: 1 (head) walks out_edges forward, 0 (tail)
+    walks in_edges backward.
+    """
+    dist = [INF] * n
+    dist[source] = 0.0
+    done = [False] * n
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        for e in adj[v]:
+            edge = edges[e]
+            w = edge[far]
+            nd = d + edge[2]
+            if nd < dist[w]:
+                dist[w] = nd
+                heappush(heap, (nd, w))
+    return dist
 
 
 def h_out_edges(g, h_edges):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirspan import ClaimContext, ExplosionCap, arborescence, build_graph
+from dirspan import ClaimContext, ExplosionCap, IndexOutOfRange, arborescence, build_graph
 from dirspan.graph import INF
 
 from oracles import make_rng, out_tree_census, random_edge_list
@@ -29,6 +29,14 @@ def test_enumeration_cap(monkeypatch):
             with pytest.raises(ExplosionCap):
                 ClaimContext(g, 0, n - 1)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("root, target", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_vertex_out_of_range_is_rejected(root, target):
+    # -1 once read as the last vertex, and 3 raised a bare IndexError
+    g = build_graph(3, TRIANGLE)
+    with pytest.raises(IndexOutOfRange, match="outside 0..2"):
+        ClaimContext(g, root, target)
 
 
 def test_trees_match_parent_vector_oracle():

@@ -18,7 +18,6 @@ import dirspan.graph
 from dirspan.graph import (
     DistanceTable,
     PausedSearch,
-    _dijkstra,
     _select_parents,
     edge_mask,
     reverse_graph,
@@ -28,7 +27,7 @@ from dirspan.paths import demand_path_sets
 from dirspan.verify import is_k_spanner
 
 from oracles import dp_distances, make_rng, random_edge_list
-from support import fresh_path_sets, fresh_shortest_path_tree, h_out_edges
+from support import _dijkstra, fresh_path_sets, fresh_shortest_path_tree
 
 
 def outward_dist(g, source):
@@ -176,7 +175,9 @@ def test_dijkstra_matches_bounded_walk_dp(data):
     g = build_graph(n, edges)
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
     # integer lengths keep every sum exact, so equality is exact
-    assert outward_dist(g, source) == dp_distances(n, edges, source)
+    table = DistanceTable(g)
+    assert table.outward(source) == dp_distances(n, edges, source)
+    assert table.inward(source) == dp_distances(n, [(h, t, ln) for t, h, ln in edges], source)
 
 
 @settings(max_examples=80, deadline=None)
@@ -258,17 +259,20 @@ SEARCH_LENGTHS = (0.0, 0.1, 0.3, 1.1, 1e300, 1e308)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_paused_search_matches_full_h_row(data):
-    # any sequence of (target, bound) queries on one search: a result above
-    # its bound is the full H row's value exactly (inf included), a result
-    # within it is a path length no shorter than that value, and -1 settles
+    # any sequence of (target, bound) queries on one search, either direction,
+    # over a random mask or every edge: a result above its bound is the full
+    # H row's value exactly (inf included), a result within it is a path
+    # length no shorter than that value, and -1 runs the search to the end
     n = data.draw(st.integers(min_value=1, max_value=8))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     g = build_graph(n, [(t, h, data.draw(st.sampled_from(SEARCH_LENGTHS))) for t, h in chosen])
-    h = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1))) if g.m else set()
+    h = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1)) | st.just(set(range(g.m)))) if g.m else set()
+    inward = data.draw(st.booleans())
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
-    row = _dijkstra(n, h_out_edges(g, h), g.edges, source)
-    search = PausedSearch(g, edge_mask(g, h), source)
+    adj = [[e for e in lst if e in h] for lst in (g.in_edges if inward else g.out_edges)]
+    row = _dijkstra(n, adj, g.edges, source, 0 if inward else 1)
+    search = PausedSearch(g, edge_mask(g, h), source, inward)
     bounds = st.sampled_from((-1.0, 0.0, 0.1, 0.4, 1.1, 2.2, 1e300, 2e300, 1e308, INF)) | st.floats(min_value=0)
     queries = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1), bounds), max_size=12))
     for target, bound in queries:
@@ -278,7 +282,7 @@ def test_paused_search_matches_full_h_row(data):
         else:
             assert got >= row[target]
         if bound == -1:
-            assert search.done[target] or got == INF
+            assert not search.heap
     for target in range(n):
         assert search.reach(target, -1) == row[target]
 
@@ -288,19 +292,30 @@ def test_distance_table_searches_each_row_once(monkeypatch):
 
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.0)])
     calls = []
-    dijkstra = dirspan.graph._dijkstra
 
-    def counting(n, adj, edges, source, far=1):
-        calls.append((far, source))
-        return dijkstra(n, adj, edges, source, far)
+    class CountingSearch(dirspan.graph.PausedSearch):
+        def __init__(self, graph, mask, source, inward=False):
+            calls.append((inward, source))
+            super().__init__(graph, mask, source, inward)
 
-    monkeypatch.setattr(dirspan.graph, "_dijkstra", counting)
+    monkeypatch.setattr(dirspan.graph, "PausedSearch", CountingSearch)
     table = DistanceTable(g)
     for _ in range(2):
         assert table.outward(0) == [0.0, 1.0, 3.0]
         assert table.inward(0) == [0.0, 2.0, 0.0]
         assert table.outward(0) is table.outward(0)
-    assert calls == [(1, 0), (0, 0)]
+    assert calls == [(False, 0), (True, 0)]
+
+
+@pytest.mark.parametrize("v", [-1, 3], ids=["negative", "past-n"])
+def test_search_source_out_of_range_is_rejected(v):
+    # -1 once gave vertex n-1's row under key -1, and n raised a bare IndexError
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    table = DistanceTable(g)
+    for search in (table.outward, table.inward, lambda source: PausedSearch(g, edge_mask(g, ()), source)):
+        with pytest.raises(IndexOutOfRange, match="source .* outside 0..2"):
+            search(v)
+    assert not table._out and not table._in
 
 
 def test_dijkstra_float_lengths_match_dp():
@@ -313,7 +328,7 @@ def test_dijkstra_float_lengths_match_dp():
                 if i != j and rng.random() < 0.45:
                     edges.append((i, j, rng.random() * 3))
         g = build_graph(n, edges)
-        assert outward_dist(g, trial % n) == dp_distances(n, edges, trial % n)
+        assert DistanceTable(g).outward(trial % n) == dp_distances(n, edges, trial % n)
 
 
 def test_induced_subgraph_distances_never_shorter_than_host():
@@ -346,7 +361,7 @@ def test_inward_walk_matches_reversed_graph(data):
     g = build_graph(n, edges)
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
     r = reverse_graph(g)
-    inward = inward_dist(g, source)
+    inward = DistanceTable(g).inward(source)
     reference = outward_dist(r, source)
     assert inward == reference
     assert _select_parents(g, source, inward, False) == _select_parents(r, source, reference, True)

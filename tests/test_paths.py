@@ -2,6 +2,7 @@ import pytest
 
 from dirspan import paths
 from dirspan import (
+    IndexOutOfRange,
     PathExplosion,
     build_graph,
     enumerate_demand_paths,
@@ -22,6 +23,16 @@ def test_stretch_budget_uses_distance_not_edge_length():
 def test_stretch_budget_direct_edge():
     g = build_graph(2, [(0, 1, 2.0)])
     assert enumerate_demand_paths(g, 4, 0).budget == 8.0
+
+
+@pytest.mark.parametrize("demand", [-1, 3], ids=["negative", "past-m"])
+def test_demand_out_of_range_is_rejected(demand):
+    # -1 once read the last edge and reported demand -1 as not mandatory,
+    # though demand 2 is; 3 raised a bare IndexError
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    with pytest.raises(IndexOutOfRange, match="demand .* outside 0..2"):
+        enumerate_demand_paths(g, 1, demand)
+    assert enumerate_demand_paths(g, 1, 2).mandatory
 
 
 def test_triangle_paths():

@@ -159,6 +159,18 @@ def test_only_the_stream_helper_seeds_a_run():
     ]
 
 
+def test_only_the_paused_search_pops_a_heap():
+    # one Dijkstra: G's full rows and every search of H go through PausedSearch.reach
+    pops = [
+        node for tree in PACKAGE_TREES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "heappop" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(pops) == 1
+    assert _package_functions_where(lambda fn: any(node in pops for node in ast.walk(fn))) == [
+        "graph.PausedSearch.reach",
+    ]
+
+
 def test_every_definition_and_default_has_a_runtime_caller():
     # what only tests name or set belongs under tests/: each top-level function and class must be
     # named, and each parameter default passed, somewhere in the package outside __init__.py
@@ -415,18 +427,20 @@ def test_run_solve_reports_are_pinned(edges, config, expected):
     ids=["er12", "zero6"],
 )
 def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
-    # at the paper's alpha every vertex is a root, so every vertex's two rows are needed, each once
-    dijkstra = dirspan.graph._dijkstra
+    # at the paper's alpha every vertex is a root, so every vertex's two rows are needed, each once;
+    # a row of G is a PausedSearch over a mask that holds every edge
+    paused = dirspan.graph.PausedSearch
     searched = []
 
-    def recording(n, adj, edges, source, far=1):
-        if adj is g.out_edges or adj is g.in_edges:
-            searched.append(("out" if adj is g.out_edges else "in", source))
-        return dijkstra(n, adj, edges, source, far)
+    class RecordingSearch(paused):
+        def __init__(self, graph, mask, source, inward=False):
+            if graph == g and all(mask):
+                searched.append(("in" if inward else "out", source))
+            super().__init__(graph, mask, source, inward)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("dirspan") and getattr(module, "_dijkstra", None) is dijkstra:
-            monkeypatch.setattr(module, "_dijkstra", recording)
+        if name.startswith("dirspan") and getattr(module, "PausedSearch", None) is paused:
+            monkeypatch.setattr(module, "PausedSearch", RecordingSearch)
     report = run_solve(RunConfig(k=3, input="g", trials=3, seed=1), g)
     assert all(t["tree_roots"] == g.n for t in report["trials"])
     assert len(searched) == len(set(searched))
@@ -434,30 +448,26 @@ def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
 
 
 def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
-    # every search over G's whole adjacency is a DistanceTable row, and no
-    # call searches one (direction, source) twice; H searches do not count,
-    # but a PausedSearch whose mask holds every edge of G searches G and does
+    # a search of G is a PausedSearch over a mask that holds every edge of G:
+    # each must be a DistanceTable row, built through _row by outward or
+    # inward, and no call searches one (direction, source) twice; H searches
+    # over a smaller mask do not count
     g = build_graph(8, DEC8_EDGES)
-    whole = {1: list(g.out_edges), 0: list(g.in_edges)}
-    table_rows = {DistanceTable.outward.__code__: 1, DistanceTable.inward.__code__: 0}
-    dijkstra = dirspan.graph._dijkstra
+    table_rows = {DistanceTable.outward.__code__: False, DistanceTable.inward.__code__: True}
+    row_code = DistanceTable._row.__code__
     paused = dirspan.graph.PausedSearch
     searched = []
 
-    def recording(n, adj, edges, source, far=1):
-        if edges == g.edges and [tuple(lst) for lst in adj] == whole[far]:
-            searched.append((sys._getframe(1).f_code, far, source))
-        return dijkstra(n, adj, edges, source, far)
-
     class RecordingSearch(paused):
-        def __init__(self, graph, mask, source):
+        def __init__(self, graph, mask, source, inward=False):
             if graph == g and all(mask):
-                searched.append((sys._getframe(1).f_code, 1, source))
-            super().__init__(graph, mask, source)
+                caller = sys._getframe(1)
+                if caller.f_code is row_code:
+                    caller = caller.f_back
+                searched.append((caller.f_code, inward, source))
+            super().__init__(graph, mask, source, inward)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("dirspan") and getattr(module, "_dijkstra", None) is dijkstra:
-            monkeypatch.setattr(module, "_dijkstra", recording)
         if name.startswith("dirspan") and getattr(module, "PausedSearch", None) is paused:
             monkeypatch.setattr(module, "PausedSearch", RecordingSearch)
 
@@ -465,21 +475,24 @@ def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
         searched.clear()
         call()
         assert searched, "the call searched no row of G"
-        for caller, far, source in searched:
-            assert table_rows.get(caller) == far, f"{caller.co_name} searched G from {source}"
-        keys = [(far, source) for _, far, source in searched]
+        for caller, inward, source in searched:
+            assert table_rows.get(caller) is inward, f"{caller.co_name} searched G from {source}"
+        keys = [(inward, source) for _, inward, source in searched]
         assert len(keys) == len(set(keys))
         return set(keys)
 
-    tails = {(1, tail) for tail, _, _ in g.edges}
+    tails = {(False, tail) for tail, _, _ in g.edges}
     opt = [0, 1, 2, 3, 5, 6, 7, 8, 9, 13, 14, 15, 16]  # a minimum 2-spanner of DEC8_EDGES
     (tmp_path / "g.txt").write_text(serialize_graph(g))
     (tmp_path / "h.txt").write_text("".join(f"{g.edges[e][0]} {g.edges[e][1]}\n" for e in opt))
     argv = ["verify", str(tmp_path / "g.txt"), "-k", "2", "--subgraph", str(tmp_path / "h.txt")]
     assert searches(lambda: main(argv)) == tails
     assert '"feasible": true' in capsys.readouterr().out
-    for h in (opt, range(g.m), ()):
+    for h in (opt, ()):
         searches(lambda: is_k_spanner(g, h, 2))
+    searched.clear()
+    assert is_k_spanner(g, range(g.m), 2).feasible
+    assert not searched  # H = E at k >= 1 needs no row of G
     for alpha in (None, 0.25):  # every vertex a root, then few roots with E_H != E
         config = RunConfig(k=2, input="dec8", seed=5, trials=12, alpha_override=alpha)
         assert tails <= searches(lambda: run_solve(config, g))

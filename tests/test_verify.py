@@ -80,17 +80,16 @@ def test_precomputed_rows_give_same_answer():
 
 
 def test_full_edge_set_reuses_g_rows(monkeypatch):
-    # H = E: dist_H is dist_G, so neither a G row nor an H search runs once the table holds the G rows
+    # H = E at k >= 1: dist_H is dist_G, so the check returns without a G row or an H search, table or none
     g = build_graph(3, TRIANGLE)
-    table = filled_table(g)
 
     def no_search(*args, **kwargs):
-        raise AssertionError("H = E must reuse the dist_G rows")
+        raise AssertionError("H = E must need no search")
 
-    monkeypatch.setattr(dirspan.graph, "_dijkstra", no_search)
+    monkeypatch.setattr(dirspan.graph, "PausedSearch", no_search)
     monkeypatch.setattr(verify, "PausedSearch", no_search)
-    assert is_k_spanner(g, frozenset(range(g.m)), 1, table=table) == is_k_spanner(g, [2, 1, 0], 1, table=table)
-    assert is_k_spanner(g, range(g.m), 1, table=table).feasible
+    assert is_k_spanner(g, frozenset(range(g.m)), 1) == is_k_spanner(g, [2, 1, 0], 1)
+    assert is_k_spanner(g, range(g.m), 1, table=DistanceTable(g)).feasible
 
 
 # 0->1, 1->2, 0->2, 2->3, 1->3, all of length 1: tails 0, 1 and 2; at k=2 each
@@ -109,23 +108,18 @@ SEARCH_GRAPH = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)]
     ],
 )
 def test_searches_only_the_tails_that_need_it(monkeypatch, h, given_rows, searches, feasible):
-    # G rows come from the table (dirspan.graph._dijkstra) and H searches are the
-    # check's PausedSearch constructions (dirspan.verify): both count
+    # G rows are the table's PausedSearch constructions (dirspan.graph) and H
+    # searches the check's own (dirspan.verify): both count
     g = build_graph(4, SEARCH_GRAPH)
     table = filled_table(g) if given_rows else None
-    dijkstra = dirspan.graph._dijkstra
     calls = []
-
-    def counting_dijkstra(*args):
-        calls.append(args)
-        return dijkstra(*args)
 
     class CountingSearch(dirspan.graph.PausedSearch):
         def __init__(self, *args):
             calls.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(dirspan.graph, "_dijkstra", counting_dijkstra)
+    monkeypatch.setattr(dirspan.graph, "PausedSearch", CountingSearch)
     monkeypatch.setattr(verify, "PausedSearch", CountingSearch)
     check = is_k_spanner(g, h, 2, table=table)
     assert check.feasible == feasible
@@ -149,6 +143,9 @@ def test_own_edge_over_budget_is_still_searched():
     for h in ({0}, {0, 1}, {0, 2}, {0, 1, 2}):
         for k in (1, 1.5, 2):
             assert is_k_spanner(g, h, k) == eager_spanner_check(g, h, k)
+    # below k = 1 even H = E is searched, and fails: 0->1 has dist_G = dist_H = 1 against a budget of 0.5
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    assert is_k_spanner(g, range(g.m), 0.5).violation == (0, 1.0, 1.0)
 
 
 def test_length_m_list_missing_an_edge_gets_full_check():
