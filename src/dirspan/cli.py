@@ -164,7 +164,7 @@ def _cmd_round(args, config, g):
         raise BadSpec("LP dump x sums past the largest double") from None
     if abs(dump["objective"] - total) > CHECK_TOL * max(1.0, total):
         raise BadSpec(f"LP dump objective {dump['objective']!r} is not the sum of its x, {total!r}")
-    sol = LpSolution(x=x, f={}, objective_value=float(dump["objective"]))
+    sol = LpSolution(x=x, objective_value=float(dump["objective"]))
     report = run_solve(config, g=g, sol=sol)
     frac = report["aggregate"]["feasible_fraction"]
     return report, f"rounded {config.trials} trials, feasible fraction {frac}", _rounding_exit(args, frac)

@@ -32,13 +32,14 @@ class Program:
 
 @dataclass
 class LpModel:
-    """The path LP of (graph, k): column e < m is x_e, column m + j the flow on path_cols[j].
+    """The path LP of (graph, k): column e < m is x_e, and the flow columns follow.
 
-    Row ("capacity", d, e) caps the flow on demand d's paths through edge e by x_e.
+    Columns m, m + 1, ... carry the paths of each demand not in mandatory, one
+    column per path, demand by demand in index order.  Row ("capacity", d, e)
+    caps the flow on demand d's paths through edge e by x_e.
     """
 
     graph: object
-    path_cols: tuple  # (demand, path) per flow column; a path is a tuple of edge indices
     demand_paths: tuple  # DemandPaths per demand, indexed by demand
     mandatory: frozenset  # edge indices presolved to x_e >= 1
     row_labels: tuple
@@ -48,7 +49,6 @@ class LpModel:
 @dataclass(frozen=True)
 class LpSolution:
     x: tuple
-    f: dict  # (demand, path) -> value; a presolved demand d has (d, (d,)) -> 1.0
     objective_value: float
 
 
@@ -64,7 +64,7 @@ def build_lp(g, k, table=None):
     mandatory = {dp.demand for dp in demand_paths if dp.mandatory}
 
     # one pass over the demands: each row's flow columns (and capacity edge)
-    path_cols = []
+    ncols = m
     row_cells = []
     labels = []
     rhs = []
@@ -73,8 +73,8 @@ def build_lp(g, k, table=None):
         if d in mandatory:
             continue
         paths = demand_paths[d].paths
-        cols = range(m + len(path_cols), m + len(path_cols) + len(paths))
-        path_cols.extend((d, p) for p in paths)
+        cols = range(ncols, ncols + len(paths))
+        ncols += len(paths)
         row_cells.append((cols, None))
         rhs.append(1.0)
         senses.append(GREATER)
@@ -88,7 +88,6 @@ def build_lp(g, k, table=None):
             rhs.append(0.0)
             senses.append(LESS)
             labels.append(("capacity", d, e))
-    ncols = m + len(path_cols)
 
     a = np.zeros((len(labels), ncols))
     for i, (cols, e) in enumerate(row_cells):
@@ -103,7 +102,6 @@ def build_lp(g, k, table=None):
     program = Program(c=c, a=a, b=np.array(rhs), senses=senses, lower=lower)
     return LpModel(
         graph=g,
-        path_cols=tuple(path_cols),
         demand_paths=demand_paths,
         mandatory=frozenset(mandatory),
         row_labels=tuple(labels),
@@ -112,20 +110,14 @@ def build_lp(g, k, table=None):
 
 
 def solve_lp(model):
-    """Run the simplex on the model and re-check the answer independently."""
+    """Run the simplex, re-check its full point independently, and keep each x_e and the optimum."""
     p = model.program
     res = solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower)
     if res.status == "infeasible":
         # x_e = 1 everywhere, with a unit of flow on any within-budget path, meets every row
         raise NumericalFailure("simplex called the path LP infeasible, but x = 1 is always feasible")
     m = model.graph.m
-    x = tuple(float(v) for v in res.z[:m])
-    f = {}
-    for j, (d, pth) in enumerate(model.path_cols):
-        f[(d, pth)] = float(res.z[m + j])
-    for d in model.mandatory:
-        f[(d, (d,))] = 1.0
-    sol = LpSolution(x=x, f=f, objective_value=float(res.objective))
+    sol = LpSolution(x=tuple(float(v) for v in res.z[:m]), objective_value=float(res.objective))
     fails = violated_rows(model, res.z)
     if fails:
         raise NumericalFailure(f"solver returned an infeasible point: {fails[0]}")

@@ -21,7 +21,6 @@ MAX_PATHS = 100_000  # within-budget simple paths one demand may have
 @dataclass(frozen=True)
 class DemandPaths:
     demand: int  # edge index in the host graph
-    budget: float
     paths: tuple  # tuple of edge-index tuples, tail to head, DFS discovery order
     covered: frozenset  # union of the paths' edge endpoints
 
@@ -81,7 +80,7 @@ def enumerate_demand_paths(g, k, demand, table=None):
             if path:
                 on_path[g.edges[path.pop()][1]] = False
     covered = frozenset(v for p in paths for e in p for v in g.edges[e][:2])
-    return DemandPaths(demand=demand, budget=budget, paths=tuple(paths), covered=covered)
+    return DemandPaths(demand=demand, paths=tuple(paths), covered=covered)
 
 
 def demand_path_sets(g, k, table=None):

@@ -90,9 +90,6 @@ def brute_force_opt(g, k):
     Raises TooLarge when more than MAX_FREE_EDGES edges stay free.
     """
     m = g.m
-    if m == 0:
-        return OptResult(opt=0, witness=frozenset())
-
     demand_masks = []
     forced = 0
     for dp in demand_path_sets(g, k):

@@ -271,14 +271,13 @@ def path_lp_value(n, edges, k):
     return res.fun
 
 
-def check_solution(model, sol, tol=1e-8):
-    """Rows of a path LP model that an LpSolution violates (empty means feasible).
+def check_solution(model, z, tol=1e-8):
+    """Rows of a path LP model that a full variable vector z violates (empty means feasible).
 
-    Rebuilds the variable vector from the solution's public x and f maps and
-    evaluates every row of model.program directly, lower bounds included.
+    Evaluates every row of model.program directly, lower bounds included.
     """
     p = model.program
-    z = np.array(list(sol.x) + [sol.f.get(key, 0.0) for key in model.path_cols])
+    z = np.asarray(z, dtype=float)
     fails = [f"variable {j} = {z[j]} < {p.lower[j]}" for j in np.flatnonzero(z < p.lower - tol)]
     for label, sense, rhs, val in zip(model.row_labels, p.senses, p.b, p.a @ z):
         if {"<=": val > rhs + tol, ">=": val < rhs - tol, "=": abs(val - rhs) > tol}[sense]:

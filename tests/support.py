@@ -10,9 +10,10 @@ holds cut_set_of_potentials, a rescan of every edge against a potential
 vector, which restates the cut masks that ClaimContext grows with each tree,
 and the fresh_* references, which search G anew for every call instead of
 sharing one DistanceTable.  listed_generator_edges restates the er and
-layered generators with a Python list of every candidate pair, and
+layered generators with a Python list of every candidate pair,
 path_vertices turns an edge-index path into the vertex tuple that the
-oracles speak in.
+oracles speak in, and flow_columns lists the path LP's flow columns from
+the model's path sets, in the order build_lp lays them out.
 """
 
 from heapq import heappop, heappush
@@ -125,6 +126,15 @@ def path_vertices(g, path):
         assert tail == verts[-1], f"edge {e} does not continue the path at vertex {verts[-1]}"
         verts.append(head)
     return tuple(verts)
+
+
+def flow_columns(model):
+    """(demand, path) per flow column of a path LP model: column m + j carries entry j.
+
+    Every demand not presolved into model.mandatory contributes its path set,
+    demand by demand in index order.
+    """
+    return [(d, p) for d, dp in enumerate(model.demand_paths) if d not in model.mandatory for p in dp.paths]
 
 
 def fresh_path_sets(g, k):

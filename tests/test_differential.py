@@ -84,7 +84,7 @@ def test_every_report_agrees_with_the_oracles(tmp_path_factory, case):
     solve = _report(["solve", *common, "--oracle", "--alpha", alpha, "--trials", "3", "--seed", str(seed)])
     assert solve["lp"]["value"] == lp["objective"]
     assert solve["opt"] == opt and solve["lp"]["value"] <= opt + TOL
-    sol = LpSolution(x=tuple(lp["x"]), f={}, objective_value=lp["objective"])
+    sol = LpSolution(x=tuple(lp["x"]), objective_value=lp["objective"])
     assert_trials_agree(g, sol, solve, k)
 
     verify = _report(["verify", *common, "--subgraph", str(hpath)])

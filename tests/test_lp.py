@@ -12,9 +12,8 @@ from dirspan import (
     solve_lp,
     violated_rows,
 )
-from dirspan.lp import LpSolution
-from dirspan import simplex
-from dirspan.simplex import GREATER, LESS, solve_simplex
+from dirspan import NumericalFailure, lp, simplex
+from dirspan.simplex import GREATER, LESS, SimplexResult, solve_simplex
 
 from oracles import (
     check_solution,
@@ -25,9 +24,15 @@ from oracles import (
     path_lp_value,
     random_edge_list,
 )
-from support import path_vertices
+from support import flow_columns, path_vertices
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+
+
+def simplex_point(model):
+    """The simplex's full variable vector on the model's program: x first, then the flows."""
+    p = model.program
+    return solve_simplex(p.c, p.a, p.b, p.senses, lower=p.lower).z
 
 
 def cycle(n, length=1.0):
@@ -39,7 +44,7 @@ def test_triangle_shape_keeps_only_the_two_path_demand():
     # in the path search's discovery order
     model = build_lp(build_graph(3, TRIANGLE), 2)
     assert model.mandatory == frozenset({0, 2})
-    assert model.path_cols == ((1, (0, 2)), (1, (1,)))
+    assert flow_columns(model) == [(1, (0, 2)), (1, (1,))]
     assert len(model.program.c) == 5
     assert model.row_labels == (("demand", 1), ("capacity", 1, 0), ("capacity", 1, 1), ("capacity", 1, 2))
     assert list(model.program.lower) == [1.0, 0.0, 1.0, 0.0, 0.0]
@@ -55,7 +60,7 @@ def test_single_edge_presolve_drops_rows():
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(path_lp_value(g.n, g.edges, 3), abs=1e-9)
     assert sol.x == (1.0,)
-    assert sol.f[(0, (0,))] == 1.0
+    assert len(model.program.c) == 1  # the presolved demand carries no flow column
 
 
 def test_triangle_lp_value_and_point():
@@ -70,8 +75,10 @@ def test_triangle_lp_value_and_point():
 
 def test_triangle_flow_routes_middle_demand():
     g = build_graph(3, TRIANGLE)
-    sol = solve_lp(build_lp(g, 2))
-    assert sol.f[(1, (0, 2))] == pytest.approx(1.0, abs=1e-9)  # 0->1->2
+    model = build_lp(g, 2)
+    z = simplex_point(model)
+    assert z[g.m + flow_columns(model).index((1, (0, 2)))] == pytest.approx(1.0, abs=1e-9)  # 0->1->2
+    assert tuple(float(v) for v in z[:g.m]) == solve_lp(model).x
 
 
 def test_cycle_forces_every_edge():
@@ -85,7 +92,8 @@ def test_cycle_forces_every_edge():
 def test_cycle_presolve_finds_all_mandatory():
     model = build_lp(cycle(6), 3)
     assert model.mandatory == frozenset(range(6))
-    assert model.path_cols == () and model.row_labels == ()
+    assert flow_columns(model) == [] and model.row_labels == ()
+    assert len(model.program.c) == 6
     assert solve_lp(model).objective_value == pytest.approx(6.0, abs=1e-9)
 
 
@@ -164,10 +172,39 @@ def test_violated_rows_catches_corruption():
 def test_check_solution_roundtrip_and_detection():
     g = build_graph(3, TRIANGLE)
     model = build_lp(g, 2)
-    sol = solve_lp(model)
-    assert check_solution(model, sol) == []
-    broken = LpSolution(x=sol.x, f={key: 0.0 for key in sol.f}, objective_value=sol.objective_value)
+    z = simplex_point(model)
+    assert check_solution(model, z) == []
+    broken = z.copy()
+    broken[g.m:] = 0.0
     assert check_solution(model, broken)
+
+
+def test_simplex_unbounded_objective_raises():
+    with pytest.raises(NumericalFailure, match=r"^objective unbounded below$"):
+        solve_simplex([-1.0], [[1.0]], [1.0], [GREATER])
+    with pytest.raises(NumericalFailure, match=r"^objective unbounded below \(no constraints\)$"):
+        solve_simplex([-1.0], np.zeros((0, 1)), [], [])
+
+
+def test_simplex_iteration_cap_raises(monkeypatch):
+    # each >= row starts on an artificial, so phase 1 needs one pivot per row
+    assert solve_simplex([1.0, 1.0], np.eye(2), [1.0, 1.0], [GREATER, GREATER]).iterations == 2
+    monkeypatch.setattr(simplex, "MAX_ITER", 1)
+    with pytest.raises(NumericalFailure, match=r"^simplex exceeded 1 iterations$"):
+        solve_simplex([1.0, 1.0], np.eye(2), [1.0, 1.0], [GREATER, GREATER])
+
+
+def test_solve_lp_rejects_an_infeasible_simplex_point(monkeypatch):
+    # the triangle at k = 2 keeps demand 2, 0->2, with paths 0->2 and 0->1->2; zeroed flows leave its row unmet
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    model = build_lp(g, 2)
+    z = simplex_point(model)
+    z[g.m:] = 0.0
+    zeroed = SimplexResult(status="optimal", z=z, objective=float(z[:g.m].sum()), iterations=0)
+    monkeypatch.setattr(lp, "solve_simplex", lambda *args, **kwargs: zeroed)
+    message = r"^solver returned an infeasible point: row \('demand', 2\) = 0\.0 < 1\.0$"
+    with pytest.raises(NumericalFailure, match=message):
+        solve_lp(model)
 
 
 def test_demand_count_grows_with_edges():
@@ -217,7 +254,7 @@ def test_row_senses_by_label():
 
 
 def test_build_lp_rows_follow_labels_and_path_columns():
-    # each row's non-zeros are fixed by its label and model.path_cols alone
+    # each row's non-zeros are fixed by its label and the flow columns alone
     rng = make_rng(37)
     graphs = [generate_instance(parse_gen_spec("er:n=40,p=0.1,seed=1"))]
     while len(graphs) < 15:
@@ -229,19 +266,20 @@ def test_build_lp_rows_follow_labels_and_path_columns():
         model = build_lp(g, 3)
         m = g.m
         a = model.program.a
-        assert a.shape == (len(model.row_labels), m + len(model.path_cols))
-        for d, path in model.path_cols:  # each column's path runs from its demand's tail to its head
+        cols = flow_columns(model)
+        assert a.shape == (len(model.row_labels), m + len(cols))
+        for d, path in cols:  # each column's path runs from its demand's tail to its head
             verts = path_vertices(g, path)
             assert (verts[0], verts[-1]) == g.edges[d][:2]
         # a demand has rows exactly when it is not presolved, and its columns are its path set
         assert {label[1] for label in model.row_labels} == set(range(m)) - model.mandatory
         for d, dp in enumerate(model.demand_paths):
             assert (d in model.mandatory) == (dp.paths == ((d,),))
-            assert [p for dd, p in model.path_cols if dd == d] == ([] if d in model.mandatory else list(dp.paths))
+            assert [p for dd, p in cols if dd == d] == ([] if d in model.mandatory else list(dp.paths))
         for row, label in zip(a, model.row_labels):
             d = label[1]
             expected = {}
-            for j, (dd, path) in enumerate(model.path_cols):
+            for j, (dd, path) in enumerate(cols):
                 if dd == d and (label[0] == "demand" or label[2] in path):
                     expected[m + j] = 1.0
             if label[0] == "capacity":

@@ -8,21 +8,34 @@ from dirspan import (
     enumerate_demand_paths,
 )
 
-from oracles import all_simple_paths_within, make_rng, random_edge_list
+from oracles import all_simple_paths_within, dp_distances, make_rng, random_edge_list
 from support import path_vertices
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
 
+def oracle_budget(n, edges, k, demand):
+    """k * dist_G(u, v) of a demand (u, v), from the bounded-walk DP: exact on integer lengths."""
+    tail, head, _ = edges[demand]
+    return k * dp_distances(n, edges, tail)[head]
+
+
 def test_stretch_budget_uses_distance_not_edge_length():
-    # demand edge has length 5, but a length-2 detour sets the distance
-    g = build_graph(3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)])
-    assert enumerate_demand_paths(g, 3, 0).budget == 6.0
+    # demand edge has length 5, but a length-2 detour sets the distance, so the budget is
+    # 3 * 2 = 6, not 3 * 5 = 15: the detour of length 6 is in and the one of length 7 is out
+    edges = [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0), (0, 3, 3.0), (3, 1, 3.0), (0, 4, 3.0), (4, 1, 4.0)]
+    assert oracle_budget(5, edges, 3, 0) == 6.0
+    dp = enumerate_demand_paths(build_graph(5, edges), 3, 0)
+    assert set(dp.paths) == {(0,), (1, 2), (3, 4)}
 
 
 def test_stretch_budget_direct_edge():
-    g = build_graph(2, [(0, 1, 2.0)])
-    assert enumerate_demand_paths(g, 4, 0).budget == 8.0
+    # the demand edge is its own shortest path, so the budget is 4 * 2 = 8: a detour of
+    # length 8 is in and one of length 9 is out
+    edges = [(0, 1, 2.0), (0, 2, 4.0), (2, 1, 4.0), (0, 3, 4.0), (3, 1, 5.0)]
+    assert oracle_budget(4, edges, 4, 0) == 8.0
+    dp = enumerate_demand_paths(build_graph(4, edges), 4, 0)
+    assert set(dp.paths) == {(0,), (1, 2)}
 
 
 @pytest.mark.parametrize("demand", [-1, 3], ids=["negative", "past-m"])
@@ -39,8 +52,7 @@ def test_triangle_paths():
     g = build_graph(3, TRIANGLE)
     dp = enumerate_demand_paths(g, 2, 1)
     assert dp.demand == 1
-    assert dp.budget == 2.0
-    assert set(dp.paths) == {(1,), (0, 2)}  # 0->2 direct, and 0->1->2
+    assert set(dp.paths) == {(1,), (0, 2)}  # 0->2 direct, and 0->1->2 at exactly the budget 2 * 1
     assert dp.covered == frozenset({0, 1, 2})
 
 
@@ -68,9 +80,10 @@ def test_max_paths_cap_raises(monkeypatch):
 
 
 def test_zero_length_budget_zero():
-    g = build_graph(3, [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)])
-    dp = enumerate_demand_paths(g, 3, 2)
-    assert dp.budget == 0.0
+    # the budget is exactly 0: 0->3->2, of length 0.5, is out
+    edges = [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0), (0, 3, 0.0), (3, 2, 0.5)]
+    assert oracle_budget(4, edges, 3, 2) == 0.0
+    dp = enumerate_demand_paths(build_graph(4, edges), 3, 2)
     assert set(dp.paths) == {(2,), (0, 1)}  # 0->2 direct, and 0->1->2
 
 
@@ -92,7 +105,7 @@ def test_paths_are_simple_and_within_budget():
             assert verts[-1] == head
             assert len(set(verts)) == len(verts)
             total = sum(g.edges[e][2] for e in path)
-            assert total <= dp.budget
+            assert total <= oracle_budget(n, edges, k, d)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -105,7 +118,7 @@ def test_enumeration_matches_unpruned_oracle(seed):
         k = 1 + seed % 3
         dp = enumerate_demand_paths(g, k, d)
         tail, head, _ = g.edges[d]
-        expect = all_simple_paths_within(n, edges, tail, head, dp.budget)
+        expect = all_simple_paths_within(n, edges, tail, head, oracle_budget(n, edges, k, d))
         assert sorted(path_vertices(g, p) for p in dp.paths) == expect
         assert dp.covered == frozenset(v for p in expect for v in p)
 

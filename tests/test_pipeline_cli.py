@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,15 +111,15 @@ def test_pipeline_imports_no_input_module():
     assert not imported & {".io", ".generate", "dirspan.io", "dirspan.generate"}
 
 
-def _functions_where(tree, prefix, test):
-    """Qualified names of the functions under tree for which test(function node) holds."""
+def _functions(tree, prefix):
+    """(qualified name, node) of every function under tree, nested ones and methods included."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = f"{prefix}.{node.name}"
-            if isinstance(node, ast.FunctionDef) and test(node):
-                found.append(name)
-            found += _functions_where(node, name, test)
+            if isinstance(node, ast.FunctionDef):
+                found.append((name, node))
+            found += _functions(node, name)
     return found
 
 
@@ -126,13 +127,11 @@ def _functions_where(tree, prefix, test):
 PACKAGE_TREES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(dirspan.__file__).parent.glob("*.py"))
 }
+PACKAGE_FUNCTIONS = [pair for stem, tree in PACKAGE_TREES.items() for pair in _functions(tree, stem)]
 
 
 def _package_functions_where(test):
-    found = []
-    for stem, tree in PACKAGE_TREES.items():
-        found += _functions_where(tree, stem, test)
-    return sorted(found)
+    return sorted(name for name, fn in PACKAGE_FUNCTIONS if test(fn))
 
 
 def test_only_bounded_functions_recurse():
@@ -171,32 +170,67 @@ def test_only_the_paused_search_pops_a_heap():
     ]
 
 
+# what the runtime-caller guard lets through because a benchmark binds it: name -> (the file under
+# the repo root that binds it, the parameters whose defaults no runtime call passes); each entry
+# goes, or moves to tests/, when ROADMAP item 2 unbinds it
+BENCHMARK_BOUND = {
+    "graph.reverse_graph": ("benchmarks/tracer.py", ()),
+    "graph.shortest_path_tree": ("benchmarks/tracer.py", ("table",)),
+    "pipeline.RunConfig.jobs": ("benchmarks/workloads.py", ()),
+    "simplex.SimplexResult.iterations": ("benchmarks/tracer.py", ()),
+    "verify.demand_distance_rows": ("benchmarks/tracer.py", ("table",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_BOUND))
+def test_each_benchmark_exemption_is_still_bound(name):
+    # a benchmark that stops naming an exempt definition leaves it without a caller
+    path, _ = BENCHMARK_BOUND[name]
+    text = (Path(__file__).resolve().parent.parent / path).read_text(encoding="utf-8")
+    assert re.search(rf"\b{name.rpartition('.')[2]}\b", text), f"{path} no longer binds {name}"
+
+
+def _class_members(cls):
+    """Each dataclass field, __slots__ entry, property and non-dunder method of a class node."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+            yield from ((elt.value, node) for elt in node.value.elts)
+        elif isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node
+
+
 def test_every_definition_and_default_has_a_runtime_caller():
-    # what only tests name or set belongs under tests/: each top-level function and class must be
-    # named, and each parameter default passed, somewhere in the package outside __init__.py
+    # what only tests name, read or set belongs under tests/: each top-level function and class
+    # must be named, each member of a top-level class read as an attribute, and each parameter
+    # default passed, somewhere in the package outside __init__.py and outside its own definition
     runtime = {stem: tree for stem, tree in PACKAGE_TREES.items() if stem != "__init__"}
 
     def names(node):
         return [n.id if isinstance(n, ast.Name) else n.attr
                 for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
 
+    def reads(node):
+        return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
     uses = collections.Counter(name for tree in runtime.values() for name in names(tree))
-    unnamed = sorted(
+    unnamed = [
         f"{stem}.{node.name}" for stem, tree in runtime.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and uses[node.name] == names(node).count(node.name)
-    )
-    assert unnamed == [
-        # benchmarks/tracer.py binds these three by name; each moves to tests/ when ROADMAP item 2 unbinds it
-        "graph.reverse_graph",
-        "graph.shortest_path_tree",
-        "verify.demand_distance_rows",
     ]
+    read = collections.Counter(name for tree in runtime.values() for name in reads(tree))
+    unread = [
+        f"{stem}.{cls.name}.{name}" for stem, tree in runtime.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for name, node in _class_members(cls) if read[name] == reads(node).count(name)
+    ]
+    assert sorted(unnamed + unread) == sorted(BENCHMARK_BOUND)
 
     calls = [node for tree in runtime.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
     owner = {id(fn): cls.name for tree in runtime.values() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for fn in cls.body}
 
-    def unpassed_default(fn):
+    def unpassed_defaults(fn):
         # a call passes a parameter by keyword or by position, and a method's callers do not pass self
         callee = owner[id(fn)] if fn.name == "__init__" else fn.name
         mine = [c for c in calls if callee in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
@@ -204,13 +238,14 @@ def test_every_definition_and_default_has_a_runtime_caller():
         skip = 1 if id(fn) in owner else 0
         defaulted = [(i - skip, a.arg) for i, a in enumerate(params) if i >= len(params) - len(fn.args.defaults)]
         defaulted += [(math.inf, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-        return any(not any(len(c.args) > i or arg in {kw.arg for kw in c.keywords} for c in mine) for i, arg in defaulted)
+        return tuple(arg for i, arg in defaulted
+                     if not any(len(c.args) > i or arg in {kw.arg for kw in c.keywords} for c in mine))
 
-    assert _package_functions_where(unpassed_default) == [
-        "cli.main",  # argv: the entry point, called with no argument outside the tests
-        "graph.shortest_path_tree",  # table: bound by benchmarks/tracer.py until ROADMAP item 2
-        "verify.demand_distance_rows",  # table: bound by benchmarks/tracer.py until ROADMAP item 2
-    ]
+    unpassed = {name: args for name, fn in PACKAGE_FUNCTIONS if (args := unpassed_defaults(fn))}
+    assert unpassed == {
+        "cli.main": ("argv",),  # the entry point, called with no argument outside the tests
+        **{name: args for name, (_, args) in BENCHMARK_BOUND.items() if args},
+    }
 
 
 def test_mode_auto_detects_unit():

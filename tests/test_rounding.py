@@ -131,7 +131,7 @@ def test_shared_table_trees_change_nothing():
     n = 9
     edges = [(t, h, rng.choice((0.0, 0.1, 0.3, 0.7, 1.1))) for t, h, _ in random_edge_list(rng, n, 0.4)]
     g = build_graph(n, edges)
-    sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), f={}, objective_value=1.0)
+    sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), objective_value=1.0)
     table = DistanceTable(g)
     for seed in range(24):
         params = RoundingParams(alpha=1.5, seed=seed, k=2)
@@ -149,7 +149,7 @@ def test_rounded_edges_are_the_edge_stream_draws():
     # the root phase draws from a stream of its own, so the edge phase is round_edges alone;
     # keep probabilities from 0.13 to 0.76 leave every edge to its draw
     g = cycle(8)
-    sol = LpSolution(x=(0.05, 0.1, 0.2, 0.3) * 2, f={}, objective_value=1.3)
+    sol = LpSolution(x=(0.05, 0.1, 0.2, 0.3) * 2, objective_value=1.3)
     kept = set()
     for seed in range(8):
         res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3))
@@ -162,7 +162,7 @@ def test_tree_roots_are_the_root_stream_draws():
     # and the root phase is sample_tree_roots alone, whatever the LP point
     g = cycle(8)
     for x in ((0.0,) * 8, (1.0,) * 8):
-        sol = LpSolution(x=x, f={}, objective_value=sum(x))
+        sol = LpSolution(x=x, objective_value=sum(x))
         for seed in range(8):
             res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3))
             assert res.tree_roots == sample_tree_roots(8, 0.9, _stream(seed, ROOT_STREAM))
@@ -188,11 +188,7 @@ def test_tree_edge_budget_holds():
         g = build_graph(n, random_edge_list(rng, n, 0.5))
         if g.m == 0:
             continue
-        sol = LpSolution(
-            x=tuple(rng.random() for _ in range(g.m)),
-            f={},
-            objective_value=1.0,
-        )
+        sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), objective_value=1.0)
         params = RoundingParams(alpha=1.2, seed=trial, k=3)
         res = build_spanner(g, sol, params)
         assert len(res.tree_edges) <= 2 * len(res.tree_roots) * (n - 1)
