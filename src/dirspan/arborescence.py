@@ -96,9 +96,6 @@ class ClaimContext:
             frontier.extend(out_edges[head])
         self.trees = trees
 
-    def tree_count(self):
-        return len(self.trees)
-
     def path_within(self, h_edges, K):
         g = self.graph
         return PausedSearch(g, edge_mask(g, h_edges), self.root).reach(self.target, K) <= K

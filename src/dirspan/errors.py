@@ -28,8 +28,8 @@ class DuplicateEdge(GraphError):
 class GraphSyntaxError(DirspanError):
     """Malformed graph text; carries the 1-based line number."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message, line):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 

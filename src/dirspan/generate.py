@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,8 @@ FAMILIES = ("er", "cycle", "layered", "grid")
 @dataclass(frozen=True)
 class GenSpec:
     family: str
-    params: dict = field(default_factory=dict)
-    gen_seed: int = 0
+    params: dict
+    gen_seed: int
 
 
 def _lengths(rng, count, max_len):
@@ -31,7 +31,7 @@ def generate_instance(spec):
     params = dict(spec.params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=spec.gen_seed)))
 
-    def take_int(name, default=None, minimum=None):
+    def take_int(name, minimum, default=None):
         val = params.pop(name, default)
         if val is None:
             raise BadSpec(f"{family}: missing parameter {name!r}")
@@ -39,11 +39,11 @@ def generate_instance(spec):
             val = int(val)
         except (TypeError, ValueError):
             raise BadSpec(f"{family}: parameter {name!r} must be an integer, got {val!r}") from None
-        if minimum is not None and val < minimum:
+        if val < minimum:
             raise BadSpec(f"{family}: parameter {name!r} must be >= {minimum}, got {val}")
         return val
 
-    def take_float(name, default=None, low=None, high=None):
+    def take_float(name, default=None):
         val = params.pop(name, default)
         if val is None:
             raise BadSpec(f"{family}: missing parameter {name!r}")
@@ -51,13 +51,13 @@ def generate_instance(spec):
             val = float(val)
         except (TypeError, ValueError):
             raise BadSpec(f"{family}: parameter {name!r} must be a number, got {val!r}") from None
-        if not ((low is None or val >= low) and (high is None or val <= high)):  # NaN fails both
+        if not 0.0 <= val <= 1.0:  # NaN fails both
             raise BadSpec(f"{family}: parameter {name!r} out of range: {val}")
         return val
 
     if family == "er":
         n = take_int("n", minimum=2)
-        p = take_float("p", low=0.0, high=1.0)
+        p = take_float("p")
         max_len = take_int("max_len", default=1, minimum=1)
         # draw k decides the k-th ordered pair (i, j), i != j, in row-major order
         chosen = np.flatnonzero(rng.random(n * (n - 1)) < p)
@@ -72,7 +72,7 @@ def generate_instance(spec):
     elif family == "layered":
         layers = take_int("layers", minimum=2)
         width = take_int("width", minimum=1)
-        p = take_float("p", default=0.5, low=0.0, high=1.0)
+        p = take_float("p", default=0.5)
         max_len = take_int("max_len", default=1, minimum=1)
         n = layers * width
         # draw k = (a * width + i) * width + j decides the pair (a * width + i, (a + 1) * width + j)

@@ -63,14 +63,6 @@ class DiGraph:
     def unit_lengths(self):
         return all(length == 1.0 for _, _, length in self.edges)
 
-    def __eq__(self, other):
-        if not isinstance(other, DiGraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
     def __repr__(self):
         return f"DiGraph(n={self.n}, m={self.m})"
 

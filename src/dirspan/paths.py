@@ -30,13 +30,13 @@ class DemandPaths:
         return self.paths == ((self.demand,),)
 
 
-def enumerate_demand_paths(g, k, demand, table=None):
+def enumerate_demand_paths(g, k, demand, table):
     """All simple within-budget paths for one demand edge, each a tuple of edge indices.
 
     A depth-first search on an explicit stack, so a path may be as long as
     the graph; each vertex's out-edges are tried in ascending index order.
     Exact float pruning against the remaining inward distance, the head's
-    inward row of table (a DistanceTable of g; a fresh one when not given);
+    inward row of table, a DistanceTable of g;
     the prune is lossless whenever length sums are exactly representable,
     which holds for the integer lengths every generator in this package
     emits.  Exceeding MAX_PATHS raises PathExplosion, and a demand outside
@@ -46,8 +46,6 @@ def enumerate_demand_paths(g, k, demand, table=None):
         raise ValueError(f"stretch factor must be >= 1, got {k}")
     if not 0 <= demand < g.m:
         raise IndexOutOfRange(f"demand {demand} outside 0..{g.m - 1}")
-    if table is None:
-        table = DistanceTable(g)
     src, dst, _ = g.edges[demand]
     to_dst = table.inward(dst)
     budget = k * to_dst[src]

@@ -164,7 +164,7 @@ def run_claims(config, g):
         u, v, length = g.edges[d]
         su, sv = sub.vertices.index(u), sub.vertices.index(v)
         ctx = ClaimContext(sub.graph, su, sv)
-        trees_total += ctx.tree_count()
+        trees_total += len(ctx.trees)
 
         x_sub = [sol.x[orig] for orig in sub.edge_map]
         threshold = config.k * length

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DistanceTable
 from .verify import is_k_spanner
 
 EDGE_STREAM = 0
@@ -29,16 +28,17 @@ def _stream(seed, label):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(label,))))
 
 
-def select_alpha(mode, n, k=None):
+def select_alpha(mode, n, k):
     """Scaling constant of the sampling probabilities, natural logarithm.
 
-    unit-length instances afford 10 * sqrt(k) * ln n; the general setting
-    uses 5 * ln n.  A graph of fewer than 2 vertices has no edge, so any
-    positive constant builds the same empty spanner: it takes the n = 2 one.
+    unit-length instances afford 10 * sqrt(k) * ln n for the stretch factor
+    k; the general setting uses 5 * ln n and ignores k.  A graph of fewer
+    than 2 vertices has no edge, so any positive constant builds the same
+    empty spanner: it takes the n = 2 one.
     """
     log_n = math.log(max(n, 2))
     if mode == "unit":
-        if k is None or k < 1:
+        if k < 1:
             raise ValueError("unit mode needs the stretch factor k >= 1")
         return 10.0 * math.sqrt(k) * log_n
     if mode == "general":
@@ -88,7 +88,7 @@ class SpannerResult:
     feasible: bool
 
 
-def build_spanner(g, lp_sol, params, table=None):
+def build_spanner(g, lp_sol, params, table):
     """One full randomized construction plus an exact feasibility check.
 
     The edge and root phases consume separate labeled streams of the master
@@ -97,16 +97,12 @@ def build_spanner(g, lp_sol, params, table=None):
     independent and shortest-path trees never leave a weak component, so a
     single pass over the whole graph equals running each component alone.
 
-    table, a DistanceTable of g (a fresh one when not given), lets many
-    trials on one graph share work: it keeps each root's tree row and every
-    dist_G row the check reads.  A trial's tree edges are one OR over its
-    roots' rows.
+    table, the run's DistanceTable of g, lets many trials on one graph share
+    work: it keeps each root's tree row and every dist_G row the check reads.
+    A trial's tree edges are one OR over its roots' rows.
     """
     rounded = round_edges(g, lp_sol.x, params.alpha, _stream(params.seed, EDGE_STREAM))
     roots = sample_tree_roots(g.n, params.alpha, _stream(params.seed, ROOT_STREAM))
-
-    if table is None:
-        table = DistanceTable(g)
     rows = table.trees(roots)
     tree_edges = frozenset(np.logical_or.reduce(rows).nonzero()[0].tolist() if rows else ())
     e_h = rounded | tree_edges

@@ -40,15 +40,14 @@ class SimplexResult:
     iterations: int
 
 
-def solve_simplex(c, a, b, senses, lower=None):
+def solve_simplex(c, a, b, senses, lower):
+    """Minimize c @ z as above; a has shape (rows, variables) even when either count is 0."""
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     senses = list(senses)
     nvars = c.shape[0]
     nrows = b.shape[0]
-    if a.size == 0 and nrows * nvars == 0:
-        a = a.reshape(nrows, nvars)
     if a.shape != (nrows, nvars) or len(senses) != nrows:
         raise ValueError(
             f"constraint matrix {a.shape} and {len(senses)} senses do not fit {nrows} rows x {nvars} variables"
@@ -56,17 +55,8 @@ def solve_simplex(c, a, b, senses, lower=None):
     for s in senses:
         if s not in (LESS, GREATER):
             raise ValueError(f"row sense must be {LESS!r} or {GREATER!r}, got {s!r}")
-    if lower is None:
-        lower = np.zeros(nvars)
-    else:
-        lower = np.asarray(lower, dtype=float)
+    lower = np.asarray(lower, dtype=float)
 
-    if nvars == 0:
-        # with no variables every row reads 0 against its b
-        for s, rhs in zip(senses, b):
-            if (rhs > FEAS_TOL and s != LESS) or (rhs < -FEAS_TOL and s != GREATER):
-                return SimplexResult(status="infeasible", z=None, objective=None, iterations=0)
-        return SimplexResult(status="optimal", z=np.zeros(0), objective=0.0, iterations=0)
     if nrows == 0:
         if np.any(c < 0):
             raise NumericalFailure("objective unbounded below (no constraints)")

@@ -280,7 +280,7 @@ def check_solution(model, z, tol=1e-8):
     z = np.asarray(z, dtype=float)
     fails = [f"variable {j} = {z[j]} < {p.lower[j]}" for j in np.flatnonzero(z < p.lower - tol)]
     for label, sense, rhs, val in zip(model.row_labels, p.senses, p.b, p.a @ z):
-        if {"<=": val > rhs + tol, ">=": val < rhs - tol, "=": abs(val - rhs) > tol}[sense]:
+        if {"<=": val > rhs + tol, ">=": val < rhs - tol}[sense]:
             fails.append(f"row {label} = {val}, want {sense} {rhs}")
     return fails
 

@@ -9,7 +9,8 @@ edge mask.  This module also
 holds cut_set_of_potentials, a rescan of every edge against a potential
 vector, which restates the cut masks that ClaimContext grows with each tree,
 and the fresh_* references, which search G anew for every call instead of
-sharing one DistanceTable.  listed_generator_edges restates the er and
+sharing one DistanceTable: fresh_path_sets hands each demand a new table of
+its own.  listed_generator_edges restates the er and
 layered generators with a Python list of every candidate pair,
 path_vertices turns an edge-index path into the vertex tuple that the
 oracles speak in, and flow_columns lists the path LP's flow columns from

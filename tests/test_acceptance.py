@@ -189,10 +189,11 @@ def test_criterion_4_claim2_cut_mass():
         g = _instance("er", {"n": n, "p": p, "max_len": max_len}, 3000 + instances * 7 + demands)
         if g.m == 0:
             continue
-        sol = solve_lp(build_lp(g, k))
+        table = DistanceTable(g)
+        sol = solve_lp(build_lp(g, k, table=table))
         instances += 1
         for d in range(g.m):
-            covered = enumerate_demand_paths(g, k, d).covered
+            covered = enumerate_demand_paths(g, k, d, table).covered
             assert len(covered) <= 7
             sub = induced_subgraph(g, covered)
             u, v, length = g.edges[d]
@@ -238,7 +239,7 @@ def test_criterion_5_feasibility_at_selected_alpha():
         sizes.append(g.n)
         table = DistanceTable(g)  # the path sets fill its inward rows
         sol = solve_lp(build_lp(g, 3, table=table))
-        alpha = select_alpha("general", g.n)
+        alpha = select_alpha("general", g.n, 3)
         for t in range(trials_per_instance):
             params_t = RoundingParams(alpha=alpha, seed=seed * 1000 + t, k=3)
             res = _note_trial(build_spanner(g, sol, params_t, table=table), g.n)

@@ -21,9 +21,9 @@ def test_enumeration_cap(monkeypatch):
     graphs += [(n, random_edge_list(rng, n, 0.5)) for n in (3, 4, 5, 5, 6)]
     for n, edges in graphs:
         g = build_graph(n, edges)
-        count = ClaimContext(g, 0, n - 1).tree_count()
+        count = len(ClaimContext(g, 0, n - 1).trees)
         monkeypatch.setattr(arborescence, "MAX_TREES", count)
-        assert ClaimContext(g, 0, n - 1).tree_count() == count
+        assert len(ClaimContext(g, 0, n - 1).trees) == count
         if count > 1:
             monkeypatch.setattr(arborescence, "MAX_TREES", count - 1)
             with pytest.raises(ExplosionCap):
@@ -60,7 +60,7 @@ def test_trees_as_deep_as_a_long_path():
     # the longest prefix finishes first, the root alone last
     n = 2000
     ctx = ClaimContext(build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)]), 0, n - 1)
-    assert ctx.tree_count() == n
+    assert len(ctx.trees) == n
     assert ctx.trees == [(n - 1.0, 0)] + [(INF, 1 << e) for e in range(n - 2, -1, -1)]
 
 
@@ -105,7 +105,7 @@ def test_claim_context_tree_census():
     # rooted out-trees of the triangle: {0}, {0,1}, {0,2}, and two spanning
     g = build_graph(3, TRIANGLE)
     ctx = ClaimContext(g, 0, 2)
-    assert ctx.tree_count() == 5
+    assert len(ctx.trees) == 5
     assert ctx.long_tree_count(2.0) == 2
     assert ctx.long_tree_count(0.5) == 5
 
@@ -113,7 +113,7 @@ def test_claim_context_tree_census():
 def test_claim_context_boundary_is_strict():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     ctx = ClaimContext(g, 0, 2)
-    assert ctx.tree_count() == 3
+    assert len(ctx.trees) == 3
     assert ctx.long_tree_count(2.0) == 2
     assert ctx.long_tree_count(1.9999) == 3
 

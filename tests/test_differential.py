@@ -26,6 +26,7 @@ from dirspan import (
     solve_lp,
 )
 from dirspan.cli import main
+from dirspan.graph import DistanceTable
 
 from oracles import exhaustive_opt, naive_is_spanner, path_lp_value
 
@@ -47,8 +48,9 @@ def small_instances(draw, ks=(1, 2, 3)):
 
 def assert_trials_agree(g, sol, solve, k):
     """Each trial's E_H, rebuilt from its seed, has the record's size and naive_is_spanner's verdict."""
+    table = DistanceTable(g)
     for record in solve["trials"]:
-        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k))
+        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k), table)
         assert len(res.e_h) == record["eh_size"]
         assert naive_is_spanner(g.n, g.edges, res.e_h, k) == record["feasible"]
 

@@ -82,15 +82,6 @@ def test_non_finite_length_rejected():
     assert build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]).edges[0][2] == 1e308
 
 
-def test_graph_equality_and_hash():
-    a = build_graph(2, [(0, 1, 1.0)])
-    b = build_graph(2, [(0, 1, 1.0)])
-    c = build_graph(2, [(0, 1, 2.0)])
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != c
-
-
 def test_zero_length_edges_allowed():
     g = build_graph(2, [(0, 1, 0.0)])
     assert outward_dist(g, 0)[1] == 0.0

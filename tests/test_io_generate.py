@@ -37,7 +37,8 @@ def test_roundtrip_identity():
     for _ in range(20):
         n = rng.randint(1, 8)
         g = build_graph(n, random_edge_list(rng, n, 0.4, max_len=5))
-        assert parse_graph(serialize_graph(g)) == g
+        back = parse_graph(serialize_graph(g))
+        assert (back.n, back.edges) == (g.n, g.edges)
 
 
 def test_serialize_integer_lengths_stay_short():
@@ -146,8 +147,8 @@ def test_er_generator_deterministic():
     a = generate_instance(GenSpec("er", {"n": 8, "p": 0.3}, gen_seed=5))
     b = generate_instance(GenSpec("er", {"n": 8, "p": 0.3}, gen_seed=5))
     c = generate_instance(GenSpec("er", {"n": 8, "p": 0.3}, gen_seed=6))
-    assert a == b
-    assert a != c
+    assert (a.n, a.edges) == (b.n, b.edges)
+    assert (a.n, a.edges) != (c.n, c.edges)
 
 
 @pytest.mark.parametrize(

@@ -181,17 +181,17 @@ def test_check_solution_roundtrip_and_detection():
 
 def test_simplex_unbounded_objective_raises():
     with pytest.raises(NumericalFailure, match=r"^objective unbounded below$"):
-        solve_simplex([-1.0], [[1.0]], [1.0], [GREATER])
+        solve_simplex([-1.0], [[1.0]], [1.0], [GREATER], lower=[0.0])
     with pytest.raises(NumericalFailure, match=r"^objective unbounded below \(no constraints\)$"):
-        solve_simplex([-1.0], np.zeros((0, 1)), [], [])
+        solve_simplex([-1.0], np.zeros((0, 1)), [], [], lower=[0.0])
 
 
 def test_simplex_iteration_cap_raises(monkeypatch):
     # each >= row starts on an artificial, so phase 1 needs one pivot per row
-    assert solve_simplex([1.0, 1.0], np.eye(2), [1.0, 1.0], [GREATER, GREATER]).iterations == 2
+    assert solve_simplex([1.0, 1.0], np.eye(2), [1.0, 1.0], [GREATER, GREATER], lower=[0.0, 0.0]).iterations == 2
     monkeypatch.setattr(simplex, "MAX_ITER", 1)
     with pytest.raises(NumericalFailure, match=r"^simplex exceeded 1 iterations$"):
-        solve_simplex([1.0, 1.0], np.eye(2), [1.0, 1.0], [GREATER, GREATER])
+        solve_simplex([1.0, 1.0], np.eye(2), [1.0, 1.0], [GREATER, GREATER], lower=[0.0, 0.0])
 
 
 def test_solve_lp_rejects_an_infeasible_simplex_point(monkeypatch):

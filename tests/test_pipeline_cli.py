@@ -171,8 +171,8 @@ def test_only_the_paused_search_pops_a_heap():
 
 
 # what the runtime-caller guard lets through because a benchmark binds it: name -> (the file under
-# the repo root that binds it, the parameters whose defaults no runtime call passes); each entry
-# goes, or moves to tests/, when ROADMAP item 2 unbinds it
+# the repo root that binds it, the parameters whose defaults no runtime call passes or leaves out);
+# each entry goes, or moves to tests/, when ROADMAP item 2 unbinds it
 BENCHMARK_BOUND = {
     "graph.reverse_graph": ("benchmarks/tracer.py", ()),
     "graph.shortest_path_tree": ("benchmarks/tracer.py", ("table",)),
@@ -204,7 +204,8 @@ def _class_members(cls):
 def test_every_definition_and_default_has_a_runtime_caller():
     # what only tests name, read or set belongs under tests/: each top-level function and class
     # must be named, each member of a top-level class read as an attribute, and each parameter
-    # default passed, somewhere in the package outside __init__.py and outside its own definition
+    # default both passed and left out, somewhere in the package outside __init__.py and outside
+    # its own definition
     runtime = {stem: tree for stem, tree in PACKAGE_TREES.items() if stem != "__init__"}
 
     def names(node):
@@ -230,22 +231,30 @@ def test_every_definition_and_default_has_a_runtime_caller():
     owner = {id(fn): cls.name for tree in runtime.values() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for fn in cls.body}
 
-    def unpassed_defaults(fn):
-        # a call passes a parameter by keyword or by position, and a method's callers do not pass self
+    def defaults_no_call(fn, passing):
+        # the defaulted parameters that no call passes (passing) or that no call leaves out (not passing);
+        # a call passes a parameter by keyword or by position, and a method's callers do not pass self;
+        # a call with *args or **kwargs may do either, so it counts as passing and as leaving out
         callee = owner[id(fn)] if fn.name == "__init__" else fn.name
         mine = [c for c in calls if callee in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
         params = fn.args.posonlyargs + fn.args.args
         skip = 1 if id(fn) in owner else 0
         defaulted = [(i - skip, a.arg) for i, a in enumerate(params) if i >= len(params) - len(fn.args.defaults)]
         defaulted += [(math.inf, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-        return tuple(arg for i, arg in defaulted
-                     if not any(len(c.args) > i or arg in {kw.arg for kw in c.keywords} for c in mine))
+        return tuple(arg for i, arg in defaulted if not any(
+            any(isinstance(a, ast.Starred) for a in c.args) or None in {kw.arg for kw in c.keywords}
+            or (len(c.args) > i or arg in {kw.arg for kw in c.keywords}) == passing for c in mine
+        ))
 
-    unpassed = {name: args for name, fn in PACKAGE_FUNCTIONS if (args := unpassed_defaults(fn))}
+    exempt = {name: args for name, (_, args) in BENCHMARK_BOUND.items() if args}
+    unpassed = {name: args for name, fn in PACKAGE_FUNCTIONS if (args := defaults_no_call(fn, True))}
     assert unpassed == {
         "cli.main": ("argv",),  # the entry point, called with no argument outside the tests
-        **{name: args for name, (_, args) in BENCHMARK_BOUND.items() if args},
+        **exempt,
     }
+    # the mirror: a default that every call overrides only serves the tests
+    unomitted = {name: args for name, fn in PACKAGE_FUNCTIONS if (args := defaults_no_call(fn, False))}
+    assert unomitted == exempt
 
 
 def test_mode_auto_detects_unit():
@@ -469,7 +478,7 @@ def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
 
     class RecordingSearch(paused):
         def __init__(self, graph, mask, source, inward=False):
-            if graph == g and all(mask):
+            if (graph.n, graph.edges) == (g.n, g.edges) and all(mask):
                 searched.append(("in" if inward else "out", source))
             super().__init__(graph, mask, source, inward)
 
@@ -495,7 +504,7 @@ def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
 
     class RecordingSearch(paused):
         def __init__(self, graph, mask, source, inward=False):
-            if graph == g and all(mask):
+            if (graph.n, graph.edges) == (g.n, g.edges) and all(mask):
                 caller = sys._getframe(1)
                 if caller.f_code is row_code:
                     caller = caller.f_back

@@ -33,8 +33,9 @@ def rng_for(seed):
 
 
 def test_select_alpha_general():
-    assert select_alpha("general", 55) == 5.0 * math.log(55)
-    assert select_alpha("general", 55) == pytest.approx(20.03666592616237, rel=1e-12)
+    # the general constant ignores k
+    assert select_alpha("general", 55, 3) == select_alpha("general", 55, 1) == 5.0 * math.log(55)
+    assert select_alpha("general", 55, 3) == pytest.approx(20.03666592616237, rel=1e-12)
 
 
 def test_select_alpha_unit():
@@ -45,7 +46,7 @@ def test_select_alpha_unit():
 @pytest.mark.parametrize("n", [0, 1])
 def test_select_alpha_below_two_vertices_is_the_n_2_constant(n):
     # such a graph has no edge, so every positive constant builds the same empty spanner
-    assert select_alpha("general", n) == select_alpha("general", 2)
+    assert select_alpha("general", n, 3) == select_alpha("general", 2, 3)
     assert select_alpha("unit", n, k=3) == select_alpha("unit", 2, k=3)
 
 
@@ -54,13 +55,14 @@ def test_select_alpha_below_two_vertices_is_the_n_2_constant(n):
     [
         {"mode": "unit", "n": 10},
         {"mode": "unit", "n": 10, "k": 0.5},
-        {"mode": "banana", "n": 10},
+        {"mode": "banana", "n": 10, "k": 3},
     ],
 )
 def test_select_alpha_rejects(kwargs):
+    # k is required whatever the mode: leaving it out is a TypeError, not a mode's ValueError
     mode = kwargs.pop("mode")
     n = kwargs.pop("n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError if "k" in kwargs else TypeError):
         select_alpha(mode, n, **kwargs)
 
 
@@ -108,8 +110,8 @@ def test_build_spanner_deterministic():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
     params = RoundingParams(alpha=0.9, seed=42, k=3)
-    a = build_spanner(g, sol, params)
-    b = build_spanner(g, sol, params)
+    a = build_spanner(g, sol, params, DistanceTable(g))
+    b = build_spanner(g, sol, params, DistanceTable(g))
     assert a == b
 
 
@@ -118,7 +120,7 @@ def test_build_spanner_seed_changes_draws():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
     results = {
-        build_spanner(g, sol, RoundingParams(alpha=0.2, seed=s, k=3)).e_h
+        build_spanner(g, sol, RoundingParams(alpha=0.2, seed=s, k=3), DistanceTable(g)).e_h
         for s in range(6)
     }
     assert len(results) > 1
@@ -135,7 +137,7 @@ def test_shared_table_trees_change_nothing():
     table = DistanceTable(g)
     for seed in range(24):
         params = RoundingParams(alpha=1.5, seed=seed, k=2)
-        assert build_spanner(g, sol, params, table=table) == build_spanner(g, sol, params)
+        assert build_spanner(g, sol, params, table=table) == build_spanner(g, sol, params, DistanceTable(g))
         if seed % 3 == 0:
             roots = rng.sample(range(n), seed % 4)
             assert all(np.array_equal(a, b) for a, b in zip(table.trees(roots), DistanceTable(g).trees(roots)))
@@ -152,7 +154,7 @@ def test_rounded_edges_are_the_edge_stream_draws():
     sol = LpSolution(x=(0.05, 0.1, 0.2, 0.3) * 2, objective_value=1.3)
     kept = set()
     for seed in range(8):
-        res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3))
+        res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
         assert res.rounded_edges == round_edges(g, sol.x, 0.9, _stream(seed, EDGE_STREAM))
         kept.add(res.rounded_edges)
     assert len(kept) > 1
@@ -164,7 +166,7 @@ def test_tree_roots_are_the_root_stream_draws():
     for x in ((0.0,) * 8, (1.0,) * 8):
         sol = LpSolution(x=x, objective_value=sum(x))
         for seed in range(8):
-            res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3))
+            res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
             assert res.tree_roots == sample_tree_roots(8, 0.9, _stream(seed, ROOT_STREAM))
 
 
@@ -175,7 +177,7 @@ def test_triangle_saturated_probabilities():
     for seed in range(5):
         assert round_edges(g, sol.x, 10.0, _stream(seed, EDGE_STREAM)) == frozenset({0, 2})
     assert is_k_spanner(g, {0, 2}, 2).feasible
-    res = build_spanner(g, sol, RoundingParams(alpha=10.0, seed=123, k=2))
+    res = build_spanner(g, sol, RoundingParams(alpha=10.0, seed=123, k=2), DistanceTable(g))
     assert res.rounded_edges == frozenset({0, 2})
     assert res.feasible
 
@@ -190,7 +192,7 @@ def test_tree_edge_budget_holds():
             continue
         sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), objective_value=1.0)
         params = RoundingParams(alpha=1.2, seed=trial, k=3)
-        res = build_spanner(g, sol, params)
+        res = build_spanner(g, sol, params, DistanceTable(g))
         assert len(res.tree_edges) <= 2 * len(res.tree_roots) * (n - 1)
         assert res.e_h == res.rounded_edges | res.tree_edges
 

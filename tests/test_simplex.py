@@ -7,7 +7,7 @@ from oracles import highs_solve, make_rng
 
 
 def test_single_covering_row():
-    res = solve_simplex([1.0, 1.0], [[1.0, 1.0]], [1.0], [GREATER])
+    res = solve_simplex([1.0, 1.0], [[1.0, 1.0]], [1.0], [GREATER], lower=[0.0, 0.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-9)
     assert res.z.sum() == pytest.approx(1.0, abs=1e-9)
@@ -15,7 +15,8 @@ def test_single_covering_row():
 
 def test_equality_row():
     # x >= 1, and x + y = 4 as a <= row and a >= row: cheapest is x = 4, y = 0
-    res = solve_simplex([2.0, 3.0], [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]], [4.0, 4.0, 1.0], [LESS, GREATER, GREATER])
+    res = solve_simplex([2.0, 3.0], [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]], [4.0, 4.0, 1.0], [LESS, GREATER, GREATER],
+                        lower=[0.0, 0.0])
     assert res.objective == pytest.approx(8.0, abs=1e-9)
 
 
@@ -25,12 +26,13 @@ def test_upper_bound_rows():
         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
         [2.0, 2.0, 3.0],
         [LESS, LESS, LESS],
+        lower=[0.0, 0.0],
     )
     assert res.objective == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_infeasible_detected():
-    res = solve_simplex([1.0], [[1.0], [1.0]], [2.0, 1.0], [GREATER, LESS])
+    res = solve_simplex([1.0], [[1.0], [1.0]], [2.0, 1.0], [GREATER, LESS], lower=[0.0])
     assert res.status == "infeasible"
     assert res.z is None
 
@@ -45,23 +47,35 @@ def test_lower_bounds_shift():
 def test_no_rows_sits_at_lower_bounds():
     res = solve_simplex([1.0, 3.0], np.zeros((0, 2)), np.zeros(0), [], lower=[1.5, 0.25])
     assert res.objective == pytest.approx(2.25, abs=1e-12)
-    # an empty matrix given as a flat list is still accepted
-    assert solve_simplex([1.0, 3.0], [], [], [], lower=[1.5, 0.25]).objective == res.objective
+    # a flat list is not a 0 x 2 matrix: the shape check rejects it
+    with pytest.raises(ValueError):
+        solve_simplex([1.0, 3.0], [], [], [], lower=[1.5, 0.25])
 
 
 def test_no_vars():
-    res = solve_simplex(np.zeros(0), np.zeros((0, 0)), np.zeros(0), [])
+    res = solve_simplex(np.zeros(0), np.zeros((0, 0)), np.zeros(0), [], lower=np.zeros(0))
     assert res.status == "optimal"
     assert res.objective == 0.0
-    assert solve_simplex([], [], [], []).objective == 0.0
-    # rows without variables read 0 against b: 0 >= 1 cannot hold, 0 <= 1 and 0 >= 0 do
-    assert solve_simplex([], np.zeros((1, 0)), [1.0], [GREATER]).status == "infeasible"
-    assert solve_simplex([], np.zeros((2, 0)), [1.0, 0.0], [LESS, GREATER]).status == "optimal"
+    # a flat list is not a 0 x 0 matrix: the shape check rejects it
+    with pytest.raises(ValueError):
+        solve_simplex([], [], [], [], lower=[])
+    # rows without variables read 0 against b: 0 >= 1 and 0 <= -1 cannot hold, 0 <= 1, 0 >= 0 and
+    # 0 >= -1 do; a negative b flips its row's sense before the two phases
+    for b, senses, status in (
+        ([1.0], [GREATER], "infeasible"),
+        ([-1.0], [LESS], "infeasible"),
+        ([1.0, 0.0], [LESS, GREATER], "optimal"),
+        ([-1.0], [GREATER], "optimal"),
+    ):
+        res = solve_simplex([], np.zeros((len(b), 0)), b, senses, lower=[])
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == 0.0 and res.z.shape == (0,)
 
 
 def test_negative_rhs_normalized():
     # -x <= -1 is x >= 1
-    res = solve_simplex([1.0], [[-1.0]], [-1.0], [LESS])
+    res = solve_simplex([1.0], [[-1.0]], [-1.0], [LESS], lower=[0.0])
     assert res.objective == pytest.approx(1.0, abs=1e-9)
 
 
@@ -70,7 +84,7 @@ def test_degenerate_problem_terminates():
     rows = [[1.0, 1.0]] * 12 + [[1.0, 0.0], [0.0, 1.0]]
     rhs = [1.0] * 12 + [0.0, 0.0]
     senses = [GREATER] * 12 + [GREATER, GREATER]
-    res = solve_simplex([1.0, 2.0], rows, rhs, senses)
+    res = solve_simplex([1.0, 2.0], rows, rhs, senses, lower=[0.0, 0.0])
     assert res.objective == pytest.approx(1.0, abs=1e-9)
 
 
@@ -108,7 +122,7 @@ def test_matches_scipy_on_random_programs(seed):
 
 
 def test_result_type():
-    res = solve_simplex([1.0], [[1.0]], [1.0], [GREATER])
+    res = solve_simplex([1.0], [[1.0]], [1.0], [GREATER], lower=[0.0])
     assert isinstance(res, SimplexResult)
     assert res.iterations >= 1
 
@@ -116,11 +130,11 @@ def test_result_type():
 def test_misshaped_inputs_rejected():
     # a 3x2 matrix for 2 rows x 3 variables used to be reshaped into another LP
     with pytest.raises(ValueError):
-        solve_simplex([1, 1, 1], [[1, 0], [1, 1], [0, 1]], [1, 1], [GREATER, GREATER])
+        solve_simplex([1, 1, 1], [[1, 0], [1, 1], [0, 1]], [1, 1], [GREATER, GREATER], lower=[0, 0, 0])
     with pytest.raises(ValueError):
-        solve_simplex([1.0, 1.0], [[1.0, 1.0]], [1.0], [GREATER, GREATER])
+        solve_simplex([1.0, 1.0], [[1.0, 1.0]], [1.0], [GREATER, GREATER], lower=[0.0, 0.0])
     with pytest.raises(ValueError):
-        solve_simplex([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0], [GREATER])
+        solve_simplex([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0], [GREATER], lower=[0.0, 0.0])
 
 
 def test_unknown_sense_rejected():
@@ -128,6 +142,6 @@ def test_unknown_sense_rejected():
     # and [">=", "ge"] would come back optimal at z = [3, 1]
     for senses in ([GREATER, "ge"], ["=", LESS], ["==", GREATER]):
         with pytest.raises(ValueError):
-            solve_simplex([1, 1], [[1, 0], [0, 1]], [3, 2], senses)
+            solve_simplex([1, 1], [[1, 0], [0, 1]], [3, 2], senses, lower=[0, 0])
     with pytest.raises(ValueError):
-        solve_simplex([], np.zeros((1, 0)), [0.0], ["="])  # no variables: checked all the same
+        solve_simplex([], np.zeros((1, 0)), [0.0], ["="], lower=[])  # no variables: checked all the same
