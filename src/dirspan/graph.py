@@ -225,18 +225,47 @@ def _edge_groups(g):
     )
 
 
-class DistanceTable:
-    """One run's cache of G: its distance rows and shortest-path trees, each computed on first request.
+class DemandBudgets:
+    """Each demand's dist_G, its budget k * dist_G and whether its own edge fits that budget, at one k.
 
-    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w,
-    each a PausedSearch over every edge of G run to the end, and
-    trees(roots) gives each root's tree edges.  Everything is kept once
-    computed, so the path sets, the trees and the spanner check of one run
-    share every search, and no other code searches G; readers never change
-    what they get.  A table lives for one run: nothing keeps it on the graph.
+    dist and budget are lists over g's edges, None until filled, and fits is
+    a boolean array, False until filled.  fill(tail) fills every demand of
+    one tail from the table's outward row, so a row is read only when some
+    demand of its tail is first needed.
     """
 
-    __slots__ = ("g", "_every", "_out", "_in", "_trees", "_groups")
+    __slots__ = ("table", "k", "dist", "budget", "fits")
+
+    def __init__(self, table, k):
+        self.table = table
+        self.k = k
+        self.dist = [None] * table.g.m
+        self.budget = [None] * table.g.m
+        self.fits = np.zeros(table.g.m, dtype=bool)
+
+    def fill(self, tail):
+        g = self.table.g
+        row = self.table.outward(tail)
+        for e in g.out_edges[tail]:
+            _, head, length = g.edges[e]
+            dist = self.dist[e] = row[head]
+            budget = self.budget[e] = self.k * dist
+            self.fits[e] = length <= budget
+
+
+class DistanceTable:
+    """One run's cache of G: its distance rows, shortest-path trees and demand budgets, each computed on first request.
+
+    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w,
+    each a PausedSearch over every edge of G run to the end; trees(roots)
+    gives each root's tree edges and budgets(k) the demands' budgets at k.
+    Everything is kept once computed, so the path sets, the trees and the
+    spanner checks of one run share every search and every budget, and no
+    other code searches G; readers never change what they get.  A table
+    lives for one run: nothing keeps it on the graph.
+    """
+
+    __slots__ = ("g", "_every", "_out", "_in", "_trees", "_groups", "_budgets")
 
     def __init__(self, g):
         self.g = g
@@ -245,6 +274,7 @@ class DistanceTable:
         self._in = {}
         self._trees = {}
         self._groups = None  # _edge_groups(g), built with the first tree
+        self._budgets = {}  # k -> DemandBudgets
 
     def outward(self, source):
         row = self._out.get(source)
@@ -263,6 +293,12 @@ class DistanceTable:
         search.reach(v, -1)  # 0 <= -1 never holds, so the search runs until its heap is empty
         return search.dist
 
+    def budgets(self, k):
+        budgets = self._budgets.get(k)
+        if budgets is None:
+            budgets = self._budgets[k] = DemandBudgets(self, k)
+        return budgets
+
     def trees(self, roots):
         """Each root's tree edges, a boolean row over g's edges, in the order given.
 
@@ -270,9 +306,10 @@ class DistanceTable:
         trees: the outward tree reaches every vertex the root reaches and the
         inward tree every vertex that reaches the root, and each tree path
         realizes the exact shortest distance in its direction.  Every row is
-        kept; the roots not kept yet are built together, in blocks of
-        _BLOCK_CELLS cells per temporary, so memory stays flat however many
-        roots are asked for.
+        kept and handed out again as the same array, so a call over kept
+        roots only looks them up.  The roots not kept yet are built together,
+        in blocks of _BLOCK_CELLS cells per temporary, so memory stays flat
+        however many roots are asked for.
 
         A vertex's parent is its lowest-index tight edge, the edge _select_parents
         picks whenever every tight edge climbs strictly in distance.  A root and
@@ -283,11 +320,13 @@ class DistanceTable:
         """
         g = self.g
         new = sorted(set(roots) - self._trees.keys())
+        if not new:
+            return [self._trees[r] for r in roots]
         for r in new:
             _check_vertex(g, r, "root")
         # column m collects the groups without a tight edge and is dropped at the end
         member = np.zeros((len(new), g.m + 1), dtype=bool)
-        if new and g.m:
+        if g.m:
             if self._groups is None:
                 self._groups = _edge_groups(g)
             near, far, length, ids, starts, split = self._groups

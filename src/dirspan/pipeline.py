@@ -18,7 +18,7 @@ from .arborescence import ClaimContext
 from .errors import BadSpec
 from .graph import DistanceTable, induced_subgraph
 from .lp import build_lp, solve_lp
-from .rounding import CLAIMS_STREAM, RoundingParams, _stream, build_spanner, select_alpha
+from .rounding import CLAIMS_STREAM, RoundingParams, _stream, build_spanner, edge_inclusion_probs, select_alpha
 from .verify import brute_force_opt
 
 MASK64 = (1 << 64) - 1
@@ -64,9 +64,11 @@ def run_solve(config, g, opt=None, sol=None):
     Returns a plain dict ready for dumps_report; the per-trial records are a
     pure function of the config, while timing lives only at the top level.
     A pre-solved LP may be passed in to round without re-solving.  One
-    DistanceTable is the run's only cache: it serves the path sets, keeps
-    every root's trees and gives the spanner checks their dist_G rows, so
-    each row of G is searched and each root's trees built at most once.
+    DistanceTable is the run's only cache of G: it serves the path sets,
+    keeps every root's trees and gives the spanner checks their demand
+    budgets, so each row of G is searched, each root's trees built and each
+    budget computed at most once.  The keep probabilities are computed once
+    and every trial draws against them.
     """
     t0 = time.perf_counter()
     mode = "unit" if g.unit_lengths() else "general"  # the regime of the alpha formula
@@ -78,10 +80,11 @@ def run_solve(config, g, opt=None, sol=None):
     if sol is None:
         sol = solve_lp(build_lp(g, config.k, table=table))
     t_lp = time.perf_counter()
+    probs = edge_inclusion_probs(sol.x, alpha, g.n)
 
     def one_trial(i):
         params = RoundingParams(alpha=alpha, seed=trial_seed(config.seed, i), k=config.k)
-        result = build_spanner(g, sol, params, table=table)
+        result = build_spanner(g, sol, params, table, probs)
         return {
             "trial": i,
             "seed": params.seed,

@@ -5,15 +5,20 @@ every pair; checking only the demand pairs (the edges of G) is equivalent,
 because shortest paths of G decompose into edges.  H = E needs no search
 at k >= 1; otherwise the check searches H only from the tails that some
 demand needs, only as far as each demand's head needs, and only up to the
-first violation.  The optimum search fixes the edges no alternative route
-can replace, then branches over the rest with bitmask path covers.
+first violation.  Each demand's dist_G, its budget k * dist_G and whether
+its own edge fits that budget are the run's, kept per k on its
+DistanceTable, so the checks of one run compute them once.  The optimum
+search fixes the edges no alternative route can replace, then branches
+over the rest with bitmask path covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLarge
+import numpy as np
+
+from .errors import IndexOutOfRange, TooLarge
 from .graph import DistanceTable, PausedSearch, edge_mask
 from .paths import demand_path_sets
 
@@ -29,8 +34,8 @@ class SpannerCheck:
 def demand_distance_rows(g, table=None):
     """dist_G rows for every demand tail: table's outward rows (a fresh DistanceTable of g when not given).
 
-    No runtime path calls it, since is_k_spanner reads each row from its
-    table on first need.  It stays public because the benchmark's tracer
+    No runtime path calls it, since is_k_spanner fills its budgets from each
+    row on first need.  It stays public because the benchmark's tracer
     binds it by name (benchmarks/tracer.py); tests use it to fill a table.
     """
     if table is None:
@@ -41,35 +46,49 @@ def demand_distance_rows(g, table=None):
 def is_k_spanner(g, h_edges, k, table=None):
     """Exact per-demand stretch check; returns the lowest-index violation if any.
 
-    H = E at k >= 1 returns feasible without a search, since dist_H = dist_G
-    <= k * dist_G.  Otherwise demands are scanned in index order.  One whose
-    own edge is in H with length <= k * dist_G needs no search, since the
-    first relaxation from its tail sets dist_H[head] <= 0.0 + length
-    exactly.  Any other resumes its tail's PausedSearch over H, started on
-    first need, only until the head is within budget; on a violation the
-    search has run to the end, so dist_h is the exact H distance.  dist_G
-    comes only from table's outward rows (a DistanceTable of g; a fresh one
-    when not given), so the check searches G through the run's table alone.
-    Raises IndexOutOfRange for an H index outside 0..m-1.
+    h_edges is H as edge indices or as a boolean mask over g's edges.  H = E
+    at k >= 1 returns feasible without a search, since dist_H = dist_G <=
+    k * dist_G.  Otherwise the check scans, in index order, only the demands
+    not known to fit: a demand whose own edge is in H with length <= k *
+    dist_G needs no search, since the first relaxation from its tail sets
+    dist_H[head] <= 0.0 + length exactly.  Each other demand resumes its
+    tail's PausedSearch over H, started on first need, only until the head
+    is within budget; on a violation the search has run to the end, so
+    dist_h is the exact H distance.  dist_G, the budget and the fit come
+    from table.budgets(k) (table a DistanceTable of g; a fresh one when not
+    given), which a run's checks share and which reads a tail's outward row
+    when the scan first reaches that tail, so the check searches G through
+    the run's table alone.  Raises IndexOutOfRange for an H index outside
+    0..m-1 or a mask whose length is not m.
     """
-    h = edge_mask(g, h_edges)
-    if k >= 1 and 0 not in h:
+    if isinstance(h_edges, np.ndarray) and h_edges.dtype == bool:
+        if h_edges.shape != (g.m,):
+            raise IndexOutOfRange(f"H mask of shape {h_edges.shape} is not one entry per edge of {g.m}")
+        h, h_bytes = h_edges, h_edges.tobytes()
+    else:
+        h_bytes = edge_mask(g, h_edges)
+        h = np.frombuffer(h_bytes, dtype=bool)
+    if k >= 1 and 0 not in h_bytes:
         return SpannerCheck(feasible=True, violation=None)
     if table is None:
         table = DistanceTable(g)
-    outward = table.outward
+    budgets = table.budgets(k)
+    budget = budgets.budget
     searches = {}
-    for d, (tail, head, length) in enumerate(g.edges):
-        dist_g = outward(tail)[head]
-        allowed = k * dist_g
-        if h[d] and length <= allowed:
+    for d in (~(h & budgets.fits)).nonzero()[0].tolist():
+        tail, head, length = g.edges[d]
+        allowed = budget[d]
+        if allowed is None:  # no check at this k has reached this tail yet
+            budgets.fill(tail)
+            allowed = budget[d]
+        if h_bytes[d] and length <= allowed:  # filled after the filter was taken
             continue
         search = searches.get(tail)
         if search is None:
-            search = searches[tail] = PausedSearch(g, h, tail)
+            search = searches[tail] = PausedSearch(g, h_bytes, tail)
         got = search.reach(head, allowed)
         if not got <= allowed:
-            return SpannerCheck(feasible=False, violation=(d, dist_g, got))
+            return SpannerCheck(feasible=False, violation=(d, budgets.dist[d], got))
     return SpannerCheck(feasible=True, violation=None)
 
 

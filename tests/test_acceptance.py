@@ -240,9 +240,10 @@ def test_criterion_5_feasibility_at_selected_alpha():
         table = DistanceTable(g)  # the path sets fill its inward rows
         sol = solve_lp(build_lp(g, 3, table=table))
         alpha = select_alpha("general", g.n, 3)
+        probs = edge_inclusion_probs(sol.x, alpha, g.n)
         for t in range(trials_per_instance):
             params_t = RoundingParams(alpha=alpha, seed=seed * 1000 + t, k=3)
-            res = _note_trial(build_spanner(g, sol, params_t, table=table), g.n)
+            res = _note_trial(build_spanner(g, sol, params_t, table, probs), g.n)
             total += 1
             if not res.feasible:
                 infeasible += 1
@@ -266,9 +267,10 @@ def test_criterion_6_approximation_accounting(solved_batch):
         bound = RATIO_CONST * math.sqrt(g.n) * math.log(g.n) * opt
         table = DistanceTable(g)
         demand_distance_rows(g, table)
+        probs = edge_inclusion_probs(sol.x, alpha, g.n)
         for t in range(25):
             params = RoundingParams(alpha=alpha, seed=5000 + idx * 100 + t, k=k)
-            res = _note_trial(build_spanner(g, sol, params, table=table), g.n)
+            res = _note_trial(build_spanner(g, sol, params, table, probs), g.n)
             ratio_trials += 1
             if len(res.e_h) > bound:
                 ratio_violations += 1
@@ -286,7 +288,7 @@ def test_criterion_6_approximation_accounting(solved_batch):
             sigma = math.sqrt(sum(p * (1 - p) for p in probs))
             # the edge phase of build_spanner at each seed: round_edges on the seed's edge stream
             counts = [
-                len(round_edges(g, sol.x, alpha, _stream(6000 + idx * 1000 + t, EDGE_STREAM))) for t in range(200)
+                int(round_edges(probs, _stream(6000 + idx * 1000 + t, EDGE_STREAM)).sum()) for t in range(200)
             ]
             mean = sum(counts) / len(counts)
             mean_checks += 1
@@ -316,10 +318,11 @@ def test_criterion_7_tree_phase_bound():
     g = build_graph(30, random_edge_list(rng, 30, 0.12, max_len=2))
     table = DistanceTable(g)  # the path sets fill its inward rows
     sol = solve_lp(build_lp(g, 3, table=table))
+    probs = edge_inclusion_probs(sol.x, 2.0, g.n)
     root_counts = set()
     for t in range(50):
         params = RoundingParams(alpha=2.0, seed=7000 + t, k=3)
-        res = _note_trial(build_spanner(g, sol, params, table=table), 30)
+        res = _note_trial(build_spanner(g, sol, params, table, probs), 30)
         root_counts.add(len(res.tree_roots))
     # proper random subsets, not the degenerate all-or-nothing regimes
     assert any(0 < c < 30 for c in root_counts)

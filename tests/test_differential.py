@@ -20,6 +20,7 @@ from dirspan import (
     build_graph,
     build_lp,
     build_spanner,
+    edge_inclusion_probs,
     is_k_spanner,
     run_solve,
     serialize_graph,
@@ -49,8 +50,9 @@ def small_instances(draw, ks=(1, 2, 3)):
 def assert_trials_agree(g, sol, solve, k):
     """Each trial's E_H, rebuilt from its seed, has the record's size and naive_is_spanner's verdict."""
     table = DistanceTable(g)
+    probs = edge_inclusion_probs(sol.x, solve["alpha"], g.n)
     for record in solve["trials"]:
-        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k), table)
+        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k), table, probs)
         assert len(res.e_h) == record["eh_size"]
         assert naive_is_spanner(g.n, g.edges, res.e_h, k) == record["feasible"]
 

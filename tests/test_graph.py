@@ -432,3 +432,20 @@ def test_bulk_trees_skip_overflowing_sums():
     assert table.outward(0) == [0.0, 1e308, INF]
     assert tree_rows(table, [0, 2]) == [frozenset({0}), frozenset({1})]
     assert tree_rows(table, [0, 2]) == [fresh_shortest_path_tree(g, r) for r in (0, 2)]
+
+
+def test_kept_rows_come_back_as_the_same_arrays():
+    # the zero-length edge 2 -> 0 ties two distances in each root's trees, so
+    # every row is built through _select_parents; asking again, in another
+    # order and with a duplicate, hands out the kept arrays without a rebuild
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.0)])
+    table = DistanceTable(g)
+    with mock.patch.object(dirspan.graph, "_select_parents", wraps=_select_parents) as spy:
+        first = table.trees([2, 0, 1])
+        assert 0 in {c.args[1] for c in spy.call_args_list}
+        spy.reset_mock()
+        again = table.trees((1, 0, 0, 2))
+        assert not spy.called
+    assert [row is kept for row, kept in zip(again, (first[2], first[1], first[1], first[0]))] == [True] * 4
+    assert tree_rows(table, (1, 0, 0, 2)) == [fresh_shortest_path_tree(g, r) for r in (1, 0, 0, 2)]
+    assert table.trees(()) == []

@@ -32,6 +32,16 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def kept_set(g, x, alpha, rng):
+    """The edges round_edges keeps at keep probabilities from x and alpha, as a set."""
+    return frozenset(np.flatnonzero(round_edges(edge_inclusion_probs(x, alpha, g.n), rng)).tolist())
+
+
+def one_trial(g, sol, params, table):
+    """build_spanner with the keep probabilities a run would compute for it."""
+    return build_spanner(g, sol, params, table, edge_inclusion_probs(sol.x, params.alpha, g.n))
+
+
 def test_select_alpha_general():
     # the general constant ignores k
     assert select_alpha("general", 55, 3) == select_alpha("general", 55, 1) == 5.0 * math.log(55)
@@ -74,20 +84,21 @@ def test_params_validation():
 
 
 def test_edge_inclusion_probs_clamped():
-    assert edge_inclusion_probs([0.0, 0.25, 10.0], 1.0, 4) == [0.0, 0.5, 1.0]
+    probs = edge_inclusion_probs([0.0, 0.25, 10.0], 1.0, 4)
+    assert probs.dtype == float and probs.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_round_edges_deterministic_extremes():
     g = build_graph(3, TRIANGLE)
-    assert round_edges(g, (0.0, 0.0, 0.0), 5.0, rng_for(1)) == frozenset()
-    assert round_edges(g, (1.0, 1.0, 1.0), 5.0, rng_for(1)) == frozenset({0, 1, 2})
+    assert kept_set(g, (0.0, 0.0, 0.0), 5.0, rng_for(1)) == frozenset()
+    assert kept_set(g, (1.0, 1.0, 1.0), 5.0, rng_for(1)) == frozenset({0, 1, 2})
 
 
 def test_round_edges_frequency():
     # keep probability 0.25 * 1.0 * sqrt(4) = 0.5
     g = build_graph(4, [(0, 1, 1.0)])
     rng = rng_for(2024)
-    hits = sum(len(round_edges(g, (0.25,), 1.0, rng)) for _ in range(10000))
+    hits = sum(len(kept_set(g, (0.25,), 1.0, rng)) for _ in range(10000))
     assert 4800 <= hits <= 5200
 
 
@@ -102,7 +113,7 @@ def test_tiny_alpha_keeps_nothing():
     g = cycle(5)
     rng = rng_for(5)
     for _ in range(100):
-        assert round_edges(g, (1.0,) * 5, 1e-9, rng) == frozenset()
+        assert kept_set(g, (1.0,) * 5, 1e-9, rng) == frozenset()
         assert sample_tree_roots(5, 1e-9, rng) == frozenset()
 
 
@@ -110,8 +121,8 @@ def test_build_spanner_deterministic():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
     params = RoundingParams(alpha=0.9, seed=42, k=3)
-    a = build_spanner(g, sol, params, DistanceTable(g))
-    b = build_spanner(g, sol, params, DistanceTable(g))
+    a = one_trial(g, sol, params, DistanceTable(g))
+    b = one_trial(g, sol, params, DistanceTable(g))
     assert a == b
 
 
@@ -120,7 +131,7 @@ def test_build_spanner_seed_changes_draws():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
     results = {
-        build_spanner(g, sol, RoundingParams(alpha=0.2, seed=s, k=3), DistanceTable(g)).e_h
+        one_trial(g, sol, RoundingParams(alpha=0.2, seed=s, k=3), DistanceTable(g)).e_h
         for s in range(6)
     }
     assert len(results) > 1
@@ -137,7 +148,7 @@ def test_shared_table_trees_change_nothing():
     table = DistanceTable(g)
     for seed in range(24):
         params = RoundingParams(alpha=1.5, seed=seed, k=2)
-        assert build_spanner(g, sol, params, table=table) == build_spanner(g, sol, params, DistanceTable(g))
+        assert one_trial(g, sol, params, table) == one_trial(g, sol, params, DistanceTable(g))
         if seed % 3 == 0:
             roots = rng.sample(range(n), seed % 4)
             assert all(np.array_equal(a, b) for a, b in zip(table.trees(roots), DistanceTable(g).trees(roots)))
@@ -154,8 +165,8 @@ def test_rounded_edges_are_the_edge_stream_draws():
     sol = LpSolution(x=(0.05, 0.1, 0.2, 0.3) * 2, objective_value=1.3)
     kept = set()
     for seed in range(8):
-        res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
-        assert res.rounded_edges == round_edges(g, sol.x, 0.9, _stream(seed, EDGE_STREAM))
+        res = one_trial(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
+        assert res.rounded_edges == kept_set(g, sol.x, 0.9, _stream(seed, EDGE_STREAM))
         kept.add(res.rounded_edges)
     assert len(kept) > 1
 
@@ -166,8 +177,22 @@ def test_tree_roots_are_the_root_stream_draws():
     for x in ((0.0,) * 8, (1.0,) * 8):
         sol = LpSolution(x=x, objective_value=sum(x))
         for seed in range(8):
-            res = build_spanner(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
+            res = one_trial(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
             assert res.tree_roots == sample_tree_roots(8, 0.9, _stream(seed, ROOT_STREAM))
+
+
+def test_the_check_reads_the_tree_rows():
+    # x = 0 keeps no edge, so H is the trees alone, and on a cycle one root's
+    # two trees are every edge: a trial is feasible exactly when it has a root
+    g = cycle(8)
+    sol = LpSolution(x=(0.0,) * 8, objective_value=0.0)
+    verdicts = set()
+    for seed in range(12):
+        res = one_trial(g, sol, RoundingParams(alpha=0.3, seed=seed, k=3), DistanceTable(g))
+        assert res.rounded_edges == frozenset()
+        assert res.feasible == bool(res.tree_roots) == (res.e_h == frozenset(range(8)))
+        verdicts.add(res.feasible)
+    assert verdicts == {True, False}
 
 
 def test_triangle_saturated_probabilities():
@@ -175,9 +200,9 @@ def test_triangle_saturated_probabilities():
     g = build_graph(3, TRIANGLE)
     sol = solve_lp(build_lp(g, 2))
     for seed in range(5):
-        assert round_edges(g, sol.x, 10.0, _stream(seed, EDGE_STREAM)) == frozenset({0, 2})
+        assert kept_set(g, sol.x, 10.0, _stream(seed, EDGE_STREAM)) == frozenset({0, 2})
     assert is_k_spanner(g, {0, 2}, 2).feasible
-    res = build_spanner(g, sol, RoundingParams(alpha=10.0, seed=123, k=2), DistanceTable(g))
+    res = one_trial(g, sol, RoundingParams(alpha=10.0, seed=123, k=2), DistanceTable(g))
     assert res.rounded_edges == frozenset({0, 2})
     assert res.feasible
 
@@ -192,7 +217,7 @@ def test_tree_edge_budget_holds():
             continue
         sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), objective_value=1.0)
         params = RoundingParams(alpha=1.2, seed=trial, k=3)
-        res = build_spanner(g, sol, params, DistanceTable(g))
+        res = one_trial(g, sol, params, DistanceTable(g))
         assert len(res.tree_edges) <= 2 * len(res.tree_roots) * (n - 1)
         assert res.e_h == res.rounded_edges | res.tree_edges
 

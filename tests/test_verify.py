@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from dirspan import (
     solve_lp,
 )
 from dirspan.graph import DistanceTable
-from dirspan.verify import demand_distance_rows
+from dirspan.verify import SpannerCheck, demand_distance_rows
 
 from oracles import exhaustive_opt, make_rng, naive_is_spanner, random_edge_list
 from support import all_pairs_spanner_check, eager_spanner_check, edge_check_equals_allpairs_check
@@ -209,6 +210,56 @@ def test_lazy_check_matches_eager_reference(data):
     before = copy.deepcopy(table._out)
     assert is_k_spanner(g, h, k, table=None if given_rows == "none" else table) == eager_spanner_check(g, h, k)
     assert {s: table._out[s] for s in before} == before
+
+
+SHARED_LENGTHS = (0.0, 1.0, 2.0, 3.0, 0.1, 0.3, 0.7, 1.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shared_table_checks_match_fresh_and_eager(data):
+    # one table serves checks at every k in a shuffled order, as the trials of
+    # one run share its table: each k keeps budgets of its own, and H given as
+    # indices or as a boolean mask is the same H
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    g = build_graph(n, [(t, h, data.draw(st.sampled_from(SHARED_LENGTHS))) for t, h in chosen])
+    table = DistanceTable(g)
+    for k in data.draw(st.permutations((1, 1.5, 2, 3))):
+        for _ in range(2):
+            h = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1))) if g.m else set()
+            mask = np.zeros(g.m, dtype=bool)
+            mask[sorted(h)] = True
+            check = is_k_spanner(g, h, k, table=table)
+            assert check == is_k_spanner(g, h, k) == eager_spanner_check(g, h, k)
+            assert is_k_spanner(g, mask, k, table=table) == check
+
+
+def test_budgets_come_from_the_outward_rows():
+    # the float-budget graph: outward(4)[1] is 1.1 but inward(1)[4] is
+    # 1.0999999999999999, so at k = 1 demand 5 (4 -> 1, length 1.1) fits its
+    # budget only when dist_G is read outward; dropping 2 -> 7, whose detour
+    # 2 -> 6 -> 7 is within budget, keeps H = E from returning early
+    g = build_graph(8, [(3, 4, 1.1), (4, 2, 0.1), (3, 1, 0.1), (4, 5, 0.3), (0, 5, 0.2), (4, 1, 1.1), (5, 3, 0.7),
+                        (2, 6, 1.0), (6, 7, 1.0), (2, 7, 3.0)])
+    table = DistanceTable(g)
+    assert table.outward(4)[1] == 1.1 and table.inward(1)[4] < 1.1
+    h = set(range(g.m)) - {9}
+    assert is_k_spanner(g, h, 1, table=table) == eager_spanner_check(g, h, 1) == SpannerCheck(True, None)
+    budgets = table.budgets(1)
+    assert budgets.fits[5] and budgets.dist[5] == budgets.budget[5] == 1.1
+    for d, (tail, head, length) in enumerate(g.edges):
+        assert budgets.dist[d] == table.outward(tail)[head]
+        assert budgets.fits[d] == (length <= budgets.budget[d])
+
+
+def test_h_mask_must_hold_one_entry_per_edge():
+    # a one-entry mask would otherwise broadcast over every demand
+    g = build_graph(3, TRIANGLE)
+    for mask in (np.ones(1, dtype=bool), np.ones(4, dtype=bool)):
+        with pytest.raises(IndexOutOfRange, match="one entry per edge of 3"):
+            is_k_spanner(g, mask, 1)
 
 
 def test_opt_triangle():
