@@ -7,6 +7,10 @@ wrote.  A report's timing block is cut out: it is the one part of a report
 that may differ between runs.  tests/test_golden.py compares every case with
 its <name>.txt here.
 
+The corpus is the one store of whole-report and CLI transcript pins; the only
+inline pins are tests/test_lp.py's pivot paths, simplex internals that no
+report shows.
+
 Rewrite the expected files (all of them, or only the named cases) with
 
     PYTHONPATH=src python tests/golden/record.py [NAME ...]

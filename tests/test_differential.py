@@ -3,7 +3,8 @@
 Lengths come from {0, 1, 2, 3}, so every sum a run forms is exact in floats and
 the package and the oracles must agree to the last bit on every comparison.
 The CLI's -k is an integer, so k = 1.5, a fractional budget, is judged on
-run_solve and is_k_spanner called directly.
+run_solve and is_k_spanner called directly.  Relabelling the vertices and
+reordering the edges must move no verdict of lp, oracle or verify.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ from dirspan import (
 )
 from dirspan.cli import main
 from dirspan.graph import DistanceTable
+from dirspan.lp import CHECK_TOL
 
 from oracles import exhaustive_opt, naive_is_spanner, path_lp_value
 
@@ -111,3 +113,32 @@ def test_fractional_k_agrees_with_the_oracles(case):
     solve = run_solve(config, g)
     assert solve["lp"]["value"] == pytest.approx(path_lp_value(n, edges, k), abs=TOL)
     assert_trials_agree(g, solve_lp(build_lp(g, k)), solve, k)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_instances(), st.data())
+def test_relabelling_vertices_and_reordering_edges_changes_no_verdict(tmp_path_factory, case, data):
+    n, edges, _, k, _, _ = case
+    perm = data.draw(st.permutations(range(n)))
+    order = data.draw(st.permutations(range(len(edges))))
+    d = tmp_path_factory.mktemp("relabel")
+    (d / "g.txt").write_text(serialize_graph(build_graph(n, edges)))
+    moved = [(perm[edges[e][0]], perm[edges[e][1]], edges[e][2]) for e in order]
+    (d / "moved.txt").write_text(serialize_graph(build_graph(n, moved)))
+
+    def run(command, name, *flags):
+        return _report([command, str(d / f"{name}.txt"), "-k", str(k), *flags])
+
+    lp = run("lp", "g")["objective"]
+    assert abs(run("lp", "moved")["objective"] - lp) <= CHECK_TOL * max(1.0, lp)
+
+    oracle = run("oracle", "g")
+    assert run("oracle", "moved")["opt"] == oracle["opt"]
+
+    # the optimum's witness as 'tail head' lines, under each labelling
+    verdicts = []
+    for name, label in (("g", range(n)), ("moved", perm)):
+        hpath = d / f"{name}-witness.txt"
+        hpath.write_text("".join(f"{label[edges[e][0]]} {label[edges[e][1]]}\n" for e in oracle["witness"]))
+        verdicts.append(run("verify", name, "--subgraph", str(hpath))["feasible"])
+    assert verdicts[0] == verdicts[1]

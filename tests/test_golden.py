@@ -17,9 +17,12 @@ def test_golden_transcript(case, tmp_path):
 
 
 def test_manifest_matches_the_directory():
-    # a renamed or dropped case leaves no transcript that nothing compares, and no input that nothing reads
+    # a renamed or dropped case leaves no transcript that nothing compares, and no input that nothing reads;
+    # no two cases run the same steps, so no pin is held twice
     names = [case["name"] for case in MANIFEST["cases"]]
     assert len(names) == len(set(names))
+    steps = [repr(case["steps"]) for case in MANIFEST["cases"]]
+    assert len(steps) == len(set(steps))
     assert sorted(HERE.glob("*.txt")) == sorted(expected_path(case) for case in MANIFEST["cases"])
     read = {arg for case in MANIFEST["cases"] for argv in case["steps"] for arg in argv}
     assert sorted(set(MANIFEST["inputs"]) - read) == []
