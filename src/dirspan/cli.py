@@ -16,6 +16,7 @@ broken internal check.  `FAILURES` maps each failure to its code and message lab
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,6 +206,7 @@ def _cmd_claims(args, config, g):
     return report, summary, EXIT_INFEASIBLE if c1["disagreements"] or c2["violations"] else EXIT_OK
 
 
+@functools.cache  # built on the first main call, not at import; parse_args leaves it as it was
 def build_parser():
     parser = argparse.ArgumentParser(prog="dirspan", description="Directed k-spanner approximation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,7 +7,10 @@ Solves
 The tableau is a dense array, but a pivot updates only the rows where the
 pivot column is non-zero crossed with the columns where the pivot row is
 non-zero: everywhere else the full rank-1 update would subtract exactly zero,
-so the pivot path and every result are those of the full update.  The
+so the pivot path and every result are those of the full update.  Once phase 1
+ends, the artificial columns are zeroed and drop out of every later pivot; the
+path stays the same, since a cell's update reads only its own column and the
+pivot column, and phase 2 and the drive-out pick only earlier columns.  The
 tableau carries two objective rows (the real one and the phase-1
 artificial one) so both stay reduced through every pivot.  Pivoting starts
 with Dantzig's rule and switches permanently to Bland's rule after a run of
@@ -106,6 +109,8 @@ def solve_simplex(c, a, b, senses, lower):
 
     iters = 0
     bland = False  # once set, Bland's rule holds through both phases
+    width = T.shape[1]
+    flat = T.reshape(-1)  # a view: cell (i, j) of the C-ordered tableau is flat[i * width + j]
 
     def pivot(row, col):
         T[row] /= T[row, col]
@@ -113,7 +118,8 @@ def solve_simplex(c, a, b, senses, lower):
         nz_rows = np.flatnonzero(T[:, col])
         nz_rows = nz_rows[nz_rows != row]
         nz_cols = np.flatnonzero(T[row])
-        T[np.ix_(nz_rows, nz_cols)] -= np.outer(T[nz_rows, col], T[row, nz_cols])
+        cells = nz_rows[:, None] * width + nz_cols
+        flat[cells] -= np.outer(T[nz_rows, col], T[row, nz_cols])
         T[:, col] = 0.0
         T[row, col] = 1.0
         basis[row] = col
@@ -160,6 +166,8 @@ def solve_simplex(c, a, b, senses, lower):
         # -T[P1, -1] is the artificial mass left over
         if -T[P1, -1] > FEAS_TOL:
             return SimplexResult(status="infeasible", z=None, objective=None, iterations=iters)
+        # nothing reads an artificial cell from here on, so zeroed they drop out of every later pivot
+        T[:, art_start:ncols] = 0.0
         # drive leftover artificials out of the basis
         for i in range(nrows):
             if basis[i] >= art_start:

@@ -1,0 +1,137 @@
+"""The mutant register: hand-made faults in src/dirspan and the tests that must catch each one.
+
+Each row names a mutant, the file it edits, the exact text it replaces (which must occur
+exactly once there; tests/test_mutants.py checks that in tier 1) and the new text, and the
+pytest node ids expected to kill it.  A check that a change adds comes with its mutant here.
+
+    python tests/mutants.py [NAME...]
+
+copies src/, tests/ and pyproject.toml into a temporary directory and runs the killers of the
+named mutants (all of them by default) there, first on the unmutated copy, where they must
+pass, then under one mutant at a time with `pytest -x`, where they must fail.  It prints one
+line per mutant and exits 1 when a mutant survives or its killers do not pass unmutated.  It
+is not part of tier 1: one pass over the register takes about ten seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repo root
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+ZEROING_PINS = "tests/test_simplex.py::test_artificial_zeroing_path_is_pinned"
+LADDER_PINS = "tests/test_lp.py::test_ladder_pivot_path_is_pinned"
+
+
+def golden(case):
+    return f"tests/test_golden.py::test_golden_transcript[{case}]"
+
+
+MUTANTS = (
+    # phase 1 could then never re-enter an artificial column
+    Mutant(
+        "simplex-zero-before-phase-1",
+        "src/dirspan/simplex.py",
+        "    if n_surplus:\n        status = run_phase(P1, ncols)\n",
+        "    if n_surplus:\n        T[:, art_start:ncols] = 0.0\n        status = run_phase(P1, ncols)\n",
+        (ZEROING_PINS,),
+    ),
+    Mutant(
+        "simplex-zero-rhs-too",
+        "src/dirspan/simplex.py",
+        "T[:, art_start:ncols] = 0.0",
+        "T[:, art_start:] = 0.0",
+        (ZEROING_PINS, LADDER_PINS),
+    ),
+    # the row width without the rhs column
+    Mutant(
+        "simplex-flat-width",
+        "src/dirspan/simplex.py",
+        "width = T.shape[1]\n",
+        "width = ncols\n",
+        (LADDER_PINS, ZEROING_PINS),
+    ),
+    # a tree vertex's parent becomes its highest-index tight edge
+    Mutant(
+        "tree-parent-highest-tight-edge",
+        "src/dirspan/graph.py",
+        "for e in adj[w]:",
+        "for e in reversed(adj[w]):",
+        (golden("solve-zero-ties-small-alpha"), golden("huge-lengths")),
+    ),
+    # a child frame restarts at frontier slot 0, so trees are grown more than once
+    Mutant(
+        "claim-tree-child-restarts-frontier",
+        "src/dirspan/arborescence.py",
+        "stack.append([i + 1, child, head, end])",
+        "stack.append([0, child, head, end])",
+        (golden("claims"), golden("small6-k1"), golden("er10-k3"), golden("huge-lengths")),
+    ),
+    # the check skips a demand whose own edge fits its budget even when that edge is not in H
+    Mutant(
+        "budget-fits-ignores-h",
+        "src/dirspan/verify.py",
+        "(~(h & budgets.fits))",
+        "(~budgets.fits)",
+        (golden("solve-alpha-infeasible"),),
+    ),
+)
+
+
+def _pytest(tree, node_ids):
+    """pytest's exit code for the node ids, run with -x in the copied tree on its own src/."""
+    # no bytecode cache: a same-length edit within one second of the last import could reuse it
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(names):
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = sorted(set(names) - set(by_name))
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[n] for n in names] if names else list(MUTANTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        killers = sorted({k for m in chosen for k in m.killers})
+        code = _pytest(tree, killers)
+        if code != 0:
+            print(f"the killers fail on the unmutated tree (pytest exit {code})")
+            return 1
+        survivors = 0
+        for m in chosen:
+            target = tree / m.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            code = _pytest(tree, m.killers)
+            target.write_text(text, encoding="utf-8")
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            survivors += code != 1
+            print(f"{verdict:10} {m.name}")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

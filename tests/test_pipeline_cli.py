@@ -699,6 +699,16 @@ def test_cli_flag_sets_are_pinned():
     assert sum(len(flags) for flags in declared.values()) == 35
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    # the golden corpus and the differential properties make about 1,500 in-process main calls;
+    # an argv the parser rejects leaves it as it was
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["lp", "gen:cycle:n=3"])
+    assert main(["lp", "gen:cycle:n=3", "-k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == 3.0
+
+
 def test_every_shared_flag_is_declared():
     # a flag no subcommand declares would be a dead entry of the shared table
     declared = set().union(*_declared_flags().values())

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,36 @@ def test_unknown_sense_rejected():
             solve_simplex([1, 1], [[1, 0], [0, 1]], [3, 2], senses, lower=[0, 0])
     with pytest.raises(ValueError):
         solve_simplex([], np.zeros((1, 0)), [0.0], ["="], lower=[])  # no variables: checked all the same
+
+
+def small_program(seed):
+    """Up to 5 variables and 7 rows, entries -2..2, about 70 % >= rows, every lower bound 0."""
+    rng = make_rng(seed)
+    nvars = rng.randint(1, 5)
+    nrows = rng.randint(1, 7)
+    c = [rng.randint(0, 3) * 1.0 for _ in range(nvars)]
+    a = [[rng.randint(-2, 2) * 1.0 for _ in range(nvars)] for _ in range(nrows)]
+    b = [rng.randint(-2, 4) * 1.0 for _ in range(nrows)]
+    senses = [GREATER if rng.random() < 0.7 else LESS for _ in range(nrows)]
+    return c, a, b, senses, [0.0] * nvars
+
+
+# iterations, objective and sha256 of z.tobytes() on small programs whose phase 1 re-enters an
+# artificial column: zeroing the artificial columns before phase 1 instead of after it moves
+# one of the three on each; 315 and 16524 also end phase 1 with artificials basic at zero (one
+# and three), so the drive-out pivots on a tableau whose artificial columns are already zero
+ZEROING_PATH = [
+    (315, 8, 26.000000000000007, "0dcaf3cce87a22b2474c3f2740a10816794555aaacd93fbf8faa1512b046c326"),
+    (4632, 7, 23.500000000000007, "5ff03bea78623466ff3cf53274e434c925cb5691f2a0fa49db77c3dfd06a9201"),
+    (5200, 10, 4.666666666666666, "a6d77092291642a8d0d10a4f4176e4d96a276f16876dec9d5826f920bc035f14"),
+    (7262, 9, 5.333333333333334, "dc5e7669b362a59b60b392d67d2b57559abb935b88c4742efc39aaa02184bd78"),
+    (16524, 8, 0.0, "f60a3b0c3cb8f31c35067a6b32dac116387177918c0e146d549359f6cb992c59"),
+]
+
+
+@pytest.mark.parametrize("seed,iterations,objective,z_sha256", ZEROING_PATH)
+def test_artificial_zeroing_path_is_pinned(seed, iterations, objective, z_sha256):
+    res = solve_simplex(*small_program(seed))
+    assert res.iterations == iterations
+    assert res.objective == objective
+    assert hashlib.sha256(res.z.tobytes()).hexdigest() == z_sha256
