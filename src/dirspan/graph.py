@@ -4,7 +4,9 @@ Vertices are integers 0..n-1.  Edges are (tail, head, length) triples addressed
 by their position in the edge tuple; that index is the stable identity used by
 every other module (LP variables, rounding, cut sets).  All distance arithmetic
 is plain float addition with exact comparisons; there is no epsilon anywhere in
-this module.
+this module.  G's distances come from PausedSearch, except on an exact graph
+(integer lengths summing below 2**53), where every sum is exact in any order
+and one Floyd-Warshall sweep in numpy gives the same rows bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .errors import DuplicateEdge, IndexOutOfRange, NegativeLength, SelfLoop
 INF = math.inf
 # cells of one float temporary in a block of DistanceTable.trees roots (128 KB)
 _BLOCK_CELLS = 1 << 14
+# integers below this are exact floats, and so is every sum of them that stays below it
+_EXACT_BELOW = 2.0**53
 
 
 class DiGraph:
@@ -225,6 +229,40 @@ def _edge_groups(g):
     )
 
 
+def _exact(g):
+    """Whether every length is an integer and their sum is below 2**53.
+
+    Every path then sums to an integer below 2**53, exact whatever the order
+    of its additions.  The float sum is a true test: adding nonnegative
+    floats rounds monotonically, so it reaches 2**53 whenever the exact sum
+    does.
+    """
+    lengths = [length for _, _, length in g.edges]
+    return all(length.is_integer() for length in lengths) and sum(lengths) < _EXACT_BELOW
+
+
+def _all_pairs(g):
+    """G's n x n distance matrix by Floyd-Warshall: row v is outward(v), column v is inward(v).
+
+    For an exact graph only.  Each entry stays a shortest distance through
+    the intermediates swept so far, an exact integer below 2**53.  A
+    candidate sum at or above 2**53 may round, but it loses to the entry it
+    is compared with: when the two halves share no vertex but k, they form a
+    simple path, which is shorter than 2**53; when they share one, the entry
+    already holds a path no longer than the candidate.  So the matrix equals
+    PausedSearch's rows bit for bit.
+    """
+    n = g.n
+    d = np.full((n, n), INF)
+    np.fill_diagonal(d, 0.0)
+    if g.m:
+        tails, heads, lengths = zip(*g.edges)
+        d[tails, heads] = np.add(lengths, 0.0)  # -0.0 + 0.0 is 0.0, as a search's 0.0 + length gives
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[k], out=d)
+    return d
+
+
 class DemandBudgets:
     """Each demand's dist_G, its budget k * dist_G and whether its own edge fits that budget, at one k.
 
@@ -256,20 +294,27 @@ class DemandBudgets:
 class DistanceTable:
     """One run's cache of G: its distance rows, shortest-path trees and demand budgets, each computed on first request.
 
-    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w,
-    each a PausedSearch over every edge of G run to the end; trees(roots)
-    gives each root's tree edges and budgets(k) the demands' budgets at k.
-    Everything is kept once computed, so the path sets, the trees and the
-    spanner checks of one run share every search and every budget, and no
-    other code searches G; readers never change what they get.  A table
-    lives for one run: nothing keeps it on the graph.
+    outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w;
+    trees(roots) gives each root's tree edges and budgets(k) the demands'
+    budgets at k.  A row is a PausedSearch over every edge of G run to the
+    end, except on an exact graph (_exact): there the first inward row, or
+    the first trees call, builds _all_pairs's matrix, and every row asked
+    for after that is a row or column of it.  Outward rows asked for before
+    that stay searched, so a caller that reads only outward rows, as the
+    spanner check does, still searches only the tails it needs.  Everything
+    is kept once computed, so the path sets, the trees and the spanner
+    checks of one run share every row and every budget, and no other code
+    computes G's distances; readers never change what they get.  A table
+    lives for one run: nothing keeps it or its matrix on the graph.
     """
 
-    __slots__ = ("g", "_every", "_out", "_in", "_trees", "_groups", "_budgets")
+    __slots__ = ("g", "_every", "_exact", "_pairs", "_out", "_in", "_trees", "_groups", "_budgets")
 
     def __init__(self, g):
         self.g = g
         self._every = bytearray([1]) * g.m  # the mask of G itself
+        self._exact = _exact(g)
+        self._pairs = None  # _all_pairs(g), built by _matrix
         self._out = {}
         self._in = {}
         self._trees = {}
@@ -288,7 +333,17 @@ class DistanceTable:
             row = self._in[target] = self._row(target, True)
         return row
 
+    def _matrix(self):
+        """The all-pairs matrix, built on the first call on an exact graph; None on any other."""
+        if self._pairs is None and self._exact:
+            self._pairs = _all_pairs(self.g)
+        return self._pairs
+
     def _row(self, v, inward):
+        pairs = self._matrix() if inward else self._pairs  # an outward row never builds the matrix
+        if pairs is not None:
+            _check_vertex(self.g, v, "source")  # numpy would read -1 as the last vertex
+            return (pairs[:, v] if inward else pairs[v]).tolist()
         search = PausedSearch(self.g, self._every, v, inward)
         search.reach(v, -1)  # 0 <= -1 never holds, so the search runs until its heap is empty
         return search.dist
@@ -330,11 +385,15 @@ class DistanceTable:
             if self._groups is None:
                 self._groups = _edge_groups(g)
             near, far, length, ids, starts, split = self._groups
+            pairs = self._matrix()
             step = max(1, _BLOCK_CELLS // (2 * max(g.n, g.m)))
             with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf, which is never tight
                 for lo in range(0, len(new), step):
                     block = new[lo : lo + step]
-                    dist = np.array([self.outward(r) + self.inward(r) for r in block], dtype=float)
+                    if pairs is None:
+                        dist = np.array([self.outward(r) + self.inward(r) for r in block], dtype=float)
+                    else:
+                        dist = np.hstack((pairs[block], pairs[:, block].T))
                     dist[dist == INF] = np.nan  # nan is never tight, at either end
                     d_near = dist[:, near]
                     d_far = dist[:, far]

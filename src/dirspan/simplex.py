@@ -171,11 +171,11 @@ def solve_simplex(c, a, b, senses, lower):
         # drive leftover artificials out of the basis
         for i in range(nrows):
             if basis[i] >= art_start:
+                # never empty: every pivot keeps a surplus column the exact negative of its artificial,
+                # so this row's surplus column holds -1.0 here
                 options = np.nonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)[0]
-                if options.size:
-                    pivot(i, int(options[0]))
-                    iters += 1
-                # else: redundant row, harmless to keep with its artificial at zero
+                pivot(i, int(options[0]))
+                iters += 1
 
     status = run_phase(OBJ, art_start)  # the artificial columns come last, so phase 2 never enters one
     if status == "unbounded":

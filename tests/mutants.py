@@ -83,6 +83,33 @@ MUTANTS = (
         "stack.append([0, child, head, end])",
         (golden("claims"), golden("small6-k1"), golden("er10-k3"), golden("huge-lengths")),
     ),
+    # the all-pairs sweep never routes a path through the last vertex
+    Mutant(
+        "all-pairs-skips-last-vertex",
+        "src/dirspan/graph.py",
+        "for k in range(n):",
+        "for k in range(n - 1):",
+        (
+            "tests/test_graph.py::test_lengths_summing_below_2_53_take_the_matrix",
+            "tests/test_graph.py::test_exact_graph_rows_match_searches",
+        ),
+    ),
+    # a -0.0 length stays -0.0 in the matrix, where a search's 0.0 + -0.0 gives 0.0
+    Mutant(
+        "all-pairs-keeps-negative-zero",
+        "src/dirspan/graph.py",
+        "np.add(lengths, 0.0)",
+        "lengths",
+        ("tests/test_graph.py::test_exact_graph_rows_match_searches",),
+    ),
+    # lengths summing past 2**53 take the matrix, whose sums then round differently from a search's
+    Mutant(
+        "exact-bound-2-64",
+        "src/dirspan/graph.py",
+        "_EXACT_BELOW = 2.0**53",
+        "_EXACT_BELOW = 2.0**64",
+        ("tests/test_graph.py::test_lengths_summing_to_2_53_are_searched",),
+    ),
     # the check skips a demand whose own edge fits its budget even when that edge is not in H
     Mutant(
         "budget-fits-ignores-h",

@@ -279,23 +279,44 @@ def test_paused_search_matches_full_h_row(data):
 
 
 def test_distance_table_searches_each_row_once(monkeypatch):
-    import dirspan.graph
-
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.0)])
+    # a decimal graph searches each row once; an exact one searches only the outward rows asked for
+    # before its first inward row, which builds the one all-pairs matrix every later row comes from
     calls = []
+    passes = []
+    all_pairs = dirspan.graph._all_pairs
 
     class CountingSearch(dirspan.graph.PausedSearch):
         def __init__(self, graph, mask, source, inward=False):
             calls.append((inward, source))
             super().__init__(graph, mask, source, inward)
 
+    def counting_all_pairs(graph):
+        passes.append(graph)
+        return all_pairs(graph)
+
     monkeypatch.setattr(dirspan.graph, "PausedSearch", CountingSearch)
+    monkeypatch.setattr(dirspan.graph, "_all_pairs", counting_all_pairs)
+    table = DistanceTable(build_graph(3, [(0, 1, 1.5), (1, 2, 2.5), (2, 0, 0.0)]))
+    for _ in range(2):
+        assert table.outward(0) == [0.0, 1.5, 4.0]
+        assert table.inward(0) == [0.0, 2.5, 0.0]
+        assert table.outward(0) is table.outward(0)
+    assert calls == [(False, 0), (True, 0)]
+    assert not passes
+
+    calls.clear()
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.0)])
     table = DistanceTable(g)
     for _ in range(2):
         assert table.outward(0) == [0.0, 1.0, 3.0]
         assert table.inward(0) == [0.0, 2.0, 0.0]
+        assert table.outward(1) == [2.0, 0.0, 2.0]
+        assert table.inward(2) == [3.0, 2.0, 0.0]
         assert table.outward(0) is table.outward(0)
-    assert calls == [(False, 0), (True, 0)]
+        assert table.inward(2) is table.inward(2)
+    table.trees(range(3))
+    assert calls == [(False, 0)]
+    assert passes == [g]
 
 
 @pytest.mark.parametrize("v", [-1, 3], ids=["negative", "past-n"])
@@ -307,6 +328,63 @@ def test_search_source_out_of_range_is_rejected(v):
         with pytest.raises(IndexOutOfRange, match="source .* outside 0..2"):
             search(v)
     assert not table._out and not table._in
+
+
+def _rows_as_searched(table, g):
+    # repr tells 0.0 from -0.0, which == does not
+    for v in range(g.n):
+        assert list(map(repr, table.inward(v))) == list(map(repr, inward_dist(g, v)))
+        assert list(map(repr, table.outward(v))) == list(map(repr, outward_dist(g, v)))
+
+
+def test_exact_graph_rows_match_searches():
+    # every row of an exact graph comes from the matrix, asked for inward first, and equals the
+    # searched row bit for bit; -0.0 lengths give 0.0 distances, as a search's 0.0 + -0.0 does
+    rng = make_rng(53)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        edges = [(t, h, rng.choice((-0.0, 0.0, 1.0, 2.0, 7.0, 2.0**40)))
+                 for t in range(n) for h in range(n) if t != h and rng.random() < 0.35]
+        g = build_graph(n, edges)
+        table = DistanceTable(g)
+        _rows_as_searched(table, g)
+        assert table._pairs is not None
+        for r, row in enumerate(table.trees(range(n))):
+            assert frozenset(row.nonzero()[0].tolist()) == fresh_shortest_path_tree(g, r)
+
+
+def test_lengths_summing_to_2_53_are_searched():
+    # the sweep adds the two halves of 0 -> 2 -> 1 -> 3 as 2**53 + (1 + 1), exactly 2**53 + 2,
+    # while a search rounds (2**53 + 1) + 1 back to 2**53; the float sum 2**53 is not below
+    # 2**53, so the rows are searched
+    g = build_graph(4, [(0, 2, 2.0**53), (2, 1, 1.0), (1, 3, 1.0)])
+    assert dirspan.graph._all_pairs(g)[0, 3] == 2.0**53 + 2
+    table = DistanceTable(g)
+    _rows_as_searched(table, g)
+    assert table.outward(0)[3] == 2.0**53
+    assert table._pairs is None
+
+
+def test_lengths_summing_below_2_53_take_the_matrix():
+    # 0 -> 1 runs through vertex n - 1, the last one the sweep visits
+    g = build_graph(3, [(0, 2, 2.0**53 - 2), (2, 1, 1.0)])
+    table = DistanceTable(g)
+    _rows_as_searched(table, g)
+    assert table.outward(0) == [0.0, 2.0**53 - 1, 2.0**53 - 2]
+    assert table._pairs is not None
+
+
+@pytest.mark.parametrize("v", [-1, 3], ids=["negative", "past-n"])
+def test_matrix_row_out_of_range_is_rejected(v):
+    # numpy reads -1 as the last vertex and rejects 3 with a bare IndexError
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    table = DistanceTable(g)
+    table.inward(0)
+    assert table._pairs is not None
+    for row in (table.outward, table.inward):
+        with pytest.raises(IndexOutOfRange, match="source .* outside 0..2"):
+            row(v)
+    assert table._out == {} and list(table._in) == [0]
 
 
 def test_dijkstra_float_lengths_match_dp():

@@ -358,15 +358,22 @@ DEC8_EDGES = [
 
 
 @pytest.mark.parametrize(
-    "g",
-    [load_input("gen:er:n=12,p=0.25,seed=2"), build_graph(6, ZERO6_EDGES)],
-    ids=["er12", "zero6"],
+    "g, exact",
+    [
+        (load_input("gen:er:n=12,p=0.25,seed=2"), True),
+        (build_graph(6, ZERO6_EDGES), True),
+        (build_graph(8, DEC8_EDGES), False),
+    ],
+    ids=["er12", "zero6", "dec8"],
 )
-def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
+def test_run_solve_searches_each_row_of_g_once(monkeypatch, g, exact):
     # at the paper's alpha every vertex is a root, so every vertex's two rows are needed, each once;
-    # a row of G is a PausedSearch over a mask that holds every edge
+    # a row of G is a PausedSearch over a mask that holds every edge, except on an exact graph
+    # (integer lengths), where the path sets' first inward row builds the one all-pairs matrix
     paused = dirspan.graph.PausedSearch
+    all_pairs = dirspan.graph._all_pairs
     searched = []
+    passes = []
 
     class RecordingSearch(paused):
         def __init__(self, graph, mask, source, inward=False):
@@ -374,13 +381,23 @@ def test_run_solve_searches_each_row_of_g_once(monkeypatch, g):
                 searched.append(("in" if inward else "out", source))
             super().__init__(graph, mask, source, inward)
 
+    def recording_all_pairs(graph):
+        passes.append(graph)
+        return all_pairs(graph)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("dirspan") and getattr(module, "PausedSearch", None) is paused:
             monkeypatch.setattr(module, "PausedSearch", RecordingSearch)
+    monkeypatch.setattr(dirspan.graph, "_all_pairs", recording_all_pairs)
     report = run_solve(RunConfig(k=3, input="g", trials=3, seed=1), g)
     assert all(t["tree_roots"] == g.n for t in report["trials"])
-    assert len(searched) == len(set(searched))
-    assert set(searched) == {(side, v) for side in ("out", "in") for v in range(g.n)}
+    if exact:
+        assert passes == [g]
+        assert searched == []
+    else:
+        assert passes == []
+        assert len(searched) == len(set(searched))
+        assert set(searched) == {(side, v) for side in ("out", "in") for v in range(g.n)}
 
 
 def test_only_the_distance_table_searches_g(monkeypatch, tmp_path, capsys):
