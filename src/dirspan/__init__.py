@@ -22,13 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .generate import GenSpec, generate_instance, parse_gen_spec
-from .graph import (
-    INF,
-    DiGraph,
-    InducedSubgraph,
-    build_graph,
-    induced_subgraph,
-)
+from .graph import INF, DiGraph, build_graph
 from .io import dumps_report, parse_graph, serialize_graph
 from .lp import (
     LpModel,
@@ -70,7 +64,6 @@ __all__ = [
     "GraphError",
     "GraphSyntaxError",
     "IndexOutOfRange",
-    "InducedSubgraph",
     "INF",
     "LpModel",
     "LpSolution",
@@ -93,7 +86,6 @@ __all__ = [
     "enumerate_demand_paths",
     "export_lp_text",
     "generate_instance",
-    "induced_subgraph",
     "is_k_spanner",
     "parse_gen_spec",
     "parse_graph",

@@ -16,7 +16,10 @@ with tree distance to v beyond K is cut by H", quantified over all rooted
 out-trees, spanning or not.  Restricting the quantifier to spanning
 arborescences breaks the equivalence (a graph whose spanning arborescences
 are all short says nothing about H), so ClaimContext grows every rooted
-out-tree of the host graph, each exactly once.
+out-tree once.  The claims are stated on the subgraph that one demand's
+covered vertices induce; a context grows its trees on the host graph itself
+over the covered edges, those with both ends covered, so every edge index
+in a tree's cut mask, in H and in an LP vector is the host graph's own.
 """
 
 from __future__ import annotations
@@ -28,33 +31,48 @@ MAX_TREES = 10**6  # rooted out-trees one ClaimContext may grow
 
 
 class ClaimContext:
-    """Every rooted out-tree of one small graph, materialized for reuse.
+    """Every rooted out-tree of g over the covered edges, materialized for reuse.
 
-    Grows each out-tree of g rooted at root once and keeps one
-    (distance-to-target, cut-mask) pair per tree; the distance is INF when
-    the tree misses the target.  Both claim checks are methods that loop over
+    Grows each out-tree rooted at root whose edges all have both ends in
+    covered once and keeps one (distance-to-target, cut-mask) pair per tree;
+    the distance is INF when the tree misses the target, and a mask holds
+    only covered edges, by their indices in g.  edges lists the covered
+    edges in ascending order.  Both claim checks are methods that loop over
     this list, so checking many subgraphs or LP vectors against the same
     demand costs one enumeration.  Raises ExplosionCap past MAX_TREES trees
-    and IndexOutOfRange for a root or target outside 0..n-1.
+    and IndexOutOfRange for a root, target or covered vertex outside 0..n-1.
 
     The trees grow on an explicit stack with one frame per tree vertex, so a
-    tree may be as deep as the graph.  The frontier lists the edges leaving
-    the tree in discovery order.  A frame passes over an edge whose head is
-    on the tree; any other edge it either takes (the head joins in a child
-    frame, with its out-edges appended to the frontier) or, once that child
-    is done, skips for good.  So every rooted out-tree comes from exactly one
-    take/skip sequence, and a frame's tree is finished after its children's.
-    Only the joining vertex's potential changes, so only its out- and
-    in-edges can change cut status: the child's mask re-tests just those.
+    tree may be as deep as the graph.  The frontier lists the covered edges
+    leaving the tree in discovery order.  A frame passes over an edge whose
+    head is on the tree; any other edge it either takes (the head joins in a
+    child frame, with its covered out-edges appended to the frontier) or,
+    once that child is done, skips for good.  So every rooted out-tree comes
+    from exactly one take/skip sequence, and a frame's tree is finished after
+    its children's.  Only the joining vertex's potential changes, so only its
+    covered out- and in-edges can change cut status: the child's mask
+    re-tests just those.
     """
 
-    def __init__(self, g, root, target):
+    def __init__(self, g, root, target, covered):
         _check_vertex(g, root, "root")
         _check_vertex(g, target, "target")
+        inside = [False] * g.n
+        for v in covered:
+            _check_vertex(g, v, "covered vertex")
+            inside[v] = True
         self.graph = g
         self.root = root
         self.target = target
-        edges, out_edges, in_edges = g.edges, g.out_edges, g.in_edges
+        edges = g.edges
+        self.edges = [e for e, (t, h, _) in enumerate(edges) if inside[t] and inside[h]]
+        # each vertex's covered out-edges, and those followed by its covered in-edges
+        out_edges = [[] for _ in range(g.n)]
+        in_edges = [[] for _ in range(g.n)]
+        for e in self.edges:
+            out_edges[edges[e][0]].append(e)
+            in_edges[edges[e][1]].append(e)
+        touching = [out + inn for out, inn in zip(out_edges, in_edges)]
         # membership is kept apart from pot: a tree distance can overflow to INF
         on_tree = [False] * g.n
         on_tree[root] = True
@@ -86,7 +104,7 @@ class ClaimContext:
             on_tree[head] = True
             pot[head] = pot[tail] + length
             child = frame[1]
-            for e in out_edges[head] + in_edges[head]:
+            for e in touching[head]:
                 t, w, le = edges[e]
                 if pot[w] > pot[t] + le:
                     child |= 1 << e

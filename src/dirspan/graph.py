@@ -12,7 +12,6 @@ and one Floyd-Warshall sweep in numpy gives the same rows bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -418,29 +417,3 @@ def shortest_path_tree(g, root, table=None):
     """
     return frozenset((table or DistanceTable(g)).trees((root,))[0].nonzero()[0].tolist())
 
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """Subgraph on a vertex subset plus maps back to the original indices."""
-
-    graph: DiGraph
-    vertices: tuple  # new vertex id -> original vertex id
-    edge_map: tuple  # new edge id -> original edge id
-
-
-def induced_subgraph(g, vs):
-    vs = sorted(set(vs))
-    for v in vs:
-        _check_vertex(g, v, "vertex")
-    new_id = {v: i for i, v in enumerate(vs)}
-    sub_edges = []
-    edge_map = []
-    for i, (tail, head, length) in enumerate(g.edges):
-        if tail in new_id and head in new_id:
-            sub_edges.append((new_id[tail], new_id[head], length))
-            edge_map.append(i)
-    return InducedSubgraph(
-        graph=DiGraph(len(vs), sub_edges),
-        vertices=tuple(vs),
-        edge_map=tuple(edge_map),
-    )

@@ -12,11 +12,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arborescence import ClaimContext
 from .errors import BadSpec
-from .graph import DistanceTable, induced_subgraph
+from .graph import DistanceTable
 from .lp import build_lp, solve_lp
 from .rounding import CLAIMS_STREAM, RoundingParams, _stream, build_spanner, edge_inclusion_probs, select_alpha
 from .verify import brute_force_opt
@@ -148,9 +146,12 @@ def claim_cap(threshold):
 def run_claims(config, g):
     """Check both claims on every demand of graph g.
 
-    The cut-mass check runs once per demand against the solved LP; the
-    equivalence check runs config.trials times per demand on random
-    subgraphs and thresholds drawn from the run seed.
+    Each demand's claims are stated on the subgraph its covered vertices
+    induce, so its ClaimContext grows on g over the covered edges and every
+    edge index stays g's.  The cut-mass check runs once per demand against
+    the solved LP's x; the equivalence check runs config.trials times per
+    demand on random subgraphs of the covered edges, each kept with
+    probability 1/2, and thresholds drawn from the run seed.
     """
     t0 = time.perf_counter()
     model = build_lp(g, config.k)
@@ -163,15 +164,12 @@ def run_claims(config, g):
     claim2_violations = 0
     min_mass = None
     for d in range(g.m):
-        sub = induced_subgraph(g, model.demand_paths[d].covered)
         u, v, length = g.edges[d]
-        su, sv = sub.vertices.index(u), sub.vertices.index(v)
-        ctx = ClaimContext(sub.graph, su, sv)
+        ctx = ClaimContext(g, u, v, model.demand_paths[d].covered)
         trees_total += len(ctx.trees)
 
-        x_sub = [sol.x[orig] for orig in sub.edge_map]
         threshold = config.k * length
-        worst = ctx.min_long_cut_mass(x_sub, threshold)
+        worst = ctx.min_long_cut_mass(sol.x, threshold)
         claim2_long_trees += ctx.long_tree_count(threshold)
         if worst is not None:
             if min_mass is None or worst < min_mass:
@@ -181,7 +179,7 @@ def run_claims(config, g):
 
         cap = claim_cap(threshold)
         for _ in range(config.trials):
-            h_edges = frozenset(np.flatnonzero(rng.random(sub.graph.m) < 0.5).tolist())
+            h_edges = frozenset(e for e, r in zip(ctx.edges, rng.random(len(ctx.edges)).tolist()) if r < 0.5)
             k_rand = float(rng.random()) * cap
             if ctx.path_within(h_edges, k_rand) != ctx.all_long_trees_cut(h_edges, k_rand):
                 claim1_disagreements += 1

@@ -83,6 +83,29 @@ MUTANTS = (
         "stack.append([0, child, head, end])",
         (golden("claims"), golden("small6-k1"), golden("er10-k3"), golden("huge-lengths")),
     ),
+    # a claim context lets in the covered vertices' edges to uncovered heads
+    Mutant(
+        "claim-tree-uncovered-edge",
+        "src/dirspan/arborescence.py",
+        "inside[t] and inside[h]",
+        "inside[t]",
+        (
+            "tests/test_arborescence.py::test_incremental_masks_match_census",
+            golden("claims"),
+            golden("small6-k1"),
+            golden("er10-k3"),
+            golden("huge-lengths"),
+            golden("disconnected"),
+        ),
+    ),
+    # a tree whose distance to the target equals the threshold counts as long
+    Mutant(
+        "long-tree-count-not-strict",
+        "src/dirspan/arborescence.py",
+        "return sum(1 for dist_v, _ in self.trees if dist_v > K)",
+        "return sum(1 for dist_v, _ in self.trees if dist_v >= K)",
+        ("tests/test_arborescence.py::test_claim_context_boundary_is_strict",),
+    ),
     # the all-pairs sweep never routes a path through the last vertex
     Mutant(
         "all-pairs-skips-last-vertex",

@@ -4,7 +4,8 @@ Lengths come from {0, 1, 2, 3}, so every sum a run forms is exact in floats and
 the package and the oracles must agree to the last bit on every comparison.
 The CLI's -k is an integer, so k = 1.5, a fractional budget, is judged on
 run_solve and is_k_spanner called directly.  Relabelling the vertices and
-reordering the edges must move no verdict of lp, oracle or verify.
+reordering the edges must move no verdict of lp, oracle or verify, and
+relabelling the vertices alone must move nothing in a claims report.
 """
 
 import contextlib
@@ -118,13 +119,15 @@ def test_fractional_k_agrees_with_the_oracles(case):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_instances(), st.data())
 def test_relabelling_vertices_and_reordering_edges_changes_no_verdict(tmp_path_factory, case, data):
-    n, edges, _, k, _, _ = case
+    n, edges, _, k, _, seed = case
     perm = data.draw(st.permutations(range(n)))
     order = data.draw(st.permutations(range(len(edges))))
     d = tmp_path_factory.mktemp("relabel")
     (d / "g.txt").write_text(serialize_graph(build_graph(n, edges)))
     moved = [(perm[edges[e][0]], perm[edges[e][1]], edges[e][2]) for e in order]
     (d / "moved.txt").write_text(serialize_graph(build_graph(n, moved)))
+    relabelled = [(perm[tail], perm[head], length) for tail, head, length in edges]
+    (d / "relabelled.txt").write_text(serialize_graph(build_graph(n, relabelled)))
 
     def run(command, name, *flags):
         return _report([command, str(d / f"{name}.txt"), "-k", str(k), *flags])
@@ -142,3 +145,12 @@ def test_relabelling_vertices_and_reordering_edges_changes_no_verdict(tmp_path_f
         hpath.write_text("".join(f"{label[edges[e][0]]} {label[edges[e][1]]}\n" for e in oracle["witness"]))
         verdicts.append(run("verify", name, "--subgraph", str(hpath))["feasible"])
     assert verdicts[0] == verdicts[1]
+
+    # with the edge order kept, every edge index, LP column and claim draw stays
+    # the same, so the whole claims report does, but for its timing and label
+    claims = []
+    for name in ("g", "relabelled"):
+        report = run("claims", name, "--trials", "2", "--seed", str(seed))
+        del report["timing"], report["instance"]["input"]
+        claims.append(report)
+    assert claims[0] == claims[1]

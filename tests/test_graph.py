@@ -12,7 +12,6 @@ from dirspan import (
     NegativeLength,
     SelfLoop,
     build_graph,
-    induced_subgraph,
 )
 import dirspan.graph
 from dirspan.graph import (
@@ -26,7 +25,7 @@ from dirspan.graph import (
 from dirspan.paths import demand_path_sets
 from dirspan.verify import is_k_spanner
 
-from oracles import dp_distances, make_rng, random_edge_list
+from oracles import dp_distances, make_rng
 from support import _dijkstra, fresh_path_sets, fresh_shortest_path_tree
 
 
@@ -141,16 +140,6 @@ def test_distance_matrix_three_cycle():
         [2.0, 0.0, 1.0],
         [1.0, 2.0, 0.0],
     ]
-
-
-def test_induced_subgraph_mapping():
-    g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 5.0)])
-    sub = induced_subgraph(g, [0, 1, 3])
-    assert sub.vertices == (0, 1, 3)
-    assert sub.graph.n == 3
-    # surviving edges: 0->1 and 0->3 (as 0->2 in local ids)
-    assert sub.graph.edges == ((0, 1, 1.0), (0, 2, 5.0))
-    assert sub.edge_map == (0, 3)
 
 
 @settings(max_examples=120, deadline=None)
@@ -398,21 +387,6 @@ def test_dijkstra_float_lengths_match_dp():
                     edges.append((i, j, rng.random() * 3))
         g = build_graph(n, edges)
         assert DistanceTable(g).outward(trial % n) == dp_distances(n, edges, trial % n)
-
-
-def test_induced_subgraph_distances_never_shorter_than_host():
-    rng = make_rng(7)
-    for _ in range(25):
-        n = rng.randint(2, 8)
-        edges = random_edge_list(rng, n, 0.4, max_len=3)
-        g = build_graph(n, edges)
-        vs = sorted(rng.sample(range(n), rng.randint(1, n)))
-        sub = induced_subgraph(g, vs)
-        host = distance_matrix(g)
-        local = distance_matrix(sub.graph)
-        for a, va in enumerate(sub.vertices):
-            for b, vb in enumerate(sub.vertices):
-                assert local[a][b] >= host[va][vb]
 
 
 DECIMAL_LENGTHS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.1)

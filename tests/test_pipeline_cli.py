@@ -60,12 +60,12 @@ def test_trial_seed_wraps_and_spreads():
 PUBLIC_NAMES = {
     "BadSpec", "ClaimContext", "DemandPaths", "DiGraph", "DirspanError",
     "DuplicateEdge", "ExplosionCap", "GenSpec", "GraphError", "GraphSyntaxError", "INF",
-    "IndexOutOfRange", "InducedSubgraph", "LpModel", "LpSolution",
+    "IndexOutOfRange", "LpModel", "LpSolution",
     "NegativeLength", "NumericalFailure", "OptResult", "PathExplosion",
     "RoundingParams", "RunConfig", "SelfLoop", "SpannerCheck", "SpannerResult", "TooLarge",
     "brute_force_opt", "build_graph", "build_lp", "build_spanner",
     "dumps_report", "edge_inclusion_probs", "enumerate_demand_paths",
-    "export_lp_text", "generate_instance", "induced_subgraph", "is_k_spanner", "parse_gen_spec",
+    "export_lp_text", "generate_instance", "is_k_spanner", "parse_gen_spec",
     "parse_graph", "round_edges", "run_claims", "run_oracle", "run_solve",
     "sample_tree_roots", "select_alpha", "serialize_graph",
     "solve_lp", "trial_seed", "violated_rows",
