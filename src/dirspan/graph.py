@@ -262,42 +262,17 @@ def _all_pairs(g):
     return d
 
 
-class DemandBudgets:
-    """Each demand's dist_G, its budget k * dist_G and whether its own edge fits that budget, at one k.
-
-    dist and budget are lists over g's edges, None until filled, and fits is
-    a boolean array, False until filled.  fill(tail) fills every demand of
-    one tail from the table's outward row, so a row is read only when some
-    demand of its tail is first needed.
-    """
-
-    __slots__ = ("table", "k", "dist", "budget", "fits")
-
-    def __init__(self, table, k):
-        self.table = table
-        self.k = k
-        self.dist = [None] * table.g.m
-        self.budget = [None] * table.g.m
-        self.fits = np.zeros(table.g.m, dtype=bool)
-
-    def fill(self, tail):
-        g = self.table.g
-        row = self.table.outward(tail)
-        for e in g.out_edges[tail]:
-            _, head, length = g.edges[e]
-            dist = self.dist[e] = row[head]
-            budget = self.budget[e] = self.k * dist
-            self.fits[e] = length <= budget
-
-
 class DistanceTable:
     """One run's cache of G: its distance rows, shortest-path trees and demand budgets, each computed on first request.
 
     outward(v) is dist_G(v, w) and inward(v) is dist_G(w, v) over every w;
-    trees(roots) gives each root's tree edges and budgets(k) the demands'
-    budgets at k.  A row is a PausedSearch over every edge of G run to the
-    end, except on an exact graph (_exact): there the first inward row, or
-    the first trees call, builds _all_pairs's matrix, and every row asked
+    trees(roots) gives each root's tree edges.  budgets(k) is the pair the
+    spanner check keeps at k: a list over g's edges of each demand's budget
+    k * dist_G, None until the check first reads that demand and fills it,
+    and a boolean array of whether the demand's own edge fits that budget,
+    False until then.  A row is a PausedSearch over every edge of G run to
+    the end, except on an exact graph (_exact): there the first inward row,
+    or the first trees call, builds _all_pairs's matrix, and every row asked
     for after that is a row or column of it.  Outward rows asked for before
     that stay searched, so a caller that reads only outward rows, as the
     spanner check does, still searches only the tails it needs.  Everything
@@ -318,7 +293,7 @@ class DistanceTable:
         self._in = {}
         self._trees = {}
         self._groups = None  # _edge_groups(g), built with the first tree
-        self._budgets = {}  # k -> DemandBudgets
+        self._budgets = {}  # k -> (budget list, fits array)
 
     def outward(self, source):
         row = self._out.get(source)
@@ -350,7 +325,7 @@ class DistanceTable:
     def budgets(self, k):
         budgets = self._budgets.get(k)
         if budgets is None:
-            budgets = self._budgets[k] = DemandBudgets(self, k)
+            budgets = self._budgets[k] = ([None] * self.g.m, np.zeros(self.g.m, dtype=bool))
         return budgets
 
     def trees(self, roots):
@@ -410,10 +385,12 @@ class DistanceTable:
         return [self._trees[r] for r in roots]
 
 
-def shortest_path_tree(g, root, table=None):
-    """The root's outward and inward tree edges as one set: its row of table.trees.
+def shortest_path_tree(g, root):
+    """The root's outward and inward tree edges as one set: its row of a fresh DistanceTable's trees.
 
-    table is a DistanceTable of g; without one a fresh table builds the row.
+    No runtime path calls it, since a run reads its own table's trees.  It
+    stays public because the benchmark's tracer binds it by name
+    (benchmarks/tracer.py).
     """
-    return frozenset((table or DistanceTable(g)).trees((root,))[0].nonzero()[0].tolist())
+    return frozenset(DistanceTable(g).trees((root,))[0].nonzero()[0].tolist())
 

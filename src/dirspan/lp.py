@@ -138,8 +138,7 @@ def violated_rows(model, z):
     for e in sorted(model.mandatory):
         if z[e] < 1.0 - CHECK_TOL:
             fails.append(f"presolved edge {e} below 1: {z[e]}")
-    for row, sense, b, label in zip(p.a, p.senses, p.b, model.row_labels):
-        val = float(row @ z)
+    for val, sense, b, label in zip((p.a @ z).tolist(), p.senses, p.b, model.row_labels):
         if sense == GREATER and val < b - CHECK_TOL:
             fails.append(f"row {label} = {val} < {b}")
         elif sense == LESS and val > b + CHECK_TOL:

@@ -42,8 +42,6 @@ def enumerate_demand_paths(g, k, demand, table):
     emits.  Exceeding MAX_PATHS raises PathExplosion, and a demand outside
     0..m-1 raises IndexOutOfRange.
     """
-    if k < 1:
-        raise ValueError(f"stretch factor must be >= 1, got {k}")
     if not 0 <= demand < g.m:
         raise IndexOutOfRange(f"demand {demand} outside 0..{g.m - 1}")
     src, dst, _ = g.edges[demand]

@@ -41,8 +41,6 @@ def select_alpha(mode, n, k):
     """
     log_n = math.log(max(n, 2))
     if mode == "unit":
-        if k < 1:
-            raise ValueError("unit mode needs the stretch factor k >= 1")
         return 10.0 * math.sqrt(k) * log_n
     if mode == "general":
         return 5.0 * log_n
@@ -54,12 +52,6 @@ class RoundingParams:
     alpha: float
     seed: int
     k: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.k < 1:
-            raise ValueError(f"stretch factor must be >= 1, got {self.k}")
 
 
 def edge_inclusion_probs(x, alpha, n):

@@ -5,9 +5,9 @@ every pair; checking only the demand pairs (the edges of G) is equivalent,
 because shortest paths of G decompose into edges.  H = E needs no search
 at k >= 1; otherwise the check searches H only from the tails that some
 demand needs, only as far as each demand's head needs, and only up to the
-first violation.  Each demand's dist_G, its budget k * dist_G and whether
-its own edge fits that budget are the run's, kept per k on its
-DistanceTable, so the checks of one run compute them once.  The optimum
+first violation.  Each demand's budget k * dist_G and whether its own
+edge fits that budget are kept per k on the run's DistanceTable, beside
+G's rows, so the checks of one run compute them once.  The optimum
 search fixes the edges no alternative route can replace, then branches
 over the rest with bitmask path covers.
 """
@@ -31,15 +31,14 @@ class SpannerCheck:
     violation: tuple | None  # (demand edge index, dist_g, dist_h)
 
 
-def demand_distance_rows(g, table=None):
-    """dist_G rows for every demand tail: table's outward rows (a fresh DistanceTable of g when not given).
+def demand_distance_rows(g):
+    """dist_G rows for every demand tail: the outward rows of a fresh DistanceTable of g.
 
-    No runtime path calls it, since is_k_spanner fills its budgets from each
-    row on first need.  It stays public because the benchmark's tracer
-    binds it by name (benchmarks/tracer.py); tests use it to fill a table.
+    No runtime path calls it, since is_k_spanner reads each row through the
+    run's table on first need.  It stays public because the benchmark's
+    tracer binds it by name (benchmarks/tracer.py).
     """
-    if table is None:
-        table = DistanceTable(g)
+    table = DistanceTable(g)
     return {s: table.outward(s) for s in sorted({tail for tail, _, _ in g.edges})}
 
 
@@ -54,12 +53,13 @@ def is_k_spanner(g, h_edges, k, table=None):
     dist_H[head] <= 0.0 + length exactly.  Each other demand resumes its
     tail's PausedSearch over H, started on first need, only until the head
     is within budget; on a violation the search has run to the end, so
-    dist_h is the exact H distance.  dist_G, the budget and the fit come
-    from table.budgets(k) (table a DistanceTable of g; a fresh one when not
-    given), which a run's checks share and which reads a tail's outward row
-    when the scan first reaches that tail, so the check searches G through
-    the run's table alone.  Raises IndexOutOfRange for an H index outside
-    0..m-1 or a mask whose length is not m.
+    dist_h is the exact H distance.  The budget and the fit are kept in
+    table.budgets(k) (table a DistanceTable of g; a fresh one when not
+    given), which a run's checks share: the first check to read a demand
+    fills them from its tail's outward row of the table, which also gives a
+    violation's dist_g, so the check searches G through the run's table
+    alone.  Raises IndexOutOfRange for an H index outside 0..m-1 or a mask
+    whose length is not m.
     """
     if isinstance(h_edges, np.ndarray) and h_edges.dtype == bool:
         if h_edges.shape != (g.m,):
@@ -72,15 +72,14 @@ def is_k_spanner(g, h_edges, k, table=None):
         return SpannerCheck(feasible=True, violation=None)
     if table is None:
         table = DistanceTable(g)
-    budgets = table.budgets(k)
-    budget = budgets.budget
+    budget, fits = table.budgets(k)
     searches = {}
-    for d in (~(h & budgets.fits)).nonzero()[0].tolist():
+    for d in (~(h & fits)).nonzero()[0].tolist():
         tail, head, length = g.edges[d]
         allowed = budget[d]
-        if allowed is None:  # no check at this k has reached this tail yet
-            budgets.fill(tail)
-            allowed = budget[d]
+        if allowed is None:  # no check at this k has read this demand yet
+            allowed = budget[d] = k * table.outward(tail)[head]
+            fits[d] = length <= allowed
         if h_bytes[d] and length <= allowed:  # filled after the filter was taken
             continue
         search = searches.get(tail)
@@ -88,7 +87,7 @@ def is_k_spanner(g, h_edges, k, table=None):
             search = searches[tail] = PausedSearch(g, h_bytes, tail)
         got = search.reach(head, allowed)
         if not got <= allowed:
-            return SpannerCheck(feasible=False, violation=(d, budgets.dist[d], got))
+            return SpannerCheck(feasible=False, violation=(d, table.outward(tail)[head], got))
     return SpannerCheck(feasible=True, violation=None)
 
 

@@ -115,6 +115,7 @@ MUTANTS = (
         (
             "tests/test_graph.py::test_lengths_summing_below_2_53_take_the_matrix",
             "tests/test_graph.py::test_exact_graph_rows_match_searches",
+            "tests/test_differential.py::test_scaling_every_length_changes_no_report",
         ),
     ),
     # a -0.0 length stays -0.0 in the matrix, where a search's 0.0 + -0.0 gives 0.0
@@ -137,9 +138,25 @@ MUTANTS = (
     Mutant(
         "budget-fits-ignores-h",
         "src/dirspan/verify.py",
-        "(~(h & budgets.fits))",
-        "(~budgets.fits)",
+        "(~(h & fits))",
+        "(~fits)",
         (golden("solve-alpha-infeasible"),),
+    ),
+    # a demand filled by one check is skipped by every later check at its k, whatever its budget
+    Mutant(
+        "budget-fill-always-fits",
+        "src/dirspan/verify.py",
+        "fits[d] = length <= allowed",
+        "fits[d] = True",
+        ("tests/test_verify.py::test_shared_table_checks_match_fresh_and_eager",),
+    ),
+    # each demand's budget is dist_G, as if k were 1
+    Mutant(
+        "budget-fill-drops-k",
+        "src/dirspan/verify.py",
+        "k * table.outward(tail)[head]",
+        "table.outward(tail)[head]",
+        ("tests/test_verify.py::test_detour_pair_is_spanner",),
     ),
 )
 

@@ -31,7 +31,6 @@ from dirspan import (
 from dirspan.cli import load_input
 from dirspan.graph import DistanceTable
 from dirspan.rounding import EDGE_STREAM, _stream
-from dirspan.verify import demand_distance_rows
 
 from oracles import layered_lp_value, make_rng, random_edge_list
 from support import edge_check_equals_allpairs_check
@@ -263,7 +262,8 @@ def test_criterion_6_approximation_accounting(solved_batch):
         alpha = select_alpha(mode, g.n, k=k)
         bound = RATIO_CONST * math.sqrt(g.n) * math.log(g.n) * opt
         table = DistanceTable(g)
-        demand_distance_rows(g, table)
+        for s in sorted({tail for tail, _, _ in g.edges}):
+            table.outward(s)
         probs = edge_inclusion_probs(sol.x, alpha, g.n)
         for t in range(25):
             params = RoundingParams(alpha=alpha, seed=5000 + idx * 100 + t, k=k)

@@ -4,8 +4,9 @@ Lengths come from {0, 1, 2, 3}, so every sum a run forms is exact in floats and
 the package and the oracles must agree to the last bit on every comparison.
 The CLI's -k is an integer, so k = 1.5, a fractional budget, is judged on
 run_solve and is_k_spanner called directly.  Relabelling the vertices and
-reordering the edges must move no verdict of lp, oracle or verify, and
-relabelling the vertices alone must move nothing in a claims report.
+reordering the edges must move no verdict of lp, oracle or verify,
+relabelling the vertices alone must move nothing in a claims report, and
+scaling every length must move nothing in a solve or claims report.
 """
 
 import contextlib
@@ -154,3 +155,27 @@ def test_relabelling_vertices_and_reordering_edges_changes_no_verdict(tmp_path_f
         del report["timing"], report["instance"]["input"]
         claims.append(report)
     assert claims[0] == claims[1]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_instances())
+def test_scaling_every_length_changes_no_report(tmp_path_factory, case):
+    # every scaled sum stays exact, so each comparison keeps its outcome; x0.5 makes a graph with an
+    # odd length inexact, so its rows of G come from searches while x1, x2 and x1024 take the
+    # all-pairs matrix, and the relation cross-checks the two; --alpha holds alpha where the mode moves
+    n, edges, _, k, alpha, seed = case
+    d = tmp_path_factory.mktemp("scale")
+    reports = {}
+    for scale in (1, 2, 0.5, 1024):
+        path = d / f"g{scale}.txt"
+        path.write_text(serialize_graph(build_graph(n, [(t, h, length * scale) for t, h, length in edges])))
+        for argv in (
+            ["solve", str(path), "-k", str(k), "--alpha", alpha, "--trials", "3", "--seed", str(seed)],
+            ["claims", str(path), "-k", str(k), "--trials", "2", "--seed", str(seed)],
+        ):
+            report = _report(argv)
+            del report["timing"], report["instance"]["input"]
+            report["instance"].pop("mode", None)
+            reports[scale, argv[0]] = report
+    for (scale, command), report in reports.items():
+        assert report == reports[1, command], (scale, command)

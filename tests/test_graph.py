@@ -217,7 +217,7 @@ def test_shared_table_matches_fresh_searches(data):
             assert frozenset(row.nonzero()[0].tolist()) == fresh_shortest_path_tree(g, r)
 
     for r in roots[:split]:
-        assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)
+        assert tree_rows(table, [r]) == [fresh_shortest_path_tree(g, r)]
         rows_unchanged()
     assert demand_path_sets(g, k, table) == fresh_path_sets(g, k)
     rows_unchanged()
@@ -229,7 +229,7 @@ def test_shared_table_matches_fresh_searches(data):
         assert is_k_spanner(g, subset, k, table=table) == is_k_spanner(g, subset, k)
         rows_unchanged()
     for r in roots[split:]:
-        assert shortest_path_tree(g, r, table) == fresh_shortest_path_tree(g, r)
+        assert tree_rows(table, [r]) == [fresh_shortest_path_tree(g, r)]
         rows_unchanged()
 
 

@@ -170,22 +170,21 @@ def test_only_the_paused_search_pops_a_heap():
     ]
 
 
-# what the runtime-caller guard lets through because a benchmark binds it: name -> (the file under
-# the repo root that binds it, the parameters whose defaults no runtime call passes or leaves out);
-# each entry goes, or moves to tests/, when ROADMAP item 2 unbinds it
+# what the runtime-caller guard lets through because a benchmark binds it: name -> the file under
+# the repo root that binds it; each entry goes, or moves to tests/, when ROADMAP item 2 unbinds it
 BENCHMARK_BOUND = {
-    "graph.reverse_graph": ("benchmarks/tracer.py", ()),
-    "graph.shortest_path_tree": ("benchmarks/tracer.py", ("table",)),
-    "pipeline.RunConfig.jobs": ("benchmarks/workloads.py", ()),
-    "simplex.SimplexResult.iterations": ("benchmarks/tracer.py", ()),
-    "verify.demand_distance_rows": ("benchmarks/tracer.py", ("table",)),
+    "graph.reverse_graph": "benchmarks/tracer.py",
+    "graph.shortest_path_tree": "benchmarks/tracer.py",
+    "pipeline.RunConfig.jobs": "benchmarks/workloads.py",
+    "simplex.SimplexResult.iterations": "benchmarks/tracer.py",
+    "verify.demand_distance_rows": "benchmarks/tracer.py",
 }
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_BOUND))
 def test_each_benchmark_exemption_is_still_bound(name):
     # a benchmark that stops naming an exempt definition leaves it without a caller
-    path, _ = BENCHMARK_BOUND[name]
+    path = BENCHMARK_BOUND[name]
     text = (Path(__file__).resolve().parent.parent / path).read_text(encoding="utf-8")
     assert re.search(rf"\b{name.rpartition('.')[2]}\b", text), f"{path} no longer binds {name}"
 
@@ -246,15 +245,11 @@ def test_every_definition_and_default_has_a_runtime_caller():
             or (len(c.args) > i or arg in {kw.arg for kw in c.keywords}) == passing for c in mine
         ))
 
-    exempt = {name: args for name, (_, args) in BENCHMARK_BOUND.items() if args}
     unpassed = {name: args for name, fn in PACKAGE_FUNCTIONS if (args := defaults_no_call(fn, True))}
-    assert unpassed == {
-        "cli.main": ("argv",),  # the entry point, called with no argument outside the tests
-        **exempt,
-    }
+    assert unpassed == {"cli.main": ("argv",)}  # the entry point, called with no argument outside the tests
     # the mirror: a default that every call overrides only serves the tests
     unomitted = {name: args for name, fn in PACKAGE_FUNCTIONS if (args := defaults_no_call(fn, False))}
-    assert unomitted == exempt
+    assert unomitted == {}
 
 
 def test_mode_auto_detects_unit():

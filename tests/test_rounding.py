@@ -64,7 +64,7 @@ def test_select_alpha_below_two_vertices_is_the_n_2_constant(n):
     "kwargs",
     [
         {"mode": "unit", "n": 10},
-        {"mode": "unit", "n": 10, "k": 0.5},
+        {"mode": "general", "n": 10},
         {"mode": "banana", "n": 10, "k": 3},
     ],
 )
@@ -74,13 +74,6 @@ def test_select_alpha_rejects(kwargs):
     n = kwargs.pop("n")
     with pytest.raises(ValueError if "k" in kwargs else TypeError):
         select_alpha(mode, n, **kwargs)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        RoundingParams(alpha=0.0, seed=0, k=3)
-    with pytest.raises(ValueError):
-        RoundingParams(alpha=1.0, seed=0, k=0.5)
 
 
 def test_edge_inclusion_probs_clamped():

@@ -69,13 +69,15 @@ def test_full_edge_set_always_feasible():
 def filled_table(g):
     """A DistanceTable of g that already holds the outward row of every demand tail."""
     table = DistanceTable(g)
-    demand_distance_rows(g, table)
+    for s in sorted({tail for tail, _, _ in g.edges}):
+        table.outward(s)
     return table
 
 
 def test_precomputed_rows_give_same_answer():
     g = build_graph(3, TRIANGLE)
     table = filled_table(g)
+    assert table._out == demand_distance_rows(g)  # a fresh table's row of every demand tail
     assert is_k_spanner(g, {0, 2}, 2, table=table).feasible
     assert not is_k_spanner(g, {0}, 2, table=table).feasible
 
@@ -201,12 +203,9 @@ def test_lazy_check_matches_eager_reference(data):
     k = data.draw(st.sampled_from((1, 1.5, 2, 3)))
     given_rows = data.draw(st.sampled_from(("all", "some", "none")))
     table = DistanceTable(g)
-    if given_rows == "all":
-        demand_distance_rows(g, table)
-    elif given_rows == "some":
-        for s in sorted({tail for tail, _, _ in g.edges}):
-            if data.draw(st.booleans()):
-                table.outward(s)
+    for s in sorted({tail for tail, _, _ in g.edges}):
+        if given_rows == "all" or (given_rows == "some" and data.draw(st.booleans())):
+            table.outward(s)
     before = copy.deepcopy(table._out)
     assert is_k_spanner(g, h, k, table=None if given_rows == "none" else table) == eager_spanner_check(g, h, k)
     assert {s: table._out[s] for s in before} == before
@@ -247,11 +246,11 @@ def test_budgets_come_from_the_outward_rows():
     assert table.outward(4)[1] == 1.1 and table.inward(1)[4] < 1.1
     h = set(range(g.m)) - {9}
     assert is_k_spanner(g, h, 1, table=table) == eager_spanner_check(g, h, 1) == SpannerCheck(True, None)
-    budgets = table.budgets(1)
-    assert budgets.fits[5] and budgets.dist[5] == budgets.budget[5] == 1.1
+    budget, fits = table.budgets(1)
+    assert fits[5] and budget[5] == 1.1
     for d, (tail, head, length) in enumerate(g.edges):
-        assert budgets.dist[d] == table.outward(tail)[head]
-        assert budgets.fits[d] == (length <= budgets.budget[d])
+        assert budget[d] == table.outward(tail)[head]
+        assert fits[d] == (length <= budget[d])
 
 
 def test_h_mask_must_hold_one_entry_per_edge():
