@@ -197,35 +197,18 @@ def _select_parents(g, source, dist, outward):
     return parent
 
 
-def _edge_groups(g):
-    """G's edges grouped by the vertex a tree parent edge reaches.
+def _edge_slots(g):
+    """G's edges as 2m tree-parent slots (near, far, length, ids), in edge index order.
 
-    Returns (near, far, length, ids, starts, split) over 2m slots: the m
-    outward slots, each edge grouped under its head, then the m inward ones,
-    each under its tail.  Groups run in ascending vertex order with ascending
-    edge index inside; starts holds the first slot of each non-empty group
-    and split the number of outward groups.  near and far index a row
-    [outward(r) | inward(r)] of 2n distances.
+    Slot e walks edge e outward, from its tail to its head; slot m + e walks it
+    inward, from head + n to tail + n; ids holds each slot's edge.  near and
+    far index a row [outward(r) | inward(r)] of 2n distances.
     """
-    near, far, length, ids, starts = [], [], [], [], []
-    for shift, adj, near_end in ((0, g.in_edges, 0), (g.n, g.out_edges, 1)):
-        for w, lst in enumerate(adj):
-            if lst:
-                starts.append(len(ids))
-            for e in lst:
-                edge = g.edges[e]
-                near.append(edge[near_end] + shift)
-                far.append(w + shift)
-                length.append(edge[2])
-                ids.append(e)
-    return (
-        np.array(near, dtype=np.intp),
-        np.array(far, dtype=np.intp),
-        np.array(length, dtype=float),
-        np.array(ids, dtype=np.intp),
-        np.array(starts, dtype=np.intp),
-        sum(1 for lst in g.in_edges if lst),
-    )
+    tails, heads, lengths = zip(*g.edges)
+    tails, heads = np.array(tails, dtype=np.intp), np.array(heads, dtype=np.intp)
+    near = np.concatenate((tails, heads + g.n))
+    far = np.concatenate((heads, tails + g.n))
+    return near, far, np.tile(np.array(lengths, dtype=float), 2), np.arange(2 * g.m) % g.m
 
 
 def _exact(g):
@@ -282,7 +265,7 @@ class DistanceTable:
     lives for one run: nothing keeps it or its matrix on the graph.
     """
 
-    __slots__ = ("g", "_every", "_exact", "_pairs", "_out", "_in", "_trees", "_groups", "_budgets")
+    __slots__ = ("g", "_every", "_exact", "_pairs", "_out", "_in", "_trees", "_slots", "_budgets")
 
     def __init__(self, g):
         self.g = g
@@ -292,7 +275,7 @@ class DistanceTable:
         self._out = {}
         self._in = {}
         self._trees = {}
-        self._groups = None  # _edge_groups(g), built with the first tree
+        self._slots = None  # _edge_slots(g), built with the first tree
         self._budgets = {}  # k -> (budget list, fits array)
 
     def outward(self, source):
@@ -341,11 +324,15 @@ class DistanceTable:
         however many roots are asked for.
 
         A vertex's parent is its lowest-index tight edge, the edge _select_parents
-        picks whenever every tight edge climbs strictly in distance.  A root and
-        direction with a tight edge between two equal distances (a zero length,
-        or a positive one absorbed by rounding) goes through _select_parents
-        itself.  A tight edge into the root is such an edge, since it needs
-        dist 0 at its near end, so the root's own group needs no mask.
+        picks whenever every tight edge climbs strictly in distance: one
+        np.minimum.at per block scatters each tight slot's edge index onto the
+        cell of the vertex it reaches, in a row of 2n cells per root (outward
+        then inward) filled with m.  A root and direction with a tight edge
+        between two equal distances (a zero length, or a positive one absorbed
+        by rounding) resets its half of the row and goes through
+        _select_parents itself.  A tight edge into the root is such an edge,
+        since it needs dist 0 at its near end, so the root's own cell needs no
+        mask.
         """
         g = self.g
         new = sorted(set(roots) - self._trees.keys())
@@ -353,14 +340,16 @@ class DistanceTable:
             return [self._trees[r] for r in roots]
         for r in new:
             _check_vertex(g, r, "root")
-        # column m collects the groups without a tight edge and is dropped at the end
+        # column m collects the vertices without a tight edge and is dropped at the end
         member = np.zeros((len(new), g.m + 1), dtype=bool)
         if g.m:
-            if self._groups is None:
-                self._groups = _edge_groups(g)
-            near, far, length, ids, starts, split = self._groups
+            if self._slots is None:
+                self._slots = _edge_slots(g)
+            near, far, length, ids = self._slots
             pairs = self._matrix()
             step = max(1, _BLOCK_CELLS // (2 * max(g.n, g.m)))
+            # each slot's cell in a block's flattened chosen, row by row
+            cells = np.arange(min(step, len(new)))[:, None] * (2 * g.n) + far
             with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf, which is never tight
                 for lo in range(0, len(new), step):
                     block = new[lo : lo + step]
@@ -372,11 +361,12 @@ class DistanceTable:
                     d_near = dist[:, near]
                     d_far = dist[:, far]
                     tight = d_near + length == d_far
-                    chosen = np.minimum.reduceat(np.where(tight, ids, g.m), starts, axis=1)
+                    chosen = np.full((len(block), 2 * g.n), g.m)
+                    np.minimum.at(chosen.ravel(), cells[: len(block)].ravel(), np.where(tight, ids, g.m).ravel())
                     ties = tight & (d_near == d_far)
                     if ties.any():
                         for i, inward in zip(*ties.reshape(len(block), 2, g.m).any(axis=2).nonzero()):
-                            chosen[i, slice(split, None) if inward else slice(split)] = g.m
+                            chosen[i, g.n * inward : g.n * (inward + 1)] = g.m
                             r = block[i]
                             parents = _select_parents(g, r, self.inward(r) if inward else self.outward(r), not inward)
                             member[lo + i, [e for e in parents if e is not None]] = True

@@ -99,6 +99,9 @@ def run_solve(config, g, opt=None, sol=None):
 
     feasible_count = sum(1 for r in records if r["feasible"])
     eh_sizes = [r["eh_size"] for r in records]
+    mean_eh = sum(eh_sizes) / len(eh_sizes) if eh_sizes else None
+    # inf, read as null, with no trial or a zero LP value, or when a tiny one (5e-324) overflows the quotient
+    ratio_vs_lp = mean_eh / sol.objective_value if eh_sizes and sol.objective_value else math.inf
     return {
         "instance": {"input": config.input, "n": g.n, "m": g.m, "k": config.k, "mode": mode},
         "alpha": alpha,
@@ -108,16 +111,10 @@ def run_solve(config, g, opt=None, sol=None):
         "aggregate": {
             "trials": config.trials,
             "feasible_fraction": (feasible_count / config.trials) if config.trials else None,
-            "mean_eh": (sum(eh_sizes) / len(eh_sizes)) if eh_sizes else None,
+            "mean_eh": mean_eh,
             "max_eh": max(eh_sizes) if eh_sizes else None,
-            "ratio_vs_lp": (
-                sum(eh_sizes) / len(eh_sizes) / sol.objective_value
-                if eh_sizes and sol.objective_value
-                else None
-            ),
-            "ratio_vs_opt": (
-                sum(eh_sizes) / len(eh_sizes) / opt if eh_sizes and opt else None
-            ),
+            "ratio_vs_lp": ratio_vs_lp if ratio_vs_lp < math.inf else None,
+            "ratio_vs_opt": mean_eh / opt if eh_sizes and opt else None,
         },
         "timing": {
             "lp_seconds": t_lp - t0,

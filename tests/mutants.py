@@ -75,6 +75,31 @@ MUTANTS = (
         "for e in reversed(adj[w]):",
         (golden("solve-zero-ties-small-alpha"), golden("huge-lengths")),
     ),
+    # every root of a block scatters its parents onto the block's first row
+    Mutant(
+        "tree-scatter-drops-row-offset",
+        "src/dirspan/graph.py",
+        "[:, None] * (2 * g.n) + far",
+        "[:, None] * 0 + far",
+        (
+            "tests/test_graph.py::test_exact_graph_rows_match_searches",
+            "tests/test_graph.py::test_bulk_trees_match_per_root_scan",
+            golden("solve-oracle"),
+            golden("lp-then-round"),
+            golden("gen"),
+        ),
+    ),
+    # a tie resets the other direction's half of the root's row, keeping the scatter's parents on its own
+    Mutant(
+        "tree-tie-resets-other-half",
+        "src/dirspan/graph.py",
+        "g.n * inward : g.n * (inward + 1)",
+        "g.n * (1 - inward) : g.n * (2 - inward)",
+        (
+            "tests/test_graph.py::test_exact_graph_rows_match_searches",
+            "tests/test_graph.py::test_bulk_trees_match_per_root_scan",
+        ),
+    ),
     # a child frame restarts at frontier slot 0, so trees are grown more than once
     Mutant(
         "claim-tree-child-restarts-frontier",

@@ -430,7 +430,7 @@ def test_bulk_trees_match_per_root_scan(data):
     cells = data.draw(st.integers(min_value=1, max_value=6 * max(n, g.m)))
     shared = DistanceTable(g)
     with mock.patch.object(dirspan.graph, "_BLOCK_CELLS", cells):
-        for _ in range(2):  # the shared table's second call reuses its rows, trees and edge grouping
+        for _ in range(2):  # the shared table's second call reuses its rows, trees and edge slots
             roots = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n + 3))
             expect = [fresh_shortest_path_tree(g, r) for r in roots]
             fresh = DistanceTable(g)  # builds every root in this one call

@@ -82,7 +82,8 @@ def test_public_surface_is_pinned():
 
 @pytest.mark.parametrize(
     "kwargs", [{"alpha_override": -math.inf}, {"alpha_override": 0.0}, {"alpha_override": -5.0},
-               {"alpha_override": math.nan}, {"alpha_override": math.inf}]
+               {"alpha_override": math.nan}, {"alpha_override": math.inf}],
+    ids=["kwargs0", "kwargs1", "kwargs2", "kwargs3", "kwargs4"],  # stable names, whichever case goes
 )
 def test_run_config_rejects_bad_mode_or_alpha(kwargs):
     with pytest.raises(BadSpec):
@@ -755,6 +756,8 @@ def test_readme_cli_table_matches_parser():
         ["oracle", "gen:cycle:n=4", "-k", "2", "--max-free-edges", "0"],
         ["claims", "gen:cycle:n=4", "-k", "2", "--max-trees", "1"],
     ],
+    # stable names, whichever case goes
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6", "argv7", "argv8", "argv9", "argv10", "argv11"],
 )
 def test_cli_unread_flag_is_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -791,6 +794,7 @@ def test_cli_ignores_cap_variables(tmp_path, capsys, monkeypatch, command, var, 
         ["--alpha=-inf"],
         ["--alpha", "0", "--oracle"],
     ],
+    ids=["flags0", "flags1", "flags2", "flags3", "flags4", "flags5"],  # stable names, whichever case goes
 )
 def test_cli_bad_alpha_or_mode_is_exit_2(capsys, monkeypatch, flags, trials):
     # rejected before the oracle and the LP solve, whether or not a trial would use the value;
@@ -825,6 +829,7 @@ def test_cli_non_finite_length_is_exit_2(tmp_path, capsys, command, length):
         ["round", "gen:cycle:n=4", "-k", "2", "--seed", "-1", "--lp", "no-such-dump.json"],
         ["claims", "gen:cycle:n=4", "-k", "2", "--seed", "-1"],
     ],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"],  # stable names, whichever case goes
 )
 def test_cli_negative_trials_or_k_is_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)

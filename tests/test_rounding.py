@@ -67,6 +67,7 @@ def test_select_alpha_below_two_vertices_is_the_n_2_constant(n):
         {"mode": "general", "n": 10},
         {"mode": "banana", "n": 10, "k": 3},
     ],
+    ids=["unit-without-k", "general-without-k", "unknown-mode"],
 )
 def test_select_alpha_rejects(kwargs):
     # k is required whatever the mode: leaving it out is a TypeError, not a mode's ValueError
