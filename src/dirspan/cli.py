@@ -25,7 +25,7 @@ from dataclasses import fields
 from .errors import BadSpec, DirspanError, ExplosionCap, NumericalFailure, PathExplosion, TooLarge
 from .generate import generate_instance, parse_gen_spec
 from .io import dumps_report, parse_graph, parse_subgraph, serialize_graph
-from .lp import CHECK_TOL, LpSolution, build_lp, export_lp_text, solve_lp
+from .lp import CHECK_TOL, LpSolution, build_lp, export_lp_text, solve_lp, x_is_feasible
 from .pipeline import RunConfig, claim_cap, run_claims, run_oracle, run_solve
 from .verify import is_k_spanner
 
@@ -165,6 +165,8 @@ def _cmd_round(args, config, g):
         raise BadSpec("LP dump x sums past the largest double") from None
     if abs(dump["objective"] - total) > CHECK_TOL * max(1.0, total):
         raise BadSpec(f"LP dump objective {dump['objective']!r} is not the sum of its x, {total!r}")
+    if not x_is_feasible(build_lp(g, config.k), x):
+        raise BadSpec("LP dump x is not feasible for the LP of this graph and k")
     sol = LpSolution(x=x, objective_value=float(dump["objective"]))
     report = run_solve(config, g=g, sol=sol)
     frac = report["aggregate"]["feasible_fraction"]

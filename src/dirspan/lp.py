@@ -146,6 +146,13 @@ def violated_rows(model, z):
     return fails
 
 
+def x_is_feasible(model, x):
+    """True when some flows meet every row with x: phase 1 over the flow columns alone, then violated_rows."""
+    p, m = model.program, model.graph.m
+    res = solve_simplex(np.zeros(p.a.shape[1] - m), p.a[:, m:], p.b - p.a[:, :m] @ x, p.senses, lower=p.lower[m:])
+    return res.status == "optimal" and not violated_rows(model, np.concatenate([x, res.z]))
+
+
 def export_lp_text(model):
     """Writable LP-format text of the model, for external cross-checking."""
     p = model.program

@@ -3,9 +3,9 @@
 Every edge (u, v) of the input graph is a demand: the spanner must connect u to
 v within k times their shortest distance.  The demand's path set is the simple
 u->v paths whose length stays within that budget, each a tuple of edge
-indices; the vertices they visit form the demand's covered set.  The LP and
-the exact optimum search both read one complete path set per demand, so
-neither may drop a within-budget path.
+indices.  The LP and the exact optimum search both read one complete path
+set per demand, so neither may drop a within-budget path; the claims derive
+each demand's covered vertices, those its paths visit, from the same set.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ MAX_PATHS = 100_000  # within-budget simple paths one demand may have
 
 @dataclass(frozen=True)
 class DemandPaths:
+    """One demand's complete path set; run_claims derives the demand's covered vertices from paths."""
+
     demand: int  # edge index in the host graph
     paths: tuple  # tuple of edge-index tuples, tail to head, DFS discovery order
-    covered: frozenset  # union of the paths' edge endpoints
 
     @property
     def mandatory(self):
@@ -75,8 +76,7 @@ def enumerate_demand_paths(g, k, demand, table):
             stack.pop()
             if path:
                 on_path[g.edges[path.pop()][1]] = False
-    covered = frozenset(v for p in paths for e in p for v in g.edges[e][:2])
-    return DemandPaths(demand=demand, paths=tuple(paths), covered=covered)
+    return DemandPaths(demand=demand, paths=tuple(paths))
 
 
 def demand_path_sets(g, k, table=None):

@@ -143,12 +143,12 @@ def claim_cap(threshold):
 def run_claims(config, g):
     """Check both claims on every demand of graph g.
 
-    Each demand's claims are stated on the subgraph its covered vertices
-    induce, so its ClaimContext grows on g over the covered edges and every
-    edge index stays g's.  The cut-mass check runs once per demand against
-    the solved LP's x; the equivalence check runs config.trials times per
-    demand on random subgraphs of the covered edges, each kept with
-    probability 1/2, and thresholds drawn from the run seed.
+    Each demand's claims are stated on the subgraph that its covered
+    vertices, those its LP paths visit, induce: its ClaimContext grows on g
+    over the covered edges, so every edge index stays g's.  The cut-mass
+    check runs once per demand against the solved LP's x; the equivalence
+    check runs on config.trials random subgraphs of the covered edges (each
+    kept with probability 1/2) and thresholds, one draw per demand.
     """
     t0 = time.perf_counter()
     model = build_lp(g, config.k)
@@ -162,7 +162,8 @@ def run_claims(config, g):
     min_mass = None
     for d in range(g.m):
         u, v, length = g.edges[d]
-        ctx = ClaimContext(g, u, v, model.demand_paths[d].covered)
+        covered = {w for p in model.demand_paths[d].paths for e in p for w in g.edges[e][:2]}
+        ctx = ClaimContext(g, u, v, covered)
         trees_total += len(ctx.trees)
 
         threshold = config.k * length
@@ -175,9 +176,9 @@ def run_claims(config, g):
                 claim2_violations += 1
 
         cap = claim_cap(threshold)
-        for _ in range(config.trials):
-            h_edges = frozenset(e for e, r in zip(ctx.edges, rng.random(len(ctx.edges)).tolist()) if r < 0.5)
-            k_rand = float(rng.random()) * cap
+        for row in rng.random((config.trials, len(ctx.edges) + 1)).tolist():
+            h_edges = [e for e, r in zip(ctx.edges, row) if r < 0.5]  # zip stops before the threshold's draw
+            k_rand = row[-1] * cap
             if ctx.path_within(h_edges, k_rand) != ctx.all_long_trees_cut(h_edges, k_rand):
                 claim1_disagreements += 1
 

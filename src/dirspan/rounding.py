@@ -8,8 +8,8 @@ whose covered vertex set is large, the rounded edges handle the rest with
 high probability, and the expected size stays within alpha * sqrt(n) times
 the LP value plus the tree budget.  A run computes the keep probabilities
 once and its DistanceTable keeps each root's tree row, so a trial only
-draws, ORs the kept edges and tree rows into one boolean mask of H and
-checks that mask.
+draws, ORs the kept edges and tree rows into one boolean mask of H, checks
+that mask and keeps its edge index arrays.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ def sample_tree_roots(n, alpha, rng):
 
 @dataclass(frozen=True)
 class SpannerResult:
-    rounded_edges: frozenset
-    tree_roots: frozenset
-    tree_edges: frozenset
-    e_h: frozenset
+    rounded_edges: np.ndarray  # this and the other edge fields: ascending edge indices of g
+    tree_roots: frozenset  # as sample_tree_roots draws them
+    tree_edges: np.ndarray
+    e_h: np.ndarray
     feasible: bool
 
 
@@ -98,19 +98,17 @@ def build_spanner(g, lp_sol, params, table, probs):
     table, the run's DistanceTable of g, lets many trials on one graph share
     work: it keeps each root's tree row and the demand budgets the check
     reads.  H is one boolean mask, the kept edges ORed with the roots' tree
-    rows, and the check reads it as it is.
+    rows; the check reads it as it is and the result keeps index arrays.
     """
     kept = round_edges(probs, _stream(params.seed, EDGE_STREAM))
     roots = sample_tree_roots(g.n, params.alpha, _stream(params.seed, ROOT_STREAM))
     rows = table.trees(roots)
     trees = np.logical_or.reduce(rows) if rows else np.zeros(g.m, dtype=bool)
-    check = is_k_spanner(g, kept | trees, params.k, table=table)
-    rounded = frozenset(kept.nonzero()[0].tolist())
-    tree_edges = frozenset(trees.nonzero()[0].tolist())
+    h = kept | trees
     return SpannerResult(
-        rounded_edges=rounded,
+        rounded_edges=np.flatnonzero(kept),
         tree_roots=roots,
-        tree_edges=tree_edges,
-        e_h=rounded | tree_edges,
-        feasible=check.feasible,
+        tree_edges=np.flatnonzero(trees),
+        e_h=np.flatnonzero(h),
+        feasible=is_k_spanner(g, h, params.k, table=table).feasible,
     )

@@ -183,6 +183,38 @@ MUTANTS = (
         "table.outward(tail)[head]",
         ("tests/test_verify.py::test_detour_pair_is_spanner",),
     ),
+    # a trial's E_H is its rounded edges alone, without the trees
+    Mutant(
+        "spanner-eh-from-kept-mask",
+        "src/dirspan/rounding.py",
+        "e_h=np.flatnonzero(h),",
+        "e_h=np.flatnonzero(kept),",
+        ("tests/test_rounding.py::test_tree_edge_budget_holds", golden("lp-then-round")),
+    ),
+    # a claim context covers only the tails of its demand's path edges
+    Mutant(
+        "claims-covered-tails-only",
+        "src/dirspan/pipeline.py",
+        "g.edges[e][:2]}",
+        "g.edges[e][:1]}",
+        ("tests/test_pipeline_cli.py::test_run_claims_enumerates_each_demand_once", golden("claims")),
+    ),
+    # round takes any x whose flow columns alone are feasible, mandatory edges below 1 included
+    Mutant(
+        "round-check-ignores-violated-rows",
+        "src/dirspan/lp.py",
+        'res.status == "optimal" and not violated_rows(model, np.concatenate([x, res.z]))',
+        'res.status == "optimal"',
+        (golden("round-tiny-lp-value"),),
+    ),
+    # round checks x's rows with no regard for whether phase 1 found flows
+    Mutant(
+        "round-check-ignores-phase-1",
+        "src/dirspan/lp.py",
+        'return res.status == "optimal" and not',
+        "return not",
+        ("tests/test_pipeline_cli.py::test_cli_round_rejects_an_x_that_no_flow_fits",),
+    ),
 )
 
 

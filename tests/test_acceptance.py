@@ -191,7 +191,7 @@ def test_criterion_4_claim2_cut_mass():
         sol = solve_lp(build_lp(g, k, table=table))
         instances += 1
         for d in range(g.m):
-            covered = enumerate_demand_paths(g, k, d, table).covered
+            covered = {w for p in enumerate_demand_paths(g, k, d, table).paths for e in p for w in g.edges[e][:2]}
             assert len(covered) <= 7
             u, v, length = g.edges[d]
             mass = ClaimContext(g, u, v, covered).min_long_cut_mass(sol.x, k * length)

@@ -56,7 +56,6 @@ def test_triangle_paths():
     dp = enumerate_demand_paths(g, 2, 1, DistanceTable(g))
     assert dp.demand == 1
     assert set(dp.paths) == {(1,), (0, 2)}  # 0->2 direct, and 0->1->2 at exactly the budget 2 * 1
-    assert dp.covered == frozenset({0, 1, 2})
 
 
 def test_direct_only_when_budget_tight():
@@ -64,7 +63,6 @@ def test_direct_only_when_budget_tight():
     table = DistanceTable(g)
     dp = enumerate_demand_paths(g, 1, 1, table)
     assert dp.paths == ((1,),)
-    assert dp.covered == frozenset({0, 2})
     assert dp.mandatory
     assert not enumerate_demand_paths(g, 2, 1, table).mandatory
     # one path, but a detour: the demand edge itself is over budget
@@ -128,7 +126,6 @@ def test_enumeration_matches_unpruned_oracle(seed):
         tail, head, _ = g.edges[d]
         expect = all_simple_paths_within(n, edges, tail, head, oracle_budget(n, edges, k, d))
         assert sorted(path_vertices(g, p) for p in dp.paths) == expect
-        assert dp.covered == frozenset(v for p in expect for v in p)
 
 
 def test_float_lengths_enumerate_exactly():

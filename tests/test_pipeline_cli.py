@@ -20,6 +20,7 @@ import dirspan.graph
 
 from dirspan import (
     BadSpec,
+    LpSolution,
     RunConfig,
     build_graph,
     dumps_report,
@@ -34,6 +35,8 @@ from dirspan import (
 from dirspan.cli import SHARED_FLAGS, build_parser, load_input, main
 from dirspan.graph import DistanceTable
 from dirspan.pipeline import splitmix64
+
+from oracles import all_simple_paths_within, dp_distances, make_rng, random_edge_list
 
 
 def cycle_text(n):
@@ -83,9 +86,9 @@ def test_public_surface_is_pinned():
 @pytest.mark.parametrize(
     "kwargs", [{"alpha_override": -math.inf}, {"alpha_override": 0.0}, {"alpha_override": -5.0},
                {"alpha_override": math.nan}, {"alpha_override": math.inf}],
-    ids=["kwargs0", "kwargs1", "kwargs2", "kwargs3", "kwargs4"],  # stable names, whichever case goes
+    ids=["minus-inf", "zero", "negative", "nan", "inf"],
 )
-def test_run_config_rejects_bad_mode_or_alpha(kwargs):
+def test_run_config_rejects_bad_alpha(kwargs):
     with pytest.raises(BadSpec):
         RunConfig(k=3, input="", **kwargs)
 
@@ -306,20 +309,58 @@ def test_run_solve_jobs_do_not_change_records():
 
 
 def test_run_claims_enumerates_each_demand_once(monkeypatch):
+    # and hands demand d's ClaimContext the vertices of d's within-budget paths, as an unpruned oracle lists them
     import dirspan.paths
+    import dirspan.pipeline
 
     seen = []
+    covered = []  # run_claims builds the contexts in demand order
     enumerate_demand_paths = dirspan.paths.enumerate_demand_paths
+    claim_context = dirspan.pipeline.ClaimContext
 
     def counting(g, k, demand, table=None):
         seen.append(demand)
         return enumerate_demand_paths(g, k, demand, table)
 
+    def capturing(g, root, target, vertices):
+        covered.append(frozenset(vertices))
+        return claim_context(g, root, target, vertices)
+
     monkeypatch.setattr(dirspan.paths, "enumerate_demand_paths", counting)
+    monkeypatch.setattr(dirspan.pipeline, "ClaimContext", capturing)
     config = RunConfig(k=3, input="gen:er:n=7,p=0.4,seed=3", trials=2, seed=1)
     report = run_claims(config, load_input(config.input))
     assert report["demands_checked"] > 0
     assert sorted(seen) == list(range(report["instance"]["m"]))
+
+    triangle = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    covered.clear()
+    run_claims(RunConfig(k=1, input="", trials=0), triangle)
+    assert covered[1] == frozenset({0, 2})  # 0->2 is its own only path
+    covered.clear()
+    run_claims(RunConfig(k=2, input="", trials=0), triangle)
+    assert covered[1] == frozenset({0, 1, 2})  # and 0->1->2 at exactly the budget 2 * 1
+    for seed in range(8):
+        rng = make_rng(100 + seed)
+        n = rng.randint(3, 7)
+        edges = random_edge_list(rng, n, 0.5, max_len=4)
+        k = 1 + seed % 3
+        covered.clear()
+        run_claims(RunConfig(k=k, input="", trials=0), build_graph(n, edges))
+        assert len(covered) == len(edges)
+        for d, (tail, head, _) in enumerate(edges):
+            expect = all_simple_paths_within(n, edges, tail, head, k * dp_distances(n, edges, tail)[head])
+            assert covered[d] == frozenset(v for p in expect for v in p)
+
+
+def test_run_solve_reads_null_ratio_when_the_quotient_overflows():
+    # round rejects such an x, but a library caller may pass any LP value: mean |E_H| / 5e-324 is past the double range
+    g = load_input("gen:cycle:n=3")
+    config = RunConfig(k=2, input="", alpha_override=1.0, trials=2)
+    report = run_solve(config, g, sol=LpSolution(x=(5e-324, 0, 0), objective_value=5e-324))
+    assert report["lp"]["value"] == 5e-324
+    assert report["aggregate"]["mean_eh"] > 0
+    assert report["aggregate"]["ratio_vs_lp"] is None
 
 
 def test_run_oracle_triangle(tmp_path):
@@ -538,6 +579,22 @@ def test_cli_round_rejects_numbers_past_the_double_range(tmp_path, capsys, dump,
     assert (code, out, err) == (2, "", message)
 
 
+def test_cli_round_rejects_an_x_that_no_flow_fits(tmp_path, capsys):
+    # the complete digraph on 3 vertices at k = 2: each demand has a two-edge detour, so no edge is
+    # mandatory, and only phase 1 over the flow columns shows that x = 0 carries no demand's unit of flow
+    gpath = tmp_path / "k3.txt"
+    gpath.write_text("3 6\n0 1 1\n0 2 1\n1 0 1\n1 2 1\n2 0 1\n2 1 1\n")
+    dump = tmp_path / "lp.json"
+    argv = ["round", str(gpath), "-k", "2", "--lp", str(dump)]
+    dump.write_text(json.dumps({"n": 3, "m": 6, "k": 2, "status": "optimal", "objective": 0, "x": [0] * 6}))
+    assert _run(capsys, argv) == (2, "", "error: LP dump x is not feasible for the LP of this graph and k\n")
+    # half of each edge carries half a unit on each demand's direct edge and half on its detour
+    dump.write_text(json.dumps({"n": 3, "m": 6, "k": 2, "status": "optimal", "objective": 3, "x": [0.5] * 6}))
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["lp"]["value"] == 3.0
+
+
 @pytest.mark.parametrize("form", ["solve-alpha-1e308", "round-x-1e308"])
 def test_cli_keep_probability_past_the_double_range_clips_quietly(tmp_path, capsys, form):
     # alpha * x_e * sqrt(n) overflows to inf, which clips to probability 1 with no warning
@@ -547,7 +604,8 @@ def test_cli_keep_probability_past_the_double_range_clips_quietly(tmp_path, caps
     else:
         gpath, dump = tmp_path / "t.txt", tmp_path / "lp.json"
         gpath.write_text(TRIANGLE_TEXT)
-        dump.write_text(json.dumps({"n": 3, "m": 3, "k": 2, "status": "optimal", "objective": 1e308, "x": [1e308, 0, 0]}))
+        # edges 0 and 2 are mandatory at k = 2, so the dump holds them at 1 or more
+        dump.write_text(json.dumps({"n": 3, "m": 3, "k": 2, "status": "optimal", "objective": 1e308, "x": [1e308, 1, 1]}))
         argv = ["round", str(gpath), "-k", "2", "--lp", str(dump)]
         summary = "rounded 1 trials, feasible fraction 1.0\n"
     code, out, err = _run(capsys, argv)
