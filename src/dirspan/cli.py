@@ -24,6 +24,7 @@ from dataclasses import fields
 
 from .errors import BadSpec, DirspanError, ExplosionCap, NumericalFailure, PathExplosion, TooLarge
 from .generate import generate_instance, parse_gen_spec
+from .graph import DistanceTable
 from .io import dumps_report, parse_graph, parse_subgraph, serialize_graph
 from .lp import CHECK_TOL, LpSolution, build_lp, export_lp_text, solve_lp, x_is_feasible
 from .pipeline import RunConfig, claim_cap, run_claims, run_oracle, run_solve
@@ -165,10 +166,11 @@ def _cmd_round(args, config, g):
         raise BadSpec("LP dump x sums past the largest double") from None
     if abs(dump["objective"] - total) > CHECK_TOL * max(1.0, total):
         raise BadSpec(f"LP dump objective {dump['objective']!r} is not the sum of its x, {total!r}")
-    if not x_is_feasible(build_lp(g, config.k), x):
+    table = DistanceTable(g)  # the check's paths and the run's trees share G's distances
+    if not x_is_feasible(build_lp(g, config.k, table=table), x):
         raise BadSpec("LP dump x is not feasible for the LP of this graph and k")
     sol = LpSolution(x=x, objective_value=float(dump["objective"]))
-    report = run_solve(config, g=g, sol=sol)
+    report = run_solve(config, g=g, sol=sol, table=table)
     frac = report["aggregate"]["feasible_fraction"]
     return report, f"rounded {config.trials} trials, feasible fraction {frac}", _rounding_exit(args, frac)
 

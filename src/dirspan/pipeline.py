@@ -2,7 +2,8 @@
 
 Per-trial seeds come from the master seed through splitmix64(seed + index),
 so each trial's record depends only on the config and its index; the trials
-run in order in one thread.
+run in order in one thread, and one seeding pass per chunk of trials gives
+their generators' states.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from .arborescence import ClaimContext
 from .errors import BadSpec
 from .graph import DistanceTable
 from .lp import build_lp, solve_lp
-from .rounding import CLAIMS_STREAM, RoundingParams, _stream, build_spanner, edge_inclusion_probs, select_alpha
+from .rounding import (
+    CLAIMS_STREAM,
+    RoundingParams,
+    _stream,
+    build_spanner,
+    edge_inclusion_probs,
+    select_alpha,
+    trial_streams,
+)
 from .verify import brute_force_opt
 
 MASK64 = (1 << 64) - 1
@@ -56,17 +65,19 @@ class RunConfig:
             raise BadSpec(f"alpha must be a finite number > 0, got {self.alpha_override}")
 
 
-def run_solve(config, g, opt=None, sol=None):
+def run_solve(config, g, opt=None, sol=None, table=None):
     """Full pipeline on graph g: LP once, then config.trials rounding trials.
 
     Returns a plain dict ready for dumps_report; the per-trial records are a
     pure function of the config, while timing lives only at the top level.
-    A pre-solved LP may be passed in to round without re-solving.  One
+    A pre-solved LP may be passed in to round without re-solving, and a
+    DistanceTable of g that its caller already built.  One
     DistanceTable is the run's only cache of G: it serves the path sets,
     keeps every root's trees and gives the spanner checks their demand
     budgets, so each row of G is searched, each root's trees built and each
     budget computed at most once.  The keep probabilities are computed once
-    and every trial draws against them.
+    and every trial draws against them, from its seed's edge and root
+    streams as trial_streams sets them.
     """
     t0 = time.perf_counter()
     mode = "unit" if g.unit_lengths() else "general"  # the regime of the alpha formula
@@ -74,15 +85,16 @@ def run_solve(config, g, opt=None, sol=None):
         alpha = float(config.alpha_override)
     else:
         alpha = select_alpha(mode, g.n, config.k)
-    table = DistanceTable(g)
+    if table is None:
+        table = DistanceTable(g)
     if sol is None:
         sol = solve_lp(build_lp(g, config.k, table=table))
     t_lp = time.perf_counter()
     probs = edge_inclusion_probs(sol.x, alpha, g.n)
 
-    def one_trial(i):
-        params = RoundingParams(alpha=alpha, seed=trial_seed(config.seed, i), k=config.k)
-        result = build_spanner(g, sol, params, table, probs)
+    def one_trial(i, rngs):
+        params = RoundingParams(alpha=alpha, seed=seeds[i], k=config.k)
+        result = build_spanner(g, sol, params, table, probs, rngs)
         return {
             "trial": i,
             "seed": params.seed,
@@ -94,7 +106,8 @@ def run_solve(config, g, opt=None, sol=None):
             "feasible": result.feasible,
         }
 
-    records = [one_trial(i) for i in range(config.trials)]
+    seeds = [trial_seed(config.seed, i) for i in range(config.trials)]
+    records = [one_trial(i, rngs) for i, rngs in enumerate(trial_streams(seeds))]
     t_end = time.perf_counter()
 
     feasible_count = sum(1 for r in records if r["feasible"])

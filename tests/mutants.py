@@ -37,6 +37,7 @@ class Mutant:
 
 ZEROING_PINS = "tests/test_simplex.py::test_artificial_zeroing_path_is_pinned"
 LADDER_PINS = "tests/test_lp.py::test_ladder_pivot_path_is_pinned"
+SEEDING_PINS = "tests/test_rounding.py::test_seeding_pass_equals_numpys_seeding"
 
 
 def golden(case):
@@ -214,6 +215,22 @@ MUTANTS = (
         'return res.status == "optimal" and not',
         "return not",
         ("tests/test_pipeline_cli.py::test_cli_round_rejects_an_x_that_no_flow_fits",),
+    ),
+    # one digit of a SeedSequence hash multiplier off: every trial stream's state moves
+    Mutant(
+        "seeding-wrong-hash-constant",
+        "src/dirspan/rounding.py",
+        "MULT_A = 0x931E8875",
+        "MULT_A = 0x931E8876",
+        (SEEDING_PINS,),
+    ),
+    # the label follows the seed's two words, as if numpy did not pad the entropy to the pool size
+    Mutant(
+        "seeding-label-without-padding",
+        "src/dirspan/rounding.py",
+        "entropy[POOL_SIZE] = np.resize(",
+        "entropy[2] = np.resize(",
+        (SEEDING_PINS,),
     ),
 )
 

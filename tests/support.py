@@ -14,7 +14,9 @@ its own.  listed_generator_edges restates the er and
 layered generators with a Python list of every candidate pair,
 path_vertices turns an edge-index path into the vertex tuple that the
 oracles speak in, and flow_columns lists the path LP's flow columns from
-the model's path sets, in the order build_lp lays them out.
+the model's path sets, in the order build_lp lays them out.  trial_rngs
+gives a trial seed's two generators from numpy's own seeding, for tests
+that rebuild a trial, and holds the run's seeding pass to them.
 """
 
 from heapq import heappop, heappush
@@ -23,7 +25,19 @@ import numpy as np
 
 from dirspan import INF, enumerate_demand_paths, is_k_spanner
 from dirspan.graph import DistanceTable, _select_parents
+from dirspan.rounding import EDGE_STREAM, ROOT_STREAM, _stream, pcg64_states
 from dirspan.verify import SpannerCheck
+
+
+def trial_rngs(seed):
+    """The (edge, root) generators of a trial seed, each seeded by numpy's SeedSequence through _stream.
+
+    A run takes the same states from pcg64_states; every trial rebuilt from
+    these checks that the pass gave them.
+    """
+    rngs = _stream(seed, EDGE_STREAM), _stream(seed, ROOT_STREAM)
+    assert list(pcg64_states([seed], (EDGE_STREAM, ROOT_STREAM))) == [rng.bit_generator.state for rng in rngs]
+    return rngs
 
 
 def _dijkstra(n, adj, edges, source, far=1):

@@ -33,7 +33,7 @@ from dirspan.graph import DistanceTable
 from dirspan.rounding import EDGE_STREAM, _stream
 
 from oracles import layered_lp_value, make_rng, random_edge_list
-from support import edge_check_equals_allpairs_check
+from support import edge_check_equals_allpairs_check, trial_rngs
 
 TOL_LP_VS_OPT = 1e-7
 TOL_FORMULATIONS = 1e-6
@@ -239,7 +239,7 @@ def test_criterion_5_feasibility_at_selected_alpha():
         probs = edge_inclusion_probs(sol.x, alpha, g.n)
         for t in range(trials_per_instance):
             params_t = RoundingParams(alpha=alpha, seed=seed * 1000 + t, k=3)
-            res = _note_trial(build_spanner(g, sol, params_t, table, probs), g.n)
+            res = _note_trial(build_spanner(g, sol, params_t, table, probs, trial_rngs(params_t.seed)), g.n)
             total += 1
             if not res.feasible:
                 infeasible += 1
@@ -267,7 +267,7 @@ def test_criterion_6_approximation_accounting(solved_batch):
         probs = edge_inclusion_probs(sol.x, alpha, g.n)
         for t in range(25):
             params = RoundingParams(alpha=alpha, seed=5000 + idx * 100 + t, k=k)
-            res = _note_trial(build_spanner(g, sol, params, table, probs), g.n)
+            res = _note_trial(build_spanner(g, sol, params, table, probs, trial_rngs(params.seed)), g.n)
             ratio_trials += 1
             if len(res.e_h) > bound:
                 ratio_violations += 1
@@ -319,7 +319,7 @@ def test_criterion_7_tree_phase_bound():
     root_counts = set()
     for t in range(50):
         params = RoundingParams(alpha=2.0, seed=7000 + t, k=3)
-        res = _note_trial(build_spanner(g, sol, params, table, probs), 30)
+        res = _note_trial(build_spanner(g, sol, params, table, probs, trial_rngs(params.seed)), 30)
         root_counts.add(len(res.tree_roots))
     # proper random subsets, not the degenerate all-or-nothing regimes
     assert any(0 < c < 30 for c in root_counts)

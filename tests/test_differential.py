@@ -34,6 +34,7 @@ from dirspan.graph import DistanceTable
 from dirspan.lp import CHECK_TOL
 
 from oracles import exhaustive_opt, naive_is_spanner, path_lp_value
+from support import trial_rngs
 
 TOL = 1e-7
 
@@ -52,11 +53,12 @@ def small_instances(draw, ks=(1, 2, 3)):
 
 
 def assert_trials_agree(g, sol, solve, k):
-    """Each trial's E_H, rebuilt from its seed, has the record's size and naive_is_spanner's verdict."""
+    """Each trial's E_H, rebuilt from its seed on numpy's seeding, has the record's size and naive_is_spanner's verdict."""
     table = DistanceTable(g)
     probs = edge_inclusion_probs(sol.x, solve["alpha"], g.n)
     for record in solve["trials"]:
-        res = build_spanner(g, sol, RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k), table, probs)
+        params = RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k)
+        res = build_spanner(g, sol, params, table, probs, trial_rngs(params.seed))
         assert len(res.e_h) == record["eh_size"]
         assert naive_is_spanner(g.n, g.edges, res.e_h, k) == record["feasible"]
 

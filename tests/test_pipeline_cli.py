@@ -151,8 +151,10 @@ def test_only_bounded_functions_recurse():
 
 
 def test_only_the_stream_helper_seeds_a_run():
-    # every labelled stream of a run seed comes from rounding._stream, so a reused label
-    # shows in one place; the generator draws from its spec's own seed, not from a run seed
+    # numpy seeds a labelled stream of a run seed only in rounding._stream, which claims draws
+    # from; the trial streams come from rounding.pcg64_states, numpy's SeedSequence mixing on word
+    # arrays, which calls no SeedSequence, and the seeding property test holds it to _stream's states.
+    # So a reused label shows in rounding alone; the generator draws from its spec's own seed
     assert _package_functions_where(lambda fn: any(
         isinstance(c, ast.Call) and "SeedSequence" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
         for c in ast.walk(fn)
@@ -595,6 +597,25 @@ def test_cli_round_rejects_an_x_that_no_flow_fits(tmp_path, capsys):
     assert json.loads(out)["lp"]["value"] == 3.0
 
 
+def test_cli_round_sweeps_g_once(tmp_path, capsys, monkeypatch):
+    # the feasibility check's LP and the rounding trials share one DistanceTable: on an integer-length
+    # graph, where every root's trees come from the all-pairs matrix, that matrix is built once
+    spec, dump = "gen:er:n=12,p=0.25,seed=2", tmp_path / "lp.json"
+    assert _run(capsys, ["lp", spec, "-k", "3", "--out", str(dump)])[0] == 0
+    all_pairs = dirspan.graph._all_pairs
+    passes = []
+
+    def counting_all_pairs(graph):
+        passes.append(graph)
+        return all_pairs(graph)
+
+    monkeypatch.setattr(dirspan.graph, "_all_pairs", counting_all_pairs)
+    code, out, _ = _run(capsys, ["round", spec, "-k", "3", "--trials", "1", "--lp", str(dump)])
+    assert code == 0
+    assert json.loads(out)["trials"][0]["tree_roots"] == 12
+    assert len(passes) == 1
+
+
 @pytest.mark.parametrize("form", ["solve-alpha-1e308", "round-x-1e308"])
 def test_cli_keep_probability_past_the_double_range_clips_quietly(tmp_path, capsys, form):
     # alpha * x_e * sqrt(n) overflows to inf, which clips to probability 1 with no warning
@@ -852,9 +873,9 @@ def test_cli_ignores_cap_variables(tmp_path, capsys, monkeypatch, command, var, 
         ["--alpha=-inf"],
         ["--alpha", "0", "--oracle"],
     ],
-    ids=["flags0", "flags1", "flags2", "flags3", "flags4", "flags5"],  # stable names, whichever case goes
+    ids=["negative", "zero", "nan", "inf", "equals-minus-inf", "zero-with-oracle"],
 )
-def test_cli_bad_alpha_or_mode_is_exit_2(capsys, monkeypatch, flags, trials):
+def test_cli_bad_alpha_is_exit_2(capsys, monkeypatch, flags, trials):
     # rejected before the oracle and the LP solve, whether or not a trial would use the value;
     # with --oracle, a bad alpha exits 2 even where the oracle's cap would trip
     monkeypatch.setattr(dirspan.verify, "MAX_FREE_EDGES", 0)

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirspan import (
     LpSolution,
@@ -18,9 +19,11 @@ from dirspan import (
     solve_lp,
 )
 from dirspan.graph import DistanceTable, shortest_path_tree
-from dirspan.rounding import EDGE_STREAM, ROOT_STREAM, _stream
+import dirspan.rounding
+from dirspan.rounding import EDGE_STREAM, ROOT_STREAM, _stream, pcg64_states, trial_streams
 
 from oracles import dp_distances, make_rng, random_edge_list
+from support import trial_rngs
 
 TRIANGLE = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
 
@@ -40,7 +43,7 @@ def kept_set(g, x, alpha, rng):
 
 def one_trial(g, sol, params, table):
     """build_spanner with the keep probabilities a run would compute for it."""
-    return build_spanner(g, sol, params, table, edge_inclusion_probs(sol.x, params.alpha, g.n))
+    return build_spanner(g, sol, params, table, edge_inclusion_probs(sol.x, params.alpha, g.n), trial_rngs(params.seed))
 
 
 def comparable(res):
@@ -108,6 +111,42 @@ def test_sample_tree_roots_frequency():
     rng = rng_for(77)
     total = sum(len(sample_tree_roots(4, 1.0, rng)) for _ in range(10000))
     assert 19400 <= total <= 20600
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # a zero or all-ones word, and numpy's one-word to two-word step
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=12),
+    low=st.integers(min_value=0, max_value=2**32 - 1),
+    labels=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+)
+def test_seeding_pass_equals_numpys_seeding(seeds, low, labels):
+    # the run's trial streams take their states from this pass, so a numpy whose seeding moves fails here
+    seeds = [*EDGE_SEEDS, low, *seeds]
+    expect = [
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(label,))).state
+        for seed in seeds for label in labels
+    ]
+    assert list(pcg64_states(seeds, labels)) == expect
+
+
+def test_trial_streams_draw_as_the_stream_helper(monkeypatch):
+    # across chunk boundaries each pair draws as _stream's two generators, and no pass sees more than a chunk
+    chunks = []
+
+    def recording_states(seeds, labels):
+        chunks.append(len(seeds))
+        return pcg64_states(seeds, labels)
+
+    monkeypatch.setattr(dirspan.rounding, "SEED_CHUNK", 3)
+    monkeypatch.setattr(dirspan.rounding, "pcg64_states", recording_states)
+    seeds = [7, 2**64 - 1, 0, 2**40 + 3, 5, 11, 2**32]
+    for seed, (edge, root) in zip(seeds, trial_streams(seeds), strict=True):
+        assert edge.random(4).tolist() == _stream(seed, EDGE_STREAM).random(4).tolist()
+        assert root.random(4).tolist() == _stream(seed, ROOT_STREAM).random(4).tolist()
+    assert chunks == [3, 3, 1]
 
 
 def test_tiny_alpha_keeps_nothing():
