@@ -23,6 +23,9 @@ INF = math.inf
 _BLOCK_CELLS = 1 << 14
 # integers below this are exact floats, and so is every sum of them that stays below it
 _EXACT_BELOW = 2.0**53
+# up to this many cells, _all_pairs updates the whole matrix at every step: finding each
+# step's finite rows and columns costs more there than the cells it skips
+_WHOLE_SWEEP_CELLS = 1 << 13
 
 
 class DiGraph:
@@ -233,6 +236,16 @@ def _all_pairs(g):
     simple path, which is shorter than 2**53; when they share one, the entry
     already holds a path no longer than the candidate.  So the matrix equals
     PausedSearch's rows bit for bit.
+
+    Above _WHOLE_SWEEP_CELLS cells, step k writes only the rows with a finite
+    d[:, k] crossed with the columns with a finite d[k]: any other cell's
+    candidate is INF plus a nonnegative entry, INF, which never lowers it.
+    So each cell is lowered by the same candidates, in the same order of k,
+    as in the whole update, and the matrix is the same bit for bit.  The
+    step updates the whole matrix when that block is over half of it, the
+    block alone when under a quarter of the columns are finite, and whole
+    finite rows otherwise.  Where few vertices reach k, as on a long path,
+    each step is then a thin block instead of n * n cells.
     """
     n = g.n
     d = np.full((n, n), INF)
@@ -240,8 +253,18 @@ def _all_pairs(g):
     if g.m:
         tails, heads, lengths = zip(*g.edges)
         d[tails, heads] = np.add(lengths, 0.0)  # -0.0 + 0.0 is 0.0, as a search's 0.0 + length gives
+    whole = n * n <= _WHOLE_SWEEP_CELLS
     for k in range(n):
-        np.minimum(d, d[:, k, None] + d[k], out=d)
+        if not whole:
+            rows = np.flatnonzero(d[:, k] < INF)
+            cols = np.flatnonzero(d[k] < INF)
+        if whole or 2 * rows.size * cols.size > n * n:
+            np.minimum(d, d[:, k, None] + d[k], out=d)
+        elif 4 * cols.size < n:
+            block = np.ix_(rows, cols)
+            d[block] = np.minimum(d[block], d[rows, k, None] + d[k, cols])
+        else:
+            d[rows] = np.minimum(d[rows], d[rows, k, None] + d[k])
     return d
 
 

@@ -152,6 +152,30 @@ MUTANTS = (
         "lengths",
         ("tests/test_graph.py::test_exact_graph_rows_match_searches",),
     ),
+    # a sweep step takes its columns from the finite entries of column k instead of row k
+    Mutant(
+        "all-pairs-columns-from-wrong-axis",
+        "src/dirspan/graph.py",
+        "cols = np.flatnonzero(d[k] < INF)",
+        "cols = np.flatnonzero(d[:, k] < INF)",
+        ("tests/test_graph.py::test_sparse_exact_graph_rows_match_searches",),
+    ),
+    # build_graph accepts a tail equal to n, which then fails on a bare IndexError
+    Mutant(
+        "graph-accepts-tail-n",
+        "src/dirspan/graph.py",
+        "0 <= tail < n",
+        "0 <= tail <= n",
+        ("tests/test_graph.py::test_build_graph_validation[2-edges6-IndexOutOfRange]",),
+    ),
+    # edge_mask lets index m through to a bare IndexError
+    Mutant(
+        "edge-mask-lets-m-through",
+        "src/dirspan/graph.py",
+        "if not 0 <= e < m:",
+        "if not 0 <= e <= m:",
+        ("tests/test_verify.py::test_h_index_out_of_range_is_rejected[equal-to-m]",),
+    ),
     # lengths summing past 2**53 take the matrix, whose sums then round differently from a search's
     Mutant(
         "exact-bound-2-64",
@@ -183,6 +207,23 @@ MUTANTS = (
         "k * table.outward(tail)[head]",
         "table.outward(tail)[head]",
         ("tests/test_verify.py::test_detour_pair_is_spanner",),
+    ),
+    # the oracle searches on below a branch that can at best tie the best spanner so far, so a later tie
+    # replaces the witness
+    Mutant(
+        "oracle-keeps-later-ties",
+        "src/dirspan/verify.py",
+        "size + extra >= best",
+        "size + extra > best",
+        (golden("oracle-tied-witness"),),
+    ),
+    # the oracle branches first on the free edges that the fewest demand paths use
+    Mutant(
+        "oracle-branch-order-reversed",
+        "src/dirspan/verify.py",
+        "(-counts[e], e)",
+        "(counts[e], e)",
+        (golden("oracle-tied-witness"),),
     ),
     # a trial's E_H is its rounded edges alone, without the trees
     Mutant(

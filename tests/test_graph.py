@@ -63,6 +63,7 @@ def test_build_graph_basics():
         (2, [(0, 0, 1.0)], SelfLoop),
         (2, [(0, 1, 1.0), (0, 1, 2.0)], DuplicateEdge),
         (0, [], None),
+        (2, [(2, 0, 1.0)], IndexOutOfRange),  # a tail equal to n
     ],
 )
 def test_build_graph_validation(n, edges, exc):
@@ -340,6 +341,25 @@ def test_exact_graph_rows_match_searches():
         assert table._pairs is not None
         for r, row in enumerate(table.trees(range(n))):
             assert frozenset(row.nonzero()[0].tolist()) == fresh_shortest_path_tree(g, r)
+
+
+def test_sparse_exact_graph_rows_match_searches():
+    # above _WHOLE_SWEEP_CELLS a sweep step writes only the cells it can lower: the random graphs
+    # take all three kinds of step (the whole matrix, the finite block, the finite rows), and the
+    # chain, whose step k reaches only rows 0..k and columns k and k + 1, takes blocks throughout
+    rng = make_rng(59)
+    graphs = []
+    for n, degree in ((100, 1), (140, 2), (200, 3), (120, 3)):
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(n * degree)}
+        graphs.append(build_graph(n, [(t, h, rng.choice((-0.0, 0.0, 1.0, 2.0, 7.0, 2.0**40)))
+                                      for t, h in sorted(pairs) if t != h]))
+    n = 150
+    graphs.append(build_graph(n, [(v, v + 1, 1.0) for v in range(n - 1)] + [(0, n - 1, n - 1.0)]))
+    for g in graphs:
+        assert g.n * g.n > dirspan.graph._WHOLE_SWEEP_CELLS
+        table = DistanceTable(g)
+        _rows_as_searched(table, g)
+        assert table._pairs is not None
 
 
 def test_lengths_summing_to_2_53_are_searched():

@@ -908,7 +908,15 @@ def test_cli_non_finite_length_is_exit_2(tmp_path, capsys, command, length):
         ["round", "gen:cycle:n=4", "-k", "2", "--seed", "-1", "--lp", "no-such-dump.json"],
         ["claims", "gen:cycle:n=4", "-k", "2", "--seed", "-1"],
     ],
-    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"],  # stable names, whichever case goes
+    ids=[
+        "solve-trials-negative",
+        "solve-trials-negative-require-feasible",
+        "claims-trials-negative",
+        "solve-k-zero",
+        "solve-seed-negative",
+        "round-seed-negative-before-lp-dump",
+        "claims-seed-negative",
+    ],
 )
 def test_cli_negative_trials_or_k_is_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)

@@ -129,9 +129,9 @@ def test_searches_only_the_tails_that_need_it(monkeypatch, h, given_rows, search
     assert len(calls) == searches
 
 
-@pytest.mark.parametrize("h", [{-1}, {0, 1, 7}], ids=["negative", "past-m"])
+@pytest.mark.parametrize("h", [{-1}, {0, 1, 7}, {0, 3}], ids=["negative", "past-m", "equal-to-m"])
 def test_h_index_out_of_range_is_rejected(h):
-    # -1 once read as the last edge and 7 raised a bare IndexError
+    # -1 once read as the last edge and 7 raised a bare IndexError; 3 is m, the first index past the end
     g = build_graph(3, TRIANGLE)
     with pytest.raises(IndexOutOfRange, match="outside 0..2"):
         is_k_spanner(g, h, 1)
