@@ -5,12 +5,8 @@ the configuration and the input graph once, the subcommand's `_cmd_*` handler
 returns its report, summary line and exit code, and `main` writes the report
 to `--out` or stdout and the summary line to stderr.  `gen` writes its graph
 text the same way.  Every file the command reads or writes goes through
-`_read_file` or `_write_file`.
-
-Exit codes: 0 success, 2 bad input or configuration (a file that is missing,
-a directory or unreadable included), 3 a size cap tripped or memory ran out,
-4 a spanner check failed under --require-feasible, 5 numerical failure or a
-broken internal check.  `FAILURES` maps each failure to its code and message label.
+`_read_file` or `_write_file`.  `FAILURES` maps each failure to its exit
+code and message label.
 """
 
 from __future__ import annotations

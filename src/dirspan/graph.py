@@ -4,9 +4,7 @@ Vertices are integers 0..n-1.  Edges are (tail, head, length) triples addressed
 by their position in the edge tuple; that index is the stable identity used by
 every other module (LP variables, rounding, cut sets).  All distance arithmetic
 is plain float addition with exact comparisons; there is no epsilon anywhere in
-this module.  G's distances come from PausedSearch, except on an exact graph
-(integer lengths summing below 2**53), where every sum is exact in any order
-and one Floyd-Warshall sweep in numpy gives the same rows bit for bit.
+this module.  DistanceTable owns every distance of G.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Per-trial seeds come from the master seed through splitmix64(seed + index),
 so each trial's record depends only on the config and its index; the trials
-run in order in one thread, and one seeding pass per chunk of trials gives
-their generators' states.
+run in order in one thread.
 """
 
 from __future__ import annotations
@@ -71,13 +70,9 @@ def run_solve(config, g, opt=None, sol=None, table=None):
     Returns a plain dict ready for dumps_report; the per-trial records are a
     pure function of the config, while timing lives only at the top level.
     A pre-solved LP may be passed in to round without re-solving, and a
-    DistanceTable of g that its caller already built.  One
-    DistanceTable is the run's only cache of G: it serves the path sets,
-    keeps every root's trees and gives the spanner checks their demand
-    budgets, so each row of G is searched, each root's trees built and each
-    budget computed at most once.  The keep probabilities are computed once
-    and every trial draws against them, from its seed's edge and root
-    streams as trial_streams sets them.
+    DistanceTable of g that its caller already built; the path sets, the
+    trees and every spanner check share that one table.  The keep
+    probabilities are computed once and every trial draws against them.
     """
     t0 = time.perf_counter()
     mode = "unit" if g.unit_lengths() else "general"  # the regime of the alpha formula
@@ -91,13 +86,13 @@ def run_solve(config, g, opt=None, sol=None, table=None):
         sol = solve_lp(build_lp(g, config.k, table=table))
     t_lp = time.perf_counter()
     probs = edge_inclusion_probs(sol.x, alpha, g.n)
+    params = RoundingParams(alpha=alpha, k=config.k)
 
     def one_trial(i, rngs):
-        params = RoundingParams(alpha=alpha, seed=seeds[i], k=config.k)
         result = build_spanner(g, sol, params, table, probs, rngs)
         return {
             "trial": i,
-            "seed": params.seed,
+            "seed": seeds[i],
             "alpha": alpha,
             "rounded_edges": len(result.rounded_edges),
             "tree_roots": len(result.tree_roots),
@@ -161,7 +156,9 @@ def run_claims(config, g):
     over the covered edges, so every edge index stays g's.  The cut-mass
     check runs once per demand against the solved LP's x; the equivalence
     check runs on config.trials random subgraphs of the covered edges (each
-    kept with probability 1/2) and thresholds, one draw per demand.
+    kept with probability 1/2) and thresholds, one draw per demand.  The
+    thresholds scale the demand's own length, not the LP's budget k *
+    dist_G(u, v), which is tighter when the edge is not a shortest path.
     """
     t0 = time.perf_counter()
     model = build_lp(g, config.k)

@@ -6,18 +6,8 @@ each with probability min(alpha / sqrt(n), 1) and add a full outward and
 inward shortest-path tree per root.  The trees alone repair every demand
 whose covered vertex set is large, the rounded edges handle the rest with
 high probability, and the expected size stays within alpha * sqrt(n) times
-the LP value plus the tree budget.  A run computes the keep probabilities
-once and its DistanceTable keeps each root's tree row, so a trial only
-draws, ORs the kept edges and tree rows into one boolean mask of H, checks
-that mask and keeps its edge index arrays.
-
-Each phase of a trial draws from its own labelled stream of the trial seed,
-the PCG64 generator that numpy seeds through
-SeedSequence(entropy=seed, spawn_key=(label,)).  A run does not build those
-generators one by one: trial_streams computes the PCG64 states of a chunk of
-trial seeds in one numpy pass, numpy's SeedSequence mixing on uint32 word
-arrays, and sets them on two generators it reuses.  claims draws from _stream,
-numpy's own seeding, since it takes one stream per run from a seed of any size.
+the LP value plus the tree budget.  Each phase of a trial draws from its own
+labelled stream of the trial seed (trial_streams).
 """
 
 from __future__ import annotations
@@ -50,7 +40,11 @@ SEED_CHUNK = 256  # trial seeds per pass, so the pass's arrays stay this small w
 
 
 def _stream(seed, label):
-    """Independent per-phase generator derived from the master seed by a labeled split."""
+    """The PCG64 generator that numpy seeds through SeedSequence(entropy=seed, spawn_key=(label,)).
+
+    claims draws from it, since it takes one stream per run from a seed of
+    any size; a run's trials take the same states from trial_streams.
+    """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(label,))))
 
 
@@ -151,7 +145,6 @@ def select_alpha(mode, n, k):
 @dataclass(frozen=True)
 class RoundingParams:
     alpha: float
-    seed: int
     k: float
 
 
@@ -190,19 +183,17 @@ def build_spanner(g, lp_sol, params, table, probs, rngs):
     computes once for all its trials; the body reads only probs, and
     lp_sol stays the second argument because the benchmark's tracer reads
     its x, and params the third (benchmarks/tracer.py).  rngs is the
-    trial's (edge, root) generator pair, the labelled streams of its seed
-    params.seed: a run takes them from trial_streams, and a caller that
-    rebuilds one trial can pass _stream(params.seed, EDGE_STREAM) and
-    _stream(params.seed, ROOT_STREAM), which draw the same.  Each phase's
-    draws are those of round_edges or sample_tree_roots alone on its
-    stream.  Every random choice is per-edge or per-vertex independent and
+    trial's (edge, root) generator pair, the labelled streams of its seed:
+    a run takes them from trial_streams, and a caller that rebuilds one
+    trial can pass _stream(seed, EDGE_STREAM) and _stream(seed, ROOT_STREAM),
+    which draw the same.  Each phase's draws are those of round_edges or
+    sample_tree_roots alone on its stream.  Every random choice is per-edge or per-vertex independent and
     shortest-path trees never leave a weak component, so a single pass over
     the whole graph equals running each component alone.
 
-    table, the run's DistanceTable of g, lets many trials on one graph share
-    work: it keeps each root's tree row and the demand budgets the check
-    reads.  H is one boolean mask, the kept edges ORed with the roots' tree
-    rows; the check reads it as it is and the result keeps index arrays.
+    table is the run's DistanceTable of g, which every trial shares.  H is
+    one boolean mask, the kept edges ORed with the roots' tree rows; the
+    check reads it as it is and the result keeps index arrays.
     """
     edge_rng, root_rng = rngs
     kept = round_edges(probs, edge_rng)

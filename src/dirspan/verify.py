@@ -1,16 +1,4 @@
-"""Exact spanner checking and brute-force optimum search.
-
-A subgraph H of G is a k-spanner when dist_H(u, v) <= k * dist_G(u, v) for
-every pair; checking only the demand pairs (the edges of G) is equivalent,
-because shortest paths of G decompose into edges.  H = E needs no search
-at k >= 1; otherwise the check searches H only from the tails that some
-demand needs, only as far as each demand's head needs, and only up to the
-first violation.  Each demand's budget k * dist_G and whether its own
-edge fits that budget are kept per k on the run's DistanceTable, beside
-G's rows, so the checks of one run compute them once.  The optimum
-search fixes the edges no alternative route can replace, then branches
-over the rest with bitmask path covers.
-"""
+"""Exact spanner checking (is_k_spanner) and the exact minimum spanner search (brute_force_opt)."""
 
 from __future__ import annotations
 
@@ -45,21 +33,23 @@ def demand_distance_rows(g):
 def is_k_spanner(g, h_edges, k, table=None):
     """Exact per-demand stretch check; returns the lowest-index violation if any.
 
-    h_edges is H as edge indices or as a boolean mask over g's edges.  H = E
-    at k >= 1 returns feasible without a search, since dist_H = dist_G <=
-    k * dist_G.  Otherwise the check scans, in index order, only the demands
-    not known to fit: a demand whose own edge is in H with length <= k *
-    dist_G needs no search, since the first relaxation from its tail sets
-    dist_H[head] <= 0.0 + length exactly.  Each other demand resumes its
-    tail's PausedSearch over H, started on first need, only until the head
-    is within budget; on a violation the search has run to the end, so
-    dist_h is the exact H distance.  The budget and the fit are kept in
-    table.budgets(k) (table a DistanceTable of g; a fresh one when not
-    given), which a run's checks share: the first check to read a demand
-    fills them from its tail's outward row of the table, which also gives a
-    violation's dist_g, so the check searches G through the run's table
-    alone.  Raises IndexOutOfRange for an H index outside 0..m-1 or a mask
-    whose length is not m.
+    H is a k-spanner when dist_H(u, v) <= k * dist_G(u, v) for every pair;
+    checking only the demands (the edges of G) is equivalent, because
+    shortest paths of G decompose into edges.  h_edges is H as edge indices
+    or as a boolean mask over g's edges.  H = E at k >= 1 returns feasible
+    without a search, since dist_H = dist_G <= k * dist_G.  Otherwise the
+    check scans, in index order, only the demands not known to fit: a demand
+    whose own edge is in H with length <= k * dist_G needs no search, since
+    the first relaxation from its tail sets dist_H[head] <= 0.0 + length
+    exactly.  Each other demand resumes its tail's PausedSearch over H,
+    started on first need, only until the head is within budget; on a
+    violation the search has run to the end, so dist_h is the exact H
+    distance.  The budget and the fit are kept in table.budgets(k) (table a
+    DistanceTable of g; a fresh one when not given), which a run's checks
+    share: the first check to read a demand fills them from its tail's
+    outward row of the table, which also gives a violation's dist_g, so the
+    check searches G through the run's table alone.  Raises IndexOutOfRange
+    for an H index outside 0..m-1 or a mask whose length is not m.
     """
     if isinstance(h_edges, np.ndarray) and h_edges.dtype == bool:
         if h_edges.shape != (g.m,):
@@ -100,7 +90,8 @@ class OptResult:
 def brute_force_opt(g, k):
     """Exact minimum k-spanner size by branch and bound over free edges.
 
-    An edge is forced when its demand admits no other within-budget path.
+    Each within-budget path is a bitmask of its edge indices.  An edge is
+    forced when its demand admits no other within-budget path.
     The remaining free edges are branched include-first, most-used first by
     the count of within-budget paths through them; pruning uses monotone
     infeasibility of the still-available edge set plus a disjoint-demand

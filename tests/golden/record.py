@@ -8,8 +8,8 @@ that may differ between runs.  tests/test_golden.py compares every case with
 its <name>.txt here.
 
 The corpus is the one store of whole-report and CLI transcript pins; the only
-inline pins are tests/test_lp.py's pivot paths, simplex internals that no
-report shows.
+inline pins are the pivot paths of tests/test_lp.py and tests/test_simplex.py,
+simplex internals that no report shows.
 
 Rewrite the expected files (all of them, or only the named cases) with
 

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: dynamic programs over bounded walks,
 unpruned recursive enumeration, and exhaustive subset scans.  None of it
-shares code with the library under test.
+shares code with the library under test.  The bundled simplex's optimum of
+the presolved path LP must equal layered_lp_value's on unit lengths and
+path_lp_value's on any lengths, both solved by HiGHS, and ClaimContext must
+match out_tree_census tree for tree.
 """
 
 import itertools

@@ -1,12 +1,15 @@
 """Every exit-0 report of the CLI judged by the independent oracles, on arbitrary small graphs.
 
-Lengths come from {0, 1, 2, 3}, so every sum a run forms is exact in floats and
-the package and the oracles must agree to the last bit on every comparison.
-The CLI's -k is an integer, so k = 1.5, a fractional budget, is judged on
-run_solve and is_k_spanner called directly.  Relabelling the vertices and
-reordering the edges must move no verdict of lp, oracle or verify,
-relabelling the vertices alone must move nothing in a claims report, and
-scaling every length must move nothing in a solve or claims report.
+On graphs of at most 5 vertices and 8 edges, lp must equal path_lp_value, oracle
+exhaustive_opt, verify and each solve trial's feasible naive_is_spanner, and
+claims must find no disagreement or violation.  Lengths come from {0, 1, 2, 3},
+so every sum a run forms is exact in floats and the package and the oracles must
+agree to the last bit on every comparison.  The CLI's -k is an integer, so
+k = 1.5, a fractional budget, is judged on run_solve and is_k_spanner called
+directly.  Relabelling the vertices and reordering the edges must move no
+verdict of lp, oracle or verify, relabelling the vertices alone must move
+nothing in a claims report, and scaling every length must move nothing in a
+solve or claims report.
 """
 
 import contextlib
@@ -56,9 +59,9 @@ def assert_trials_agree(g, sol, solve, k):
     """Each trial's E_H, rebuilt from its seed on numpy's seeding, has the record's size and naive_is_spanner's verdict."""
     table = DistanceTable(g)
     probs = edge_inclusion_probs(sol.x, solve["alpha"], g.n)
+    params = RoundingParams(alpha=solve["alpha"], k=k)
     for record in solve["trials"]:
-        params = RoundingParams(alpha=solve["alpha"], seed=record["seed"], k=k)
-        res = build_spanner(g, sol, params, table, probs, trial_rngs(params.seed))
+        res = build_spanner(g, sol, params, table, probs, trial_rngs(record["seed"]))
         assert len(res.e_h) == record["eh_size"]
         assert naive_is_spanner(g.n, g.edges, res.e_h, k) == record["feasible"]
 

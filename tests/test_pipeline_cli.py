@@ -20,8 +20,11 @@ import dirspan.graph
 
 from dirspan import (
     BadSpec,
+    ExplosionCap,
     LpSolution,
+    PathExplosion,
     RunConfig,
+    TooLarge,
     build_graph,
     dumps_report,
     is_k_spanner,
@@ -32,7 +35,7 @@ from dirspan import (
     serialize_graph,
     trial_seed,
 )
-from dirspan.cli import SHARED_FLAGS, build_parser, load_input, main
+from dirspan.cli import EXIT_INFEASIBLE, FAILURES, SHARED_FLAGS, build_parser, load_input, main
 from dirspan.graph import DistanceTable
 from dirspan.pipeline import splitmix64
 
@@ -819,6 +822,38 @@ def test_readme_cli_table_matches_parser():
     assert table == _declared_flags()
 
 
+def _readme_table(header):
+    """The cells of each row of README's table under header, a line such as '| Code | Meaning |'."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_size_cap_table_matches_the_constants():
+    # each cap's constant, its default and the exception it trips with, in the module that enforces it
+    caps = [
+        (dirspan.paths, "MAX_PATHS", PathExplosion),
+        (dirspan.verify, "MAX_FREE_EDGES", TooLarge),
+        (dirspan.arborescence, "MAX_TREES", ExplosionCap),
+    ]
+    assert all(getattr(module, exc.__name__) is exc for module, _, exc in caps)
+    rows = _readme_table("| Constant | Module | Default | Exception | What it bounds |")
+    assert [row[:4] for row in rows] == [
+        [f"`{name}`", f"`{module.__name__}`", str(getattr(module, name)), f"`{exc.__name__}`"]
+        for module, name, exc in caps
+    ]
+
+
+def test_readme_exit_code_table_matches_the_cli():
+    # main returns 0, EXIT_INFEASIBLE from a failed check, or the code FAILURES gives an exception
+    codes = [int(row[0]) for row in _readme_table("| Code | Meaning |")]
+    assert sorted(codes) == sorted({0, EXIT_INFEASIBLE, *(code for _, _, code in FAILURES)})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -835,8 +870,20 @@ def test_readme_cli_table_matches_parser():
         ["oracle", "gen:cycle:n=4", "-k", "2", "--max-free-edges", "0"],
         ["claims", "gen:cycle:n=4", "-k", "2", "--max-trees", "1"],
     ],
-    # stable names, whichever case goes
-    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6", "argv7", "argv8", "argv9", "argv10", "argv11"],
+    ids=[
+        "lp-alpha",
+        "oracle-max-trees",
+        "claims-require-feasible",
+        "round-max-paths",
+        "lp-max-hops",
+        "oracle-max-hops",
+        "solve-mode",
+        "round-mode",
+        "solve-max-paths",
+        "lp-max-paths",
+        "oracle-max-free-edges",
+        "claims-max-trees",
+    ],
 )
 def test_cli_unread_flag_is_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

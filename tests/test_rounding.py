@@ -41,9 +41,9 @@ def kept_set(g, x, alpha, rng):
     return frozenset(np.flatnonzero(round_edges(edge_inclusion_probs(x, alpha, g.n), rng)).tolist())
 
 
-def one_trial(g, sol, params, table):
-    """build_spanner with the keep probabilities a run would compute for it."""
-    return build_spanner(g, sol, params, table, edge_inclusion_probs(sol.x, params.alpha, g.n), trial_rngs(params.seed))
+def one_trial(g, sol, params, seed, table):
+    """build_spanner at a trial seed, with the keep probabilities a run would compute for it."""
+    return build_spanner(g, sol, params, table, edge_inclusion_probs(sol.x, params.alpha, g.n), trial_rngs(seed))
 
 
 def comparable(res):
@@ -160,9 +160,9 @@ def test_tiny_alpha_keeps_nothing():
 def test_build_spanner_deterministic():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
-    params = RoundingParams(alpha=0.9, seed=42, k=3)
-    a = one_trial(g, sol, params, DistanceTable(g))
-    b = one_trial(g, sol, params, DistanceTable(g))
+    params = RoundingParams(alpha=0.9, k=3)
+    a = one_trial(g, sol, params, 42, DistanceTable(g))
+    b = one_trial(g, sol, params, 42, DistanceTable(g))
     assert comparable(a) == comparable(b)
 
 
@@ -171,7 +171,7 @@ def test_build_spanner_seed_changes_draws():
     g = cycle(8)
     sol = solve_lp(build_lp(g, 3))
     results = {
-        tuple(one_trial(g, sol, RoundingParams(alpha=0.2, seed=s, k=3), DistanceTable(g)).e_h.tolist())
+        tuple(one_trial(g, sol, RoundingParams(alpha=0.2, k=3), s, DistanceTable(g)).e_h.tolist())
         for s in range(6)
     }
     assert len(results) > 1
@@ -186,9 +186,11 @@ def test_shared_table_trees_change_nothing():
     g = build_graph(n, edges)
     sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), objective_value=1.0)
     table = DistanceTable(g)
+    params = RoundingParams(alpha=1.5, k=2)
     for seed in range(24):
-        params = RoundingParams(alpha=1.5, seed=seed, k=2)
-        assert comparable(one_trial(g, sol, params, table)) == comparable(one_trial(g, sol, params, DistanceTable(g)))
+        assert comparable(one_trial(g, sol, params, seed, table)) == comparable(
+            one_trial(g, sol, params, seed, DistanceTable(g))
+        )
         if seed % 3 == 0:
             roots = rng.sample(range(n), seed % 4)
             assert all(np.array_equal(a, b) for a, b in zip(table.trees(roots), DistanceTable(g).trees(roots)))
@@ -205,7 +207,7 @@ def test_rounded_edges_are_the_edge_stream_draws():
     sol = LpSolution(x=(0.05, 0.1, 0.2, 0.3) * 2, objective_value=1.3)
     kept = set()
     for seed in range(8):
-        res = one_trial(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
+        res = one_trial(g, sol, RoundingParams(alpha=0.9, k=3), seed, DistanceTable(g))
         assert res.rounded_edges.tolist() == sorted(kept_set(g, sol.x, 0.9, _stream(seed, EDGE_STREAM)))
         kept.add(tuple(res.rounded_edges.tolist()))
     assert len(kept) > 1
@@ -217,7 +219,7 @@ def test_tree_roots_are_the_root_stream_draws():
     for x in ((0.0,) * 8, (1.0,) * 8):
         sol = LpSolution(x=x, objective_value=sum(x))
         for seed in range(8):
-            res = one_trial(g, sol, RoundingParams(alpha=0.9, seed=seed, k=3), DistanceTable(g))
+            res = one_trial(g, sol, RoundingParams(alpha=0.9, k=3), seed, DistanceTable(g))
             assert res.tree_roots == sample_tree_roots(8, 0.9, _stream(seed, ROOT_STREAM))
 
 
@@ -228,7 +230,7 @@ def test_the_check_reads_the_tree_rows():
     sol = LpSolution(x=(0.0,) * 8, objective_value=0.0)
     verdicts = set()
     for seed in range(12):
-        res = one_trial(g, sol, RoundingParams(alpha=0.3, seed=seed, k=3), DistanceTable(g))
+        res = one_trial(g, sol, RoundingParams(alpha=0.3, k=3), seed, DistanceTable(g))
         assert res.rounded_edges.tolist() == []
         assert res.feasible == bool(res.tree_roots) == (res.e_h.tolist() == list(range(8)))
         verdicts.add(res.feasible)
@@ -242,7 +244,7 @@ def test_triangle_saturated_probabilities():
     for seed in range(5):
         assert kept_set(g, sol.x, 10.0, _stream(seed, EDGE_STREAM)) == frozenset({0, 2})
     assert is_k_spanner(g, {0, 2}, 2).feasible
-    res = one_trial(g, sol, RoundingParams(alpha=10.0, seed=123, k=2), DistanceTable(g))
+    res = one_trial(g, sol, RoundingParams(alpha=10.0, k=2), 123, DistanceTable(g))
     assert res.rounded_edges.tolist() == [0, 2]
     assert res.feasible
 
@@ -256,8 +258,7 @@ def test_tree_edge_budget_holds():
         if g.m == 0:
             continue
         sol = LpSolution(x=tuple(rng.random() for _ in range(g.m)), objective_value=1.0)
-        params = RoundingParams(alpha=1.2, seed=trial, k=3)
-        res = one_trial(g, sol, params, DistanceTable(g))
+        res = one_trial(g, sol, RoundingParams(alpha=1.2, k=3), trial, DistanceTable(g))
         assert len(res.tree_edges) <= 2 * len(res.tree_roots) * (n - 1)
         assert res.e_h.tolist() == sorted(set(res.rounded_edges.tolist()) | set(res.tree_edges.tolist()))
 
